@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .core import ClosedSet, Program, closure
 from .revision import (
-    _effective_cap,
+    enumeration_cap,
     flock_closure,
     revise_extended_hull,
     revise_hull,
@@ -46,24 +46,25 @@ def disj(p1: Program, p2: Program) -> ClosedSet:
     return closure(p1).meet(closure(p2))
 
 
-def revised_closure(p: Program, q: Program, strategy: Strategy,
-                    cap: int | None = None) -> ClosedSet:
+def revised_closure(p: Program, q: Program, strategy: Strategy) -> ClosedSet:
     """Consequences of revising p by q under the given strategy."""
-    return _revised_closure(p, q, strategy, _effective_cap(cap))
+    return _revised_closure(p, q, strategy, enumeration_cap())
 
 
 @lru_cache(maxsize=1 << 12)
 def _revised_closure(p: Program, q: Program, strategy: Strategy, cap: int) -> ClosedSet:
+    # cap only keys the cache, so a result cached under one value of
+    # FCMERGE_MAX_ENUM is never returned under another; the enumeration
+    # reads the cap itself
     if strategy is Strategy.RANK:
         return closure(revise_rank(p, q))
     if strategy is Strategy.HULL:
-        return closure(revise_hull(p, q, cap))
-    return flock_closure(revise_extended_hull(p, q, cap))
+        return closure(revise_hull(p, q))
+    return flock_closure(revise_extended_hull(p, q))
 
 
-def arbitrate(p1: Program, p2: Program, strategy: Strategy,
-              cap: int | None = None) -> ClosedSet:
+def arbitrate(p1: Program, p2: Program, strategy: Strategy) -> ClosedSet:
     """Intersection of the two cross-revision consequence sets."""
-    left = revised_closure(p1, p2, strategy, cap)
-    right = revised_closure(p2, p1, strategy, cap)
+    left = revised_closure(p1, p2, strategy)
+    right = revised_closure(p2, p1, strategy)
     return left.meet(right)

@@ -3,8 +3,9 @@
 Exit codes: 0 success (or postulate holds), 1 violation found (check,
 corpus mismatch, or fuzz violations of guaranteed postulates), 2 parse
 or input error, 3 usage or configuration error, 4 enumeration size limit
-exceeded.  The FCMERGE_MAX_ENUM environment variable overrides the
-maximal-subset enumeration cap.
+exceeded.  The FCMERGE_MAX_ENUM environment variable (default 24) is
+the only way to set the maximal-subset enumeration cap; it is read at
+each enumeration.  Input files must be UTF-8.
 """
 
 from __future__ import annotations
@@ -261,10 +262,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SourceError as exc:
         print(f"fcmerge: parse error: {exc}", file=sys.stderr)
         return 2
-    except EmptyProfile as exc:
-        print(f"fcmerge: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EmptyProfile, OSError, UnicodeDecodeError) as exc:
         print(f"fcmerge: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, IncompleteBinding) as exc:

@@ -15,9 +15,9 @@ this module is safe to share between threads.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import InconsistentProgram
@@ -201,38 +201,25 @@ class Stratification:
 
     layers: tuple[frozenset[Literal], ...]
 
-    def all_literals(self) -> frozenset[Literal]:
-        out: set[Literal] = set()
-        for layer in self.layers:
-            out.update(layer)
-        return frozenset(out)
 
-
-@lru_cache(maxsize=1 << 16)
-def closure(program: Program) -> ClosedSet:
-    """Forward-chaining consequences of a program.
+def _rounds(program: Program) -> list[list[Literal]] | None:
+    """Forward chaining, one firing round at a time.
 
     Unit-propagation style: each non-fact rule counts how many distinct
     body literals are still underived, and fires when the count reaches
-    zero.  Runs in time linear in the total body size.
+    zero.  Round 0 holds the facts and round i+1 the new heads of the
+    rules whose last missing body literal was derived in round i, so a
+    literal's round is one more than the latest round of the body that
+    first derives it.  Runs in time linear in the total body size.
+    Returns None as soon as an atom and its negation are both derived.
     """
     heads: list[Literal] = []
     missing: list[int] = []
     watchers: dict[Literal, list[int]] = {}
-    derived: set[Literal] = set()
-    queue: deque[Literal] = deque()
-
-    def derive(lit: Literal) -> bool:
-        if lit in derived:
-            return True
-        if lit.negated() in derived:
-            return False
-        derived.add(lit)
-        queue.append(lit)
-        return True
-
+    frontier: list[Literal] = []
     for rule in program.rules:
-        if rule.is_fact:
+        if not rule.body:
+            frontier.append(rule.head)
             continue
         idx = len(heads)
         heads.append(rule.head)
@@ -240,18 +227,36 @@ def closure(program: Program) -> ClosedSet:
         for lit in rule.body:
             watchers.setdefault(lit, []).append(idx)
 
-    for fact in program.facts:
-        if not derive(fact):
-            return BOTTOM
+    rounds: list[list[Literal]] = []
+    derived: set[Literal] = set()
+    while True:
+        layer: list[Literal] = []
+        for lit in frontier:
+            if lit in derived:
+                continue
+            if lit.negated() in derived:
+                return None
+            derived.add(lit)
+            layer.append(lit)
+        if rounds and not layer:
+            return rounds
+        rounds.append(layer)
+        frontier = []
+        for lit in layer:
+            for idx in watchers.get(lit, ()):
+                missing[idx] -= 1
+                if not missing[idx]:
+                    frontier.append(heads[idx])
 
-    while queue:
-        lit = queue.popleft()
-        for idx in watchers.get(lit, ()):
-            missing[idx] -= 1
-            if missing[idx] == 0 and not derive(heads[idx]):
-                return BOTTOM
 
-    return ClosedSet(frozenset(derived))
+@lru_cache(maxsize=1 << 16)
+def closure(program: Program) -> ClosedSet:
+    """Forward-chaining consequences of a program: the union of its
+    firing rounds, or BOTTOM when they derive opposed literals."""
+    rounds = _rounds(program)
+    if rounds is None:
+        return BOTTOM
+    return ClosedSet(frozenset(chain.from_iterable(rounds)))
 
 
 def is_consistent(program: Program) -> bool:
@@ -265,31 +270,18 @@ def consistent_with(literals: Iterable[Literal], program: Program) -> bool:
 
 
 def stratify(program: Program) -> Stratification:
-    """Split the consequences of a consistent program into rounds.
+    """Split the consequences of a consistent program into its firing
+    rounds.
 
     Layer 0 is the set of facts; layer i+1 holds the heads of rules whose
     bodies are covered by layers 0..i and that are not already derived.
     Layers after the first are nonempty, they are pairwise disjoint, and
     their union is the closure.
     """
-    facts = program.facts
-    derived: set[Literal] = set()
-    for lit in facts:
-        if lit.negated() in facts:
-            raise InconsistentProgram(str(program))
-    derived.update(facts)
-    layers = [frozenset(facts)]
-    chaining = [r for r in program.rules if not r.is_fact]
-    while True:
-        new = {r.head for r in chaining if r.head not in derived and r.body <= derived}
-        if not new:
-            break
-        for lit in new:
-            if lit.negated() in derived or lit.negated() in new:
-                raise InconsistentProgram(str(program))
-        derived.update(new)
-        layers.append(frozenset(new))
-    return Stratification(tuple(layers))
+    rounds = _rounds(program)
+    if rounds is None:
+        raise InconsistentProgram(str(program))
+    return Stratification(tuple(frozenset(layer) for layer in rounds))
 
 
 def entails(p: Program, q: Program) -> bool:

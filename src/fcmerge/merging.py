@@ -66,15 +66,14 @@ class Profile:
         return "\n---\n".join(str(m) for m in self.members)
 
 
-def merge(constraint: Program, profile: Profile, strategy: Strategy,
-          cap: int | None = None) -> ClosedSet:
+def merge(constraint: Program, profile: Profile, strategy: Strategy) -> ClosedSet:
     """Merge the profile under the integrity constraint."""
     pooled = closure(constraint | profile.union_program())
     if not pooled.is_bottom:
         return pooled
     result: ClosedSet | None = None
     for member in profile:
-        revised = revised_closure(member, constraint, strategy, cap)
+        revised = revised_closure(member, constraint, strategy)
         result = revised if result is None else result.meet(revised)
     assert result is not None
     return result

@@ -51,10 +51,6 @@ class PostulateId(Enum):
     def family(self) -> str:
         return self.value[:2]
 
-    @property
-    def index(self) -> int:
-        return int(self.value[2:])
-
     @classmethod
     def parse(cls, token: str) -> PostulateId:
         try:
@@ -392,18 +388,6 @@ def check(pid: PostulateId, instance: Instance) -> Verdict:
             parts.append("unexpected " + ", ".join(sorted(extra)))
         raise IncompleteBinding(f"{pid.value}: " + "; ".join(parts))
     return spec.evaluate(instance)
-
-
-def check_sa(pid: PostulateId, instance: Instance) -> Verdict:
-    if pid.family != "SA":
-        raise ValueError(f"{pid.value} is not an SA postulate")
-    return check(pid, instance)
-
-
-def check_fp(pid: PostulateId, instance: Instance) -> Verdict:
-    if pid.family != "FP":
-        raise ValueError(f"{pid.value} is not an FP postulate")
-    return check(pid, instance)
 
 
 def guaranteed(pid: PostulateId, strategy: Strategy) -> bool:

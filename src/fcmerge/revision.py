@@ -8,6 +8,12 @@ revision), to the intersection of all maximal tolerant subsets (hull
 revision), or to each maximal tolerant subset separately, producing a
 flock (extended hull revision).  Consequence-wise the three operators
 form a chain: rank below hull below extended hull.
+
+Hull and extended-hull revision enumerate maximal subsets, which takes
+exponential time in the worst case, so the number of candidate rules an
+enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
+variable (default 24) is the only way to set the cap; it is read at each
+enumeration.
 """
 
 from __future__ import annotations
@@ -24,9 +30,13 @@ DEFAULT_ENUM_CAP = 24
 ENUM_CAP_ENV = "FCMERGE_MAX_ENUM"
 
 
-def _effective_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def enumeration_cap() -> int:
+    """The largest number of candidate rules maximal_extensions searches.
+
+    Read from the FCMERGE_MAX_ENUM environment variable at each call, so
+    a change takes effect at the next enumeration; DEFAULT_ENUM_CAP when
+    the variable is unset or blank.
+    """
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None or not raw.strip():
         return DEFAULT_ENUM_CAP
@@ -129,22 +139,17 @@ def revise_rank(p: Program, q: Program) -> Program:
     return base(p).levels[rank(p, q)] | q
 
 
-def maximal_extensions(p: Program, q: Program, cap: int | None = None) -> tuple[Program, ...]:
+def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     """All maximal subsets of p that contain the rank level and stay
     consistent with q, in canonical text order.
 
     Empty exactly when q is inconsistent.  Enumeration is exponential in
-    the worst case; more candidate rules than the cap (default
-    DEFAULT_ENUM_CAP, overridable via the FCMERGE_MAX_ENUM environment
-    variable) raise SizeLimitExceeded.
+    the worst case; more candidate rules than enumeration_cap() raise
+    SizeLimitExceeded.
     """
     if closure(q).is_bottom:
         return ()
-    return _enumerate_extensions(p, q, _effective_cap(cap))
-
-
-@lru_cache(maxsize=1 << 12)
-def _enumerate_extensions(p: Program, q: Program, cap: int) -> tuple[Program, ...]:
+    cap = enumeration_cap()
     required = base(p).levels[rank(p, q)].rules
     candidates = tuple(sorted(p.rules - required, key=str))
     if len(candidates) > cap:
@@ -177,10 +182,10 @@ def _enumerate_extensions(p: Program, q: Program, cap: int) -> tuple[Program, ..
     return tuple(sorted((Program(s) for s in maximal), key=str))
 
 
-def hull(p: Program, q: Program, cap: int | None = None) -> Program:
+def hull(p: Program, q: Program) -> Program:
     """Intersection of all maximal extensions; the empty program when
     there are none.  Always contains the rank level of p."""
-    extensions = maximal_extensions(p, q, cap)
+    extensions = maximal_extensions(p, q)
     if not extensions:
         return Program()
     rules = extensions[0].rules
@@ -189,12 +194,11 @@ def hull(p: Program, q: Program, cap: int | None = None) -> Program:
     return Program(rules)
 
 
-def revise_hull(p: Program, q: Program, cap: int | None = None) -> Program:
-    return hull(p, q, cap) | q
+def revise_hull(p: Program, q: Program) -> Program:
+    return hull(p, q) | q
 
 
-def revise_extended_hull(a: Union[Flock, Program], q: Program,
-                         cap: int | None = None) -> Flock:
+def revise_extended_hull(a: Union[Flock, Program], q: Program) -> Flock:
     """Revise each flock member into one program per maximal extension
     and concatenate; a member with no extensions contributes q alone.
     A bare program is treated as a singleton flock."""
@@ -202,7 +206,7 @@ def revise_extended_hull(a: Union[Flock, Program], q: Program,
         a = Flock.of(a)
     members: list[Program] = []
     for m in a:
-        extensions = maximal_extensions(m, q, cap)
+        extensions = maximal_extensions(m, q)
         if extensions:
             members.extend(ext | q for ext in extensions)
         else:

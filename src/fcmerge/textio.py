@@ -26,6 +26,11 @@ from .revision import Flock
 
 PROFILE_SEPARATOR = "---"
 
+# ASCII only: str.isalpha/isalnum would let through letters and digits
+# that Literal rejects
+_ATOM_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ATOM_CHARS = _ATOM_START | frozenset("0123456789")
+
 
 class _Token(NamedTuple):
     kind: str  # atom | neg | arrow | comma | dot
@@ -71,10 +76,10 @@ def _scan(text: str, line_offset: int = 0) -> tuple[list[_Token], tuple[int, int
             tokens.append(_Token("dot", ".", line, col))
             i += 1
             col += 1
-        elif c.isalpha() or c == "_":
+        elif c in _ATOM_START:
             start = i
             startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _ATOM_CHARS:
                 i += 1
                 col += 1
             tokens.append(_Token("atom", text[start:i], line, startcol))

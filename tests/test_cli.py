@@ -118,6 +118,19 @@ def test_parse_error_exit_code(files, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_non_ascii_atom_is_parse_error(files, capsys):
+    path = files("p.fc", "café.")
+    assert run(["cns", path]) == 2
+    assert "parse error: 1:4:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    path = tmp_path / "p.fc"
+    path.write_bytes(b"a\xff.")
+    assert run(["cns", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("fcmerge: ")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert run(["cns", str(tmp_path / "nope.fc")]) == 2
 

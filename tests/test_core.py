@@ -210,6 +210,17 @@ def test_stratification_partitions_closure(p):
     assert all(strat.layers[i] for i in range(1, len(strat.layers)))
 
 
+@given(programs, programs)
+@settings(max_examples=300, deadline=None)
+def test_stratify_matches_naive_oracle(p, q):
+    program = p | q
+    if naive_closure(program).is_bottom:
+        with pytest.raises(InconsistentProgram):
+            stratify(program)
+    else:
+        assert stratify(program).layers == naive_layers(program)
+
+
 def test_gap_pair_closures():
     assert closure(prog(GAP_P)) == closed("a")
     assert closure(prog(GAP_Q)) == closed("b")

@@ -12,8 +12,6 @@ from fcmerge import (
     Strategy,
     Verdict,
     check,
-    check_fp,
-    check_sa,
     guaranteed,
     run_corpus,
 )
@@ -38,7 +36,7 @@ class TestSaCheckers:
             "Q1": prog("b -> c. a."),
             "Q2": prog("a."),
         })
-        verdict = check_sa(PostulateId.SA5, inst)
+        verdict = check(PostulateId.SA5, inst)
         assert verdict.status is Status.VIOLATED
         assert verdict.witness_dict["arb(P1, Q1)"] == "a, b, c"
         assert verdict.witness_dict["arb(P2, Q2)"] == "a, b"
@@ -48,7 +46,7 @@ class TestSaCheckers:
             "P1": prog("a."), "P2": prog("b."),
             "Q1": prog("c."), "Q2": prog("c."),
         })
-        assert check_sa(PostulateId.SA5, inst).status is Status.VACUOUS
+        assert check(PostulateId.SA5, inst).status is Status.VACUOUS
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_sa6_trichotomy_violated(self, strategy):
@@ -57,7 +55,7 @@ class TestSaCheckers:
             "Q1": prog("a."),
             "Q2": prog("b."),
         })
-        verdict = check_sa(PostulateId.SA6, inst)
+        verdict = check(PostulateId.SA6, inst)
         assert verdict.status is Status.VIOLATED
         assert verdict.witness_dict["arb(P, disj(Q1, Q2))"] == "e"
         assert verdict.witness_dict["arb(P, Q1)"] == "a, b, c, e"
@@ -72,35 +70,35 @@ class TestSaCheckers:
             "Q1": prog("a. -a."),
             "Q2": prog("b. -b."),
         })
-        verdict = check_sa(PostulateId.SA6, inst)
+        verdict = check(PostulateId.SA6, inst)
         assert verdict.status is Status.HOLDS
         assert verdict.witness_dict["arb(P, disj(Q1, Q2))"] == "c"
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_sa1_holds(self, strategy):
-        verdict = check_sa(PostulateId.SA1, sa_pair(prog(GAP_P), prog(GAP_Q), strategy))
+        verdict = check(PostulateId.SA1, sa_pair(prog(GAP_P), prog(GAP_Q), strategy))
         assert verdict.status is Status.HOLDS
 
     def test_sa3_vacuous_on_conflict(self):
-        verdict = check_sa(PostulateId.SA3, sa_pair(prog("a."), prog("-a.")))
+        verdict = check(PostulateId.SA3, sa_pair(prog("a."), prog("-a.")))
         assert verdict.status is Status.VACUOUS
 
     def test_sa3_nonvacuous_holds(self):
-        verdict = check_sa(PostulateId.SA3, sa_pair(prog("a."), prog("b.")))
+        verdict = check(PostulateId.SA3, sa_pair(prog("a."), prog("b.")))
         assert verdict.status is Status.HOLDS
 
     def test_sa4_biconditional_both_directions(self):
         both = sa_pair(prog("a. -a."), prog("b. -b."))
-        assert check_sa(PostulateId.SA4, both).status is Status.HOLDS
+        assert check(PostulateId.SA4, both).status is Status.HOLDS
         one = sa_pair(prog("a. -a."), prog("b."))
-        assert check_sa(PostulateId.SA4, one).status is Status.HOLDS
+        assert check(PostulateId.SA4, one).status is Status.HOLDS
 
     def test_sa8_vacuous_for_inconsistent_base(self):
-        verdict = check_sa(PostulateId.SA8, sa_pair(prog("a. -a."), prog("b.")))
+        verdict = check(PostulateId.SA8, sa_pair(prog("a. -a."), prog("b.")))
         assert verdict.status is Status.VACUOUS
 
     def test_sa8_holds_on_conflict_pair(self):
-        verdict = check_sa(PostulateId.SA8, sa_pair(prog(GAP_P), prog(GAP_Q)))
+        verdict = check(PostulateId.SA8, sa_pair(prog(GAP_P), prog(GAP_Q)))
         assert verdict.status is Status.HOLDS
 
 
@@ -113,7 +111,7 @@ class TestFpCheckers:
             profiles={"profile1": Profile((prog("a -> b."),)),
                       "profile2": Profile((prog("a -> c."),))},
         )
-        verdict = check_fp(PostulateId.FP3, inst)
+        verdict = check(PostulateId.FP3, inst)
         assert verdict.status is Status.VIOLATED
         assert verdict.witness_dict["merge(P, profile1)"] == "a, b"
         assert verdict.witness_dict["merge(Q, profile2)"] == "a, c"
@@ -125,7 +123,7 @@ class TestFpCheckers:
             profiles={"profile1": Profile((prog("a -> b."),)),
                       "profile2": Profile((prog("b."),))},
         )
-        assert check_fp(PostulateId.FP3, inst).status is Status.VACUOUS
+        assert check(PostulateId.FP3, inst).status is Status.VACUOUS
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_fp5_violated(self, strategy):
@@ -135,7 +133,7 @@ class TestFpCheckers:
             profiles={"profile1": Profile((prog("a -> b."),)),
                       "profile2": Profile((prog("b -> c."),))},
         )
-        verdict = check_fp(PostulateId.FP5, inst)
+        verdict = check(PostulateId.FP5, inst)
         assert verdict.status is Status.VIOLATED
         w = verdict.witness_dict
         assert w["merge(profile1 + profile2)"] == "a, b, c"
@@ -150,7 +148,7 @@ class TestFpCheckers:
             programs={"constraint": prog("c."), "Q": prog("a.")},
             profiles={"profile1": Profile((prog("a -> b."),))},
         )
-        verdict = check_fp(PostulateId.FP7, inst)
+        verdict = check(PostulateId.FP7, inst)
         assert verdict.status is Status.VIOLATED
         assert verdict.witness_dict["merge(constraint, profile) + Q"] == "a, c"
         assert verdict.witness_dict["merge(constraint + Q, profile)"] == "a, b, c"
@@ -162,7 +160,7 @@ class TestFpCheckers:
             programs={"constraint": prog("a."), "Q": prog("b.")},
             profiles={"profile1": Profile((prog("a -> c. b -> -c."),))},
         )
-        verdict = check_fp(PostulateId.FP8, inst)
+        verdict = check(PostulateId.FP8, inst)
         assert verdict.status is Status.VIOLATED
         assert verdict.witness_dict["merge(constraint + Q, profile)"] == "a, b"
         assert verdict.witness_dict["merge(constraint, profile) + Q"] == "a, b, c"
@@ -174,7 +172,7 @@ class TestFpCheckers:
             programs={"constraint": prog("a.")},
             profiles={"profile1": Profile((prog("-a. b."),))},
         )
-        assert check_fp(PostulateId.FP0, inst).status is Status.HOLDS
+        assert check(PostulateId.FP0, inst).status is Status.HOLDS
 
     def test_fp1_vacuous_for_inconsistent_constraint(self):
         inst = Instance(
@@ -182,7 +180,7 @@ class TestFpCheckers:
             programs={"constraint": prog("a. -a.")},
             profiles={"profile1": Profile((prog("b."),))},
         )
-        assert check_fp(PostulateId.FP1, inst).status is Status.VACUOUS
+        assert check(PostulateId.FP1, inst).status is Status.VACUOUS
 
     def test_fp4_hull_violated_rank_holds(self):
         programs = {
@@ -191,11 +189,11 @@ class TestFpCheckers:
             "P2": prog("a. b. c -> -b. a -> d."),
         }
         for strategy in (Strategy.HULL, Strategy.EXTENDED_HULL):
-            verdict = check_fp(PostulateId.FP4, Instance(strategy, programs=dict(programs)))
+            verdict = check(PostulateId.FP4, Instance(strategy, programs=dict(programs)))
             assert verdict.status is Status.VIOLATED
             assert verdict.witness_dict["merge"] == "a, c, d"
             assert verdict.witness_dict["cns(merge + P2)"] == "#bottom"
-        verdict = check_fp(PostulateId.FP4, Instance(Strategy.RANK, programs=dict(programs)))
+        verdict = check(PostulateId.FP4, Instance(Strategy.RANK, programs=dict(programs)))
         assert verdict.status is Status.HOLDS
         assert verdict.witness_dict["merge"] == "a"
 
@@ -205,7 +203,7 @@ class TestFpCheckers:
             "P1": prog("b."),
             "P2": prog("a. c."),
         })
-        assert check_fp(PostulateId.FP4, inst).status is Status.VACUOUS
+        assert check(PostulateId.FP4, inst).status is Status.VACUOUS
 
 
 class TestCheckPlumbing:
@@ -218,13 +216,6 @@ class TestCheckPlumbing:
                         programs={"P": prog("a."), "Q": prog("b."), "R": prog("c.")})
         with pytest.raises(IncompleteBinding, match="unexpected R"):
             check(PostulateId.SA1, inst)
-
-    def test_family_mismatch(self):
-        inst = sa_pair(prog("a."), prog("b."))
-        with pytest.raises(ValueError):
-            check_fp(PostulateId.SA1, inst)
-        with pytest.raises(ValueError):
-            check_sa(PostulateId.FP0, inst)
 
     def test_violated_verdict_requires_witness(self):
         with pytest.raises(ValueError):

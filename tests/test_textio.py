@@ -60,6 +60,8 @@ class TestParseErrors:
             ("-.", 1, 2),         # negation without atom
             ("a ->.", 1, 5),      # missing head
             ("a,, b -> c.", 1, 3),
+            ("café.", 1, 4),      # non-ASCII letter inside an atom
+            ("a\u00b2.", 1, 2),   # non-ASCII digit inside an atom
         ],
     )
     def test_positions(self, text, line, col):
