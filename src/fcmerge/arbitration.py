@@ -9,16 +9,9 @@ it commutative by construction.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 from .core import ClosedSet, Program, closure
-from .revision import (
-    enumeration_cap,
-    flock_closure,
-    revise_extended_hull,
-    revise_hull,
-    revise_rank,
-)
+from .revision import flock_closure, revise_extended_hull, revise_hull, revise_rank
 
 
 class Strategy(Enum):
@@ -48,14 +41,6 @@ def disj(p1: Program, p2: Program) -> ClosedSet:
 
 def revised_closure(p: Program, q: Program, strategy: Strategy) -> ClosedSet:
     """Consequences of revising p by q under the given strategy."""
-    return _revised_closure(p, q, strategy, enumeration_cap())
-
-
-@lru_cache(maxsize=1 << 12)
-def _revised_closure(p: Program, q: Program, strategy: Strategy, cap: int) -> ClosedSet:
-    # cap only keys the cache, so a result cached under one value of
-    # FCMERGE_MAX_ENUM is never returned under another; the enumeration
-    # reads the cap itself
     if strategy is Strategy.RANK:
         return closure(revise_rank(p, q))
     if strategy is Strategy.HULL:

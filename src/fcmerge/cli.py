@@ -4,8 +4,9 @@ Exit codes: 0 success (or postulate holds), 1 violation found (check,
 corpus mismatch, or fuzz violations of guaranteed postulates), 2 parse
 or input error, 3 usage or configuration error, 4 enumeration size limit
 exceeded.  The FCMERGE_MAX_ENUM environment variable (default 24) is
-the only way to set the maximal-subset enumeration cap; it is read at
-each enumeration.  Input files must be UTF-8.
+the only way to set the maximal-subset enumeration cap.  Only h and eh
+enumeration reads it, at each call, so rk revision, arbitration and
+merging ignore a malformed value.  Input files must be UTF-8.
 """
 
 from __future__ import annotations

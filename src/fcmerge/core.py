@@ -22,7 +22,9 @@ from typing import Iterable, Iterator
 
 from .errors import InconsistentProgram
 
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# the one definition of an atom name; textio scans with it too
+ATOM = r"[A-Za-z_][A-Za-z0-9_]*"
+_ATOM_RE = re.compile(ATOM)
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class Literal:
     positive: bool = True
 
     def __post_init__(self) -> None:
-        if not _ATOM_RE.match(self.atom):
+        if not _ATOM_RE.fullmatch(self.atom):
             raise ValueError(f"invalid atom name: {self.atom!r}")
 
     def negated(self) -> Literal:
@@ -121,6 +123,11 @@ class Program:
         return "\n".join(str(r) for r in self)
 
 
+def _opposed(literals: frozenset[Literal]) -> bool:
+    # distinct literals sharing an atom can only be an atom and its negation
+    return len({l.atom for l in literals}) < len(literals)
+
+
 @dataclass(frozen=True)
 class ClosedSet:
     """The result of closing a program: either a consistent set of
@@ -136,19 +143,15 @@ class ClosedSet:
     def __post_init__(self) -> None:
         if self.literals is not None:
             lits = frozenset(self.literals)
-            for l in lits:
-                if l.negated() in lits:
-                    raise ValueError(f"opposed literals {l} and {l.negated()}")
+            if _opposed(lits):
+                raise ValueError("a closed set cannot hold an atom and its negation")
             object.__setattr__(self, "literals", lits)
 
     @classmethod
     def of(cls, literals: Iterable[Literal]) -> ClosedSet:
         """Collapse a plain literal set: opposed literals yield BOTTOM."""
         lits = frozenset(literals)
-        for l in lits:
-            if l.negated() in lits:
-                return BOTTOM
-        return cls(lits)
+        return BOTTOM if _opposed(lits) else cls(lits)
 
     @property
     def is_bottom(self) -> bool:
@@ -228,16 +231,16 @@ def _rounds(program: Program) -> list[list[Literal]] | None:
             watchers.setdefault(lit, []).append(idx)
 
     rounds: list[list[Literal]] = []
-    derived: set[Literal] = set()
+    signs: dict[str, bool] = {}  # derived atom -> derived sign
     while True:
         layer: list[Literal] = []
         for lit in frontier:
-            if lit in derived:
-                continue
-            if lit.negated() in derived:
+            sign = signs.get(lit.atom)
+            if sign is None:
+                signs[lit.atom] = lit.positive
+                layer.append(lit)
+            elif sign != lit.positive:
                 return None
-            derived.add(lit)
-            layer.append(lit)
         if rounds and not layer:
             return rounds
         rounds.append(layer)

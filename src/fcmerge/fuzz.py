@@ -115,11 +115,6 @@ def _pair_pools(cfg: FuzzConfig, rng: random.Random) -> tuple[tuple[str, ...], t
     return first, extended[cfg.atoms:]
 
 
-def _gen_pair(cfg: FuzzConfig, rng: random.Random) -> tuple[Program, Program]:
-    pool_p, pool_q = _pair_pools(cfg, rng)
-    return gen_program(cfg, rng, pool_p), gen_program(cfg, rng, pool_q)
-
-
 def _equivalent_variant(p: Program, cfg: FuzzConfig, rng: random.Random,
                         pool: tuple[str, ...]) -> Program:
     """A syntactic variant of p with identical consequences: adds a rule

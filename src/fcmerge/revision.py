@@ -12,8 +12,9 @@ form a chain: rank below hull below extended hull.
 Hull and extended-hull revision enumerate maximal subsets, which takes
 exponential time in the worst case, so the number of candidate rules an
 enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
-variable (default 24) is the only way to set the cap; it is read at each
-enumeration.
+variable (default 24) is the only way to set the cap.  Only that
+enumeration reads it, at each call, so rank revision, and arbitration
+and merging built on it, ignore a malformed value.
 """
 
 from __future__ import annotations
@@ -149,14 +150,20 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     """
     if closure(q).is_bottom:
         return ()
-    cap = enumeration_cap()
     required = base(p).levels[rank(p, q)].rules
     candidates = tuple(sorted(p.rules - required, key=str))
+    cap = enumeration_cap()
     if len(candidates) > cap:
         raise SizeLimitExceeded(
             f"{len(candidates)} candidate rules exceed the enumeration cap of {cap}"
         )
+    return _enumerate_extensions(required, candidates, q)
 
+
+@lru_cache(maxsize=1 << 12)
+def _enumerate_extensions(required: frozenset[Rule], candidates: tuple[Rule, ...],
+                          q: Program) -> tuple[Program, ...]:
+    # memoised below the cap check, so the cap is obeyed on every call
     def tolerable(rules: frozenset[Rule]) -> bool:
         return not closure(Program(rules) | q).is_bottom
 
@@ -173,7 +180,7 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
             search(chosen | {head}, tail)
         search(chosen, tail)
 
-    search(frozenset(required), candidates)
+    search(required, candidates)
 
     maximal = [
         s for s in found

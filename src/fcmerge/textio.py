@@ -6,7 +6,8 @@ Grammar:
     stmt    := (body "->")? literal "."
     body    := literal ("," literal)*
     literal := "-"? atom
-    atom    := [a-zA-Z_][a-zA-Z0-9_]*
+    atom    := core.ATOM: an ASCII letter or "_", then ASCII letters,
+               digits or "_"
 
 "%" starts a comment running to end of line; whitespace is insignificant.
 Profile files separate programs with lines consisting solely of "---".
@@ -17,19 +18,15 @@ profiles.  The inconsistent closed set renders as "#bottom".
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Union
 
-from .core import ClosedSet, Literal, Program, Rule, Stratification
+from .core import ATOM, ClosedSet, Literal, Program, Rule, Stratification
 from .errors import EmptyProfile, SourceError
 from .merging import Profile
 from .revision import Flock
 
 PROFILE_SEPARATOR = "---"
-
-# ASCII only: str.isalpha/isalnum would let through letters and digits
-# that Literal rejects
-_ATOM_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_ATOM_CHARS = _ATOM_START | frozenset("0123456789")
 
 
 class _Token(NamedTuple):
@@ -39,59 +36,39 @@ class _Token(NamedTuple):
     column: int
 
 
-def _scan(text: str, line_offset: int = 0) -> tuple[list[_Token], tuple[int, int]]:
+# tried in order at each position; columns count code points
+_TOKENS = re.compile(rf"""
+    (?P<newline>\n)
+  | (?P<skip>[^\S\n]+|%[^\n]*)   # other whitespace, or a comment to end of line
+  | (?P<arrow>->)
+  | (?P<neg>-)
+  | (?P<comma>,)
+  | (?P<dot>\.)
+  | (?P<atom>{ATOM})
+  | (?P<other>.)
+""", re.VERBOSE)
+
+
+def _scan(text: str, line_offset: int = 0) -> list[_Token]:
     tokens: list[_Token] = []
     line = 1 + line_offset
-    col = 1
-    last_pos = (line, col)
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        last_pos = (line, col)
-        if c == "\n":
+    line_start = 0
+    for m in _TOKENS.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(_Token("arrow", "->", line, col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(_Token("neg", "-", line, col))
-                i += 1
-                col += 1
-        elif c == ",":
-            tokens.append(_Token("comma", ",", line, col))
-            i += 1
-            col += 1
-        elif c == ".":
-            tokens.append(_Token("dot", ".", line, col))
-            i += 1
-            col += 1
-        elif c in _ATOM_START:
-            start = i
-            startcol = col
-            while i < n and text[i] in _ATOM_CHARS:
-                i += 1
-                col += 1
-            tokens.append(_Token("atom", text[start:i], line, startcol))
-        else:
-            raise SourceError(line, col, f"unexpected character {c!r}")
-    return tokens, last_pos
+            line_start = m.end()
+        elif kind == "other":
+            raise SourceError(line, m.start() - line_start + 1,
+                              f"unexpected character {m.group()!r}")
+        elif kind != "skip":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], end_pos: tuple[int, int]):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
-        self.end_pos = end_pos
         self.index = 0
 
     def peek(self) -> _Token | None:
@@ -100,15 +77,10 @@ class _Parser:
         return None
 
     def fail(self, message: str) -> SourceError:
-        tok = self.peek()
-        if tok is not None:
-            line, col = tok.line, tok.column
-        elif self.tokens:
-            # unexpected end of input: point at the last token
-            line, col = self.tokens[-1].line, self.tokens[-1].column
-        else:
-            line, col = self.end_pos
-        return SourceError(line, col, message)
+        # only called after a token was read, so at end of input the
+        # last token is there to point at
+        tok = self.peek() or self.tokens[-1]
+        return SourceError(tok.line, tok.column, message)
 
     def take(self, kind: str, expected: str) -> _Token:
         tok = self.peek()
@@ -153,8 +125,7 @@ class _Parser:
 
 
 def _parse_block(text: str, line_offset: int) -> Program:
-    tokens, end_pos = _scan(text, line_offset)
-    return _Parser(tokens, end_pos).program()
+    return _Parser(_scan(text, line_offset)).program()
 
 
 def parse_program(text: str) -> Program:

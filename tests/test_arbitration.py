@@ -4,6 +4,7 @@ import pytest
 
 from fcmerge import (
     Program,
+    SizeLimitExceeded,
     Strategy,
     arbitrate,
     closure,
@@ -99,6 +100,17 @@ def test_thread_safe_evaluation():
             lambda pq: arbitrate(pq[0], pq[1], Strategy.EXTENDED_HULL), pairs
         ))
     assert results == expected
+
+
+def test_lowered_cap_wins_over_memo(monkeypatch):
+    # eight candidate rules: within the default cap, above a cap of 3
+    p = prog(" ".join(f"a{i} -> c." for i in range(8)))
+    q = prog("-c. a0.")
+    monkeypatch.delenv("FCMERGE_MAX_ENUM", raising=False)
+    arbitrate(p, q, Strategy.HULL)
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "3")
+    with pytest.raises(SizeLimitExceeded):
+        arbitrate(p, q, Strategy.HULL)
 
 
 class TestStrategy:

@@ -149,6 +149,30 @@ def test_size_limit_exit_code(files, capsys, monkeypatch):
     assert "cap" in capsys.readouterr().err
 
 
+def test_malformed_cap_ignored_by_rank_arbitration(files, capsys, monkeypatch):
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "abc")
+    a = files("a.fc", GAP_P)
+    b = files("b.fc", GAP_Q)
+    assert run(["arbitrate", "--op", "rk", a, b]) == 0
+
+
+def test_malformed_cap_ignored_by_rank_merge(files, capsys, monkeypatch):
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "abc")
+    constraint = files("c.fc", "-c.")
+    m1 = files("m1.fc", "a. a -> c.")
+    m2 = files("m2.fc", "b. b -> c.")
+    assert run(["merge", "--op", "rk", constraint, m1, m2]) == 0
+    assert capsys.readouterr().out.strip() == "-c"
+
+
+def test_malformed_cap_fails_hull_arbitration(files, capsys, monkeypatch):
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "abc")
+    a = files("a.fc", GAP_P)
+    b = files("b.fc", GAP_Q)
+    assert run(["arbitrate", "--op", "h", a, b]) == 3
+    assert "FCMERGE_MAX_ENUM" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["arbitrate"]) == 3
     assert run(["no-such-command"]) == 3

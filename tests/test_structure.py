@@ -1,0 +1,59 @@
+"""Structural rules of the package source, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import fcmerge
+
+MODULES = sorted(Path(fcmerge.__file__).parent.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_no_private_name_imported_from_a_sibling():
+    offenders = [
+        f"{path.stem}: {alias.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("fcmerge"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert offenders == []
+
+
+class _EnvironReads(ast.NodeVisitor):
+    """Collects module.function for every use of os.environ or os.getenv."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.found: list[str] = []
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (isinstance(node.value, ast.Name) and node.value.id == "os"
+                and node.attr in ("environ", "getenv")):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "os" and any(a.name in ("environ", "getenv") for a in node.names):
+            self.found.append(".".join(self.scope))
+
+
+def test_environment_read_only_by_enumeration_cap():
+    found = []
+    for path in MODULES:
+        reads = _EnvironReads(path.stem)
+        reads.visit(_tree(path))
+        found += reads.found
+    assert found == ["revision.enumeration_cap"]

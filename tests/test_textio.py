@@ -1,10 +1,14 @@
+import string
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmerge import (
     BOTTOM,
     EmptyProfile,
     Flock,
+    Literal,
     Profile,
     Program,
     Rule,
@@ -62,6 +66,11 @@ class TestParseErrors:
             ("a,, b -> c.", 1, 3),
             ("café.", 1, 4),      # non-ASCII letter inside an atom
             ("a\u00b2.", 1, 2),   # non-ASCII digit inside an atom
+            ("a\t\r@", 1, 4),
+            (" a -> b.\n% c\n@", 3, 1),
+            ("a - > b.", 1, 5),
+            ("a. % end\nb -> ", 2, 3),
+            ("a.\x0bb\x1c@", 1, 6),
         ],
     )
     def test_positions(self, text, line, col):
@@ -157,3 +166,16 @@ def test_profile_round_trip(p, q):
         return
     profile = Profile((p, q))
     assert parse_profile(render(profile)) == profile
+
+
+@given(st.text(alphabet=string.ascii_letters + string.digits + "_éß²", max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_scanner_agrees_with_literal(name):
+    # the scanner and Literal share one atom grammar
+    try:
+        literal = Literal(name)
+    except ValueError:
+        with pytest.raises(SourceError):
+            parse_program(name + ".")
+    else:
+        assert parse_program(name + ".") == Program.from_facts([literal])
