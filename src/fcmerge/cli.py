@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .arbitration import Strategy, arbitrate
 from .core import Program, closure
@@ -28,12 +28,16 @@ from .errors import (
 )
 from .fuzz import FuzzConfig, search
 from .merging import Profile, merge
-from .postulates import Instance, PostulateId, Status, check, run_corpus
+from .postulates import POSTULATES, Instance, PostulateId, Status, check, run_corpus
 from .revision import Flock, revise_extended_hull, revise_hull, revise_rank
 from .textio import parse_profile, parse_program, parse_programs
 
-_PROGRAM_VARS = ("P", "Q", "P1", "P2", "Q1", "Q2", "constraint")
-_PROFILE_VARS = ("profile1", "profile2")
+_STRATEGY_TOKENS = [s.value for s in Strategy]
+# the binding flags of check, in the order the postulates first name them
+_PROGRAM_VARS = tuple(dict.fromkeys(v for s in POSTULATES.values() for v in s.program_vars))
+_PROFILE_VARS = tuple(dict.fromkeys(v for s in POSTULATES.values() for v in s.profile_vars))
+
+_T = TypeVar("_T")
 
 
 class _UsageError(Exception):
@@ -142,16 +146,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if verdict.status is Status.VIOLATED else 0
 
 
-def _parse_postulates(raw: str) -> tuple[PostulateId, ...]:
+def _parse_list(raw: str, parse: Callable[[str], _T]) -> tuple[_T, ...]:
+    """Parse a comma-separated list of tokens, skipping blank ones."""
     try:
-        return tuple(PostulateId.parse(tok.strip()) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_strategies(raw: str) -> tuple[Strategy, ...]:
-    try:
-        return tuple(Strategy.from_token(tok.strip()) for tok in raw.split(",") if tok.strip())
+        return tuple(parse(tok.strip()) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -164,8 +162,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         rules=args.rules,
         body_len=args.body_len,
         neg_prob=args.neg_prob,
-        strategies=_parse_strategies(args.strategies),
-        postulates=_parse_postulates(args.postulates),
+        strategies=_parse_list(args.strategies, Strategy.from_token),
+        postulates=_parse_list(args.postulates, PostulateId.parse),
     )
     report = search(cfg)
     if args.json:
@@ -199,21 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cns)
 
     p = sub.add_parser("revise", parents=[common], help="revise BASE by NEW")
-    p.add_argument("--op", choices=["rk", "h", "eh"], default="rk")
+    p.add_argument("--op", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
     p.add_argument("base")
     p.add_argument("new")
     p.set_defaults(handler=_cmd_revise)
 
     p = sub.add_parser("arbitrate", parents=[common],
                        help="symmetric merge of two programs")
-    p.add_argument("--op", choices=["rk", "h", "eh"], default="rk")
+    p.add_argument("--op", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(handler=_cmd_arbitrate)
 
     p = sub.add_parser("merge", parents=[common],
                        help="merge programs under an integrity constraint")
-    p.add_argument("--op", choices=["rk", "h", "eh"], default="rk")
+    p.add_argument("--op", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
     p.add_argument("constraint")
     p.add_argument("programs", nargs="+", metavar="PROG")
     p.set_defaults(handler=_cmd_merge)
@@ -222,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate one postulate on explicit bindings")
     p.add_argument("postulate", type=str.upper,
                    choices=[pid.value for pid in PostulateId])
-    p.add_argument("--strategy", choices=["rk", "h", "eh"], default="rk")
+    p.add_argument("--strategy", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
     for var in _PROGRAM_VARS:
         p.add_argument(f"--{var}", metavar="FILE")
     for var in _PROFILE_VARS:
@@ -231,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", parents=[common],
                        help="random search for postulate violations")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--atoms", type=int, default=6)
-    p.add_argument("--rules", type=int, default=8)
-    p.add_argument("--body-len", dest="body_len", type=int, default=3)
-    p.add_argument("--neg-prob", dest="neg_prob", type=float, default=0.3)
-    p.add_argument("--strategies", default="rk")
+    p.add_argument("--seed", type=int, default=FuzzConfig.seed)
+    p.add_argument("--trials", type=int, default=FuzzConfig.trials)
+    p.add_argument("--atoms", type=int, default=FuzzConfig.atoms)
+    p.add_argument("--rules", type=int, default=FuzzConfig.rules)
+    p.add_argument("--body-len", dest="body_len", type=int, default=FuzzConfig.body_len)
+    p.add_argument("--neg-prob", dest="neg_prob", type=float, default=FuzzConfig.neg_prob)
+    p.add_argument("--strategies", default=Strategy.RANK.value)
     p.add_argument("--postulates",
                    default=",".join(pid.value for pid in PostulateId))
     p.set_defaults(handler=_cmd_fuzz)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
 from .arbitration import Strategy
@@ -259,14 +260,7 @@ class Violation:
     guaranteed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "postulate": self.postulate,
-            "strategy": self.strategy,
-            "trial": self.trial,
-            "instance": self.instance,
-            "witness": {k: v for k, v in self.witness},
-            "guaranteed": self.guaranteed,
-        }
+        return {**asdict(self), "witness": dict(self.witness)}
 
 
 @dataclass(frozen=True)
@@ -283,15 +277,7 @@ class CellSummary:
         return self.holds + self.violated
 
     def to_dict(self) -> dict:
-        return {
-            "postulate": self.postulate,
-            "strategy": self.strategy,
-            "holds": self.holds,
-            "violated": self.violated,
-            "vacuous": self.vacuous,
-            "skipped": self.skipped,
-            "non_vacuous": self.non_vacuous,
-        }
+        return {**asdict(self), "non_vacuous": self.non_vacuous}
 
 
 @dataclass(frozen=True)
@@ -315,11 +301,7 @@ class FuzzReport:
         return {
             "config": self.config.to_dict(),
             "cells": [c.to_dict() for c in self.cells],
-            "evaluations": [
-                {"postulate": e.postulate, "strategy": e.strategy,
-                 "trial": e.trial, "status": e.status}
-                for e in self.evaluations
-            ],
+            "evaluations": [asdict(e) for e in self.evaluations],
             "violations": [v.to_dict() for v in self.violations],
             "found_guaranteed_violation": bool(self.guaranteed_violations),
         }
@@ -359,8 +341,7 @@ def search(cfg: FuzzConfig) -> FuzzReport:
     violations: list[Violation] = []
     for pid in cfg.postulates:
         for strategy in cfg.strategies:
-            counts = {Status.HOLDS: 0, Status.VIOLATED: 0,
-                      Status.VACUOUS: 0, Status.SKIPPED: 0}
+            first = len(evaluations)
             for trial in range(cfg.trials):
                 rng = _stream(cfg.seed, pid, strategy, trial)
                 instance = gen_instance(pid, cfg, rng, strategy)
@@ -368,7 +349,6 @@ def search(cfg: FuzzConfig) -> FuzzReport:
                     verdict = check(pid, instance)
                 except SizeLimitExceeded as exc:
                     verdict = Verdict(Status.SKIPPED, reason=str(exc))
-                counts[verdict.status] += 1
                 evaluations.append(EvalRecord(pid.value, strategy.value, trial,
                                               verdict.status.value))
                 if verdict.status is Status.VIOLATED:
@@ -380,14 +360,9 @@ def search(cfg: FuzzConfig) -> FuzzReport:
                         witness=verdict.witness,
                         guaranteed=guaranteed(pid, strategy),
                     ))
-            cells.append(CellSummary(
-                postulate=pid.value,
-                strategy=strategy.value,
-                holds=counts[Status.HOLDS],
-                violated=counts[Status.VIOLATED],
-                vacuous=counts[Status.VACUOUS],
-                skipped=counts[Status.SKIPPED],
-            ))
+            # CellSummary names one count field after each Status value
+            counts = Counter(e.status for e in evaluations[first:])
+            cells.append(CellSummary(pid.value, strategy.value, **counts))
     return FuzzReport(cfg, tuple(cells), tuple(evaluations), tuple(violations))
 
 

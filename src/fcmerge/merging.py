@@ -10,10 +10,10 @@ constraint is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .arbitration import Strategy, revised_closure
-from .core import ClosedSet, Program, closure
+from .core import PROFILE_SEPARATOR, ClosedSet, Program, closure
 from .errors import EmptyProfile
 
 
@@ -63,7 +63,7 @@ class Profile:
         return hash(self._key())
 
     def __str__(self) -> str:
-        return "\n---\n".join(str(m) for m in self.members)
+        return f"\n{PROFILE_SEPARATOR}\n".join(str(m) for m in self.members)
 
 
 def merge(constraint: Program, profile: Profile, strategy: Strategy) -> ClosedSet:

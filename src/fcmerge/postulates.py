@@ -15,7 +15,7 @@ matches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -420,15 +420,7 @@ class CorpusResult:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "detail": self.detail,
-            "strategy": self.strategy,
-            "expected": self.expected,
-            "actual": self.actual,
-            "matched": self.matched,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .core import ClosedSet, Program, Rule, closure, consistent_with
+from .core import (
+    MEMO_SIZE,
+    PROFILE_SEPARATOR,
+    ClosedSet,
+    Program,
+    Rule,
+    closure,
+    consistent_with,
+)
 from .errors import ConfigError, SizeLimitExceeded
 
 DEFAULT_ENUM_CAP = 24
@@ -88,7 +96,7 @@ class Flock:
         return len(self.members)
 
     def __str__(self) -> str:
-        return "\n---\n".join(str(m) for m in self.members)
+        return f"\n{PROFILE_SEPARATOR}\n".join(str(m) for m in self.members)
 
 
 def exceptional_rules(program: Program) -> Program:
@@ -104,7 +112,7 @@ def exceptional_rules(program: Program) -> Program:
     ))
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=MEMO_SIZE)
 def base(program: Program) -> Base:
     """Iterate exceptional_rules from the program down to a fixpoint,
     then append the empty program unless the fixpoint already is empty."""
@@ -160,7 +168,7 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     return _enumerate_extensions(required, candidates, q)
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=MEMO_SIZE)
 def _enumerate_extensions(required: frozenset[Rule], candidates: tuple[Rule, ...],
                           q: Program) -> tuple[Program, ...]:
     # memoised below the cap check, so the cap is obeyed on every call
@@ -182,10 +190,9 @@ def _enumerate_extensions(required: frozenset[Rule], candidates: tuple[Rule, ...
 
     search(required, candidates)
 
-    maximal = [
-        s for s in found
-        if all(c in s or not tolerable(s | {c}) for c in candidates)
-    ]
+    # every maximal extension is found and every found set is q-consistent,
+    # so the maximal ones are those no other found set strictly contains
+    maximal = [s for s in found if not any(s < t for t in found)]
     return tuple(sorted((Program(s) for s in maximal), key=str))
 
 

@@ -10,7 +10,9 @@ Grammar:
                digits or "_"
 
 "%" starts a comment running to end of line; whitespace is insignificant.
-Profile files separate programs with lines consisting solely of "---".
+Profile files separate programs with lines consisting solely of
+core.PROFILE_SEPARATOR ("---"), with optional whitespace around it; core
+owns the separator, and rendering profiles and flocks writes it too.
 Rendering is canonical: literals sort by (atom, positive first), rules
 sort by their rendered text, and parse(render(x)) == x for programs and
 profiles.  The inconsistent closed set renders as "#bottom".
@@ -21,12 +23,10 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Union
 
-from .core import ATOM, ClosedSet, Literal, Program, Rule, Stratification
+from .core import ATOM, PROFILE_SEPARATOR, ClosedSet, Literal, Program, Rule, Stratification
 from .errors import EmptyProfile, SourceError
 from .merging import Profile
 from .revision import Flock
-
-PROFILE_SEPARATOR = "---"
 
 
 class _Token(NamedTuple):
@@ -124,6 +124,12 @@ class _Parser:
         return Program(frozenset(rules))
 
 
+# a whole line holding the separator and other whitespace; no newline is
+# consumed, so each block keeps the newlines that count its lines
+_SEPARATOR_LINE = re.compile(rf"^[^\S\n]*{re.escape(PROFILE_SEPARATOR)}[^\S\n]*$",
+                             re.MULTILINE)
+
+
 def _parse_block(text: str, line_offset: int) -> Program:
     return _Parser(_scan(text, line_offset)).program()
 
@@ -137,24 +143,12 @@ def parse_programs(text: str) -> tuple[Program, ...]:
     """Parse a sequence of programs separated by ``---`` lines, dropping
     blocks that contain no statements.  Used for profiles and flocks."""
     programs: list[Program] = []
-    block: list[str] = []
-    start = 0
-    lines = text.split("\n")
-
-    def flush(start_line: int) -> None:
-        chunk = "\n".join(block)
-        program = _parse_block(chunk, start_line)
+    line_offset = 0
+    for block in _SEPARATOR_LINE.split(text):
+        program = _parse_block(block, line_offset)
         if program.rules:
             programs.append(program)
-
-    for lineno, line in enumerate(lines):
-        if line.strip() == PROFILE_SEPARATOR:
-            flush(start)
-            block.clear()
-            start = lineno + 1
-        else:
-            block.append(line)
-    flush(start)
+        line_offset += block.count("\n")
     return tuple(programs)
 
 

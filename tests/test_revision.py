@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmerge import (
     BOTTOM,
@@ -31,6 +33,7 @@ from helpers import (
     prog,
 )
 from oracles import brute_maximal_extensions, naive_base, naive_rank
+from strategies import rules
 
 
 class TestExceptionalRules:
@@ -341,3 +344,12 @@ class TestRevisionProperties:
 def test_shared_pool_helper_sizes():
     assert len(atom_pool(3)) == 3
     assert len(set(atom_pool(40))) == 40
+
+
+programs_up_to_12 = st.builds(Program, st.frozensets(rules, max_size=12))
+
+
+@given(programs_up_to_12, programs_up_to_12)
+@settings(max_examples=150, deadline=None)
+def test_maximal_extensions_match_brute_force(p, q):
+    assert maximal_extensions(p, q) == brute_maximal_extensions(p, q)

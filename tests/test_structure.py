@@ -57,3 +57,41 @@ def test_environment_read_only_by_enumeration_cap():
         reads.visit(_tree(path))
         found += reads.found
     assert found == ["revision.enumeration_cap"]
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports to re-export
+    unused = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in _imported_names(tree)
+                   if name not in used]
+    assert unused == []
+
+
+def test_every_memo_is_bounded_by_the_one_memo_size():
+    memos, owners = [], []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if "cache" in ast.unparse(dec):
+                        memos.append((f"{path.stem}.{node.name}", ast.unparse(dec)))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "MEMO_SIZE" for t in node.targets):
+                owners.append(path.stem)
+    assert owners == ["core"]
+    assert memos and all(dec == "lru_cache(maxsize=MEMO_SIZE)" for _, dec in memos), memos

@@ -113,6 +113,24 @@ class TestProfileParsing:
         profile = parse_profile("a.\r\n---\r\nb.\r\n")
         assert profile.members == (prog("a."), prog("b."))
 
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("a.\n \t---\xa0\nb -> .", 3, 6),
+            ("a.\n----\nb.", 2, 2),  # "----" is not a separator
+            ("a.\n--- x\nb.", 2, 2),
+            ("---\n\n@", 3, 1),
+            ("a.\r\n---\r\n\r\nb ->\r\n", 4, 3),
+            ("a.\n\x0b---\x0b\nb. c", 3, 4),
+            ("a.\n---\n---\nb -> c", 4, 6),
+            ("\x85---\n@", 2, 1),
+        ],
+    )
+    def test_positions(self, text, line, col):
+        with pytest.raises(SourceError) as err:
+            parse_programs(text)
+        assert (err.value.line, err.value.column) == (line, col)
+
 
 class TestRender:
     def test_closed_set_ordering(self):
