@@ -8,12 +8,21 @@ to the inconsistent value, represented here by the ``BOTTOM`` sentinel
 rather than by materializing the set of all literals (which would depend
 on an unbounded vocabulary).
 
+Forward chaining runs on a ``CompiledProgram``: the program's watcher
+index (rule heads, missing-body counts, the rules watching each literal)
+together with the state of its closure.  The same propagation loop yields
+the firing rounds that ``closure`` and ``stratify`` report, and answers
+"is the program plus these literals consistent?" by propagating only the
+literals on top of that closure and undoing them afterwards.
+
 This module owns the settings other modules share: ``PROFILE_SEPARATOR``,
 the line that profiles and flocks render between members and ``textio``
 splits on, and ``MEMO_SIZE``, the bound of every memo table.
 
 All values are immutable and all operations are pure, so everything in
-this module is safe to share between threads.
+this module is safe to share between threads.  The one mutable object, a
+``CompiledProgram``, is built inside the call that uses it and never
+cached or returned, so its state lives within that call.
 """
 
 from __future__ import annotations
@@ -216,58 +225,100 @@ class Stratification:
     layers: tuple[frozenset[Literal], ...]
 
 
-def _rounds(program: Program) -> list[list[Literal]] | None:
-    """Forward chaining, one firing round at a time.
+class CompiledProgram:
+    """A program compiled once for forward chaining on top of its own
+    closure.
 
-    Unit-propagation style: each non-fact rule counts how many distinct
-    body literals are still underived, and fires when the count reaches
-    zero.  Round 0 holds the facts and round i+1 the new heads of the
-    rules whose last missing body literal was derived in round i, so a
-    literal's round is one more than the latest round of the body that
-    first derives it.  Runs in time linear in the total body size.
-    Returns None as soon as an atom and its negation are both derived.
+    The watcher index holds, for each non-fact rule, its head and the
+    number of distinct body literals still underived, and for each
+    literal the rules whose body it appears in.  Construction runs
+    forward chaining from the facts; ``rounds`` then holds the firing
+    rounds (round 0 the facts, round i+1 the new heads of the rules whose
+    last missing body literal was derived in round i), or None when they
+    derive an atom and its negation.  Chaining runs in time linear in the
+    total body size (Dowling and Gallier, 1984).
+
+    The index is mutable: build one inside the call that uses it and do
+    not cache or share it.
     """
-    heads: list[Literal] = []
-    missing: list[int] = []
-    watchers: dict[Literal, list[int]] = {}
-    frontier: list[Literal] = []
-    for rule in program.rules:
-        if not rule.body:
-            frontier.append(rule.head)
-            continue
-        idx = len(heads)
-        heads.append(rule.head)
-        missing.append(len(rule.body))
-        for lit in rule.body:
-            watchers.setdefault(lit, []).append(idx)
 
-    rounds: list[list[Literal]] = []
-    signs: dict[str, bool] = {}  # derived atom -> derived sign
-    while True:
-        layer: list[Literal] = []
-        for lit in frontier:
-            sign = signs.get(lit.atom)
-            if sign is None:
-                signs[lit.atom] = lit.positive
-                layer.append(lit)
-            elif sign != lit.positive:
-                return None
-        if rounds and not layer:
-            return rounds
-        rounds.append(layer)
-        frontier = []
-        for lit in layer:
-            for idx in watchers.get(lit, ()):
-                missing[idx] -= 1
-                if not missing[idx]:
-                    frontier.append(heads[idx])
+    __slots__ = ("_heads", "_missing", "_watchers", "_signs", "rounds")
+
+    def __init__(self, program: Program) -> None:
+        self._heads: list[Literal] = []
+        self._missing: list[int] = []
+        self._watchers: dict[Literal, list[int]] = {}
+        self._signs: dict[str, bool] = {}  # derived atom -> derived sign
+        facts: list[Literal] = []
+        for rule in program.rules:
+            if not rule.body:
+                facts.append(rule.head)
+                continue
+            idx = len(self._heads)
+            self._heads.append(rule.head)
+            self._missing.append(len(rule.body))
+            for lit in rule.body:
+                self._watchers.setdefault(lit, []).append(idx)
+        rounds: list[list[Literal]] = []
+        self.rounds = rounds if self._propagate(facts, rounds) else None
+
+    def _propagate(self, frontier: Iterable[Literal], rounds: list[list[Literal]]) -> bool:
+        """Derive the frontier and everything it fires, one round at a
+        time, appending each round's new literals to ``rounds``.
+
+        Returns False as soon as an atom and its negation are both
+        derived.  Each literal in ``rounds`` has had its sign recorded and
+        its watchers' counts decremented, also on that early return, so
+        ``rounds`` is the trail that ``consistent_with`` unwinds.
+        """
+        signs, watchers, missing, heads = self._signs, self._watchers, self._missing, self._heads
+        while True:
+            layer: list[Literal] = []
+            fired: list[Literal] = []
+            for lit in frontier:
+                sign = signs.get(lit.atom)
+                if sign is None:
+                    signs[lit.atom] = lit.positive
+                    layer.append(lit)
+                    for idx in watchers.get(lit, ()):
+                        missing[idx] -= 1
+                        if not missing[idx]:
+                            fired.append(heads[idx])
+                elif sign != lit.positive:
+                    rounds.append(layer)
+                    return False
+            # round 0 stays even when empty; a later empty round fires nothing
+            if layer or not rounds:
+                rounds.append(layer)
+            if not fired:
+                return True
+            frontier = fired
+
+    def consistent_with(self, literals: Iterable[Literal]) -> bool:
+        """Whether the literals can be added to the program as facts
+        without collapsing its consequences.
+
+        Forward chaining is monotone, so only what the literals newly
+        derive on top of the program's closure is propagated, and then
+        undone: the index is back in its closure state on return.
+        """
+        if self.rounds is None:
+            return False
+        trail: list[list[Literal]] = []
+        consistent = self._propagate(literals, trail)
+        for layer in trail:
+            for lit in layer:
+                del self._signs[lit.atom]
+                for idx in self._watchers.get(lit, ()):
+                    self._missing[idx] += 1
+        return consistent
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def closure(program: Program) -> ClosedSet:
     """Forward-chaining consequences of a program: the union of its
     firing rounds, or BOTTOM when they derive opposed literals."""
-    rounds = _rounds(program)
+    rounds = CompiledProgram(program).rounds
     if rounds is None:
         return BOTTOM
     return ClosedSet(frozenset(chain.from_iterable(rounds)))
@@ -292,7 +343,7 @@ def stratify(program: Program) -> Stratification:
     Layers after the first are nonempty, they are pairwise disjoint, and
     their union is the closure.
     """
-    rounds = _rounds(program)
+    rounds = CompiledProgram(program).rounds
     if rounds is None:
         raise InconsistentProgram(str(program))
     return Stratification(tuple(frozenset(layer) for layer in rounds))

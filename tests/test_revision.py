@@ -32,7 +32,7 @@ from helpers import (
     closed,
     prog,
 )
-from oracles import brute_maximal_extensions, naive_base, naive_rank
+from oracles import brute_maximal_extensions, naive_base, naive_exceptional, naive_rank
 from strategies import rules
 
 
@@ -56,6 +56,16 @@ class TestExceptionalRules:
         assert exceptional_rules(p) == p
         q = prog("a. b -> -a.")
         assert not any(r.is_fact for r in exceptional_rules(q).rules)
+
+    def test_one_level_adds_at_most_one_closure_miss(self):
+        # 48 rules over atoms no other test uses, so nothing is memoised yet:
+        # 16 opposed pairs, each exceptional, and 16 tolerated rules
+        opposed = " ".join(f"wc_p{i} -> wc_f{i}. wc_p{i} -> -wc_f{i}." for i in range(16))
+        tolerated = " ".join(f"wc_b{i} -> wc_f{i}." for i in range(16))
+        p = prog(f"{opposed} {tolerated}")
+        misses = closure.cache_info().misses
+        assert exceptional_rules(p) == prog(opposed)
+        assert closure.cache_info().misses - misses <= 1
 
 
 class TestBase:
@@ -347,6 +357,14 @@ def test_shared_pool_helper_sizes():
 
 
 programs_up_to_12 = st.builds(Program, st.frozensets(rules, max_size=12))
+programs_up_to_16 = st.builds(Program, st.frozensets(rules, max_size=16))
+
+
+@given(programs_up_to_16)
+@settings(max_examples=300, deadline=None)
+def test_exceptional_rules_and_base_match_naive_oracles(p):
+    assert exceptional_rules(p) == naive_exceptional(p)
+    assert base(p).levels == naive_base(p)
 
 
 @given(programs_up_to_12, programs_up_to_12)
