@@ -10,10 +10,11 @@ on an unbounded vocabulary).
 
 Forward chaining runs on a ``CompiledProgram``: the program's watcher
 index (rule heads, missing-body counts, the rules watching each literal)
-together with the state of its closure.  The same propagation loop yields
-the firing rounds that ``closure`` and ``stratify`` report, and answers
-"is the program plus these literals consistent?" by propagating only the
-literals on top of that closure and undoing them afterwards.
+together with the state of its closure, and rules that start switched
+off.  The same propagation loop yields the firing rounds that ``closure``
+and ``stratify`` report, and answers "is the program plus these literals
+and these switched-on rules consistent?" by propagating only what they
+add on top of that closure and undoing it afterwards.
 
 This module owns the settings other modules share: ``PROFILE_SEPARATOR``,
 the line that profiles and flocks render between members and ``textio``
@@ -31,7 +32,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentProgram
 
@@ -229,14 +230,15 @@ class CompiledProgram:
     """A program compiled once for forward chaining on top of its own
     closure.
 
-    The watcher index holds, for each non-fact rule, its head and the
-    number of distinct body literals still underived, and for each
-    literal the rules whose body it appears in.  Construction runs
-    forward chaining from the facts; ``rounds`` then holds the firing
-    rounds (round 0 the facts, round i+1 the new heads of the rules whose
-    last missing body literal was derived in round i), or None when they
-    derive an atom and its negation.  Chaining runs in time linear in the
-    total body size (Dowling and Gallier, 1984).
+    The watcher index holds, for each rule, its head and the number of
+    distinct body literals still underived, and for each literal the rules
+    whose body it appears in.  The rules of ``off`` come first, at their
+    positions in ``off``, each with one extra missing count: switched off.
+    Construction fires the rules with nothing missing; ``rounds`` then
+    holds the firing rounds (round 0 the facts, round i+1 the new heads of
+    the rules whose last missing body literal was derived in round i), or
+    None when they derive an atom and its negation.  Chaining runs in time
+    linear in the total body size (Dowling and Gallier, 1984).
 
     The index is mutable: build one inside the call that uses it and do
     not cache or share it.
@@ -244,21 +246,16 @@ class CompiledProgram:
 
     __slots__ = ("_heads", "_missing", "_watchers", "_signs", "rounds")
 
-    def __init__(self, program: Program) -> None:
-        self._heads: list[Literal] = []
-        self._missing: list[int] = []
+    def __init__(self, program: Program, off: Sequence[Rule] = ()) -> None:
+        rules = (*off, *program.rules)
+        self._heads = [r.head for r in rules]
+        self._missing = [len(r.body) + 1 for r in off] + [len(r.body) for r in program.rules]
         self._watchers: dict[Literal, list[int]] = {}
         self._signs: dict[str, bool] = {}  # derived atom -> derived sign
-        facts: list[Literal] = []
-        for rule in program.rules:
-            if not rule.body:
-                facts.append(rule.head)
-                continue
-            idx = len(self._heads)
-            self._heads.append(rule.head)
-            self._missing.append(len(rule.body))
+        for idx, rule in enumerate(rules):
             for lit in rule.body:
                 self._watchers.setdefault(lit, []).append(idx)
+        facts = [head for head, missing in zip(self._heads, self._missing) if not missing]
         rounds: list[list[Literal]] = []
         self.rounds = rounds if self._propagate(facts, rounds) else None
 
@@ -294,23 +291,31 @@ class CompiledProgram:
                 return True
             frontier = fired
 
-    def consistent_with(self, literals: Iterable[Literal]) -> bool:
-        """Whether the literals can be added to the program as facts
-        without collapsing its consequences.
+    def consistent_with(self, literals: Iterable[Literal], on: Sequence[int] = ()) -> bool:
+        """Whether the literals can be added to the program as facts, with
+        the distinct switched-off positions ``on`` switched on, without
+        collapsing its consequences.
 
-        Forward chaining is monotone, so only what the literals newly
-        derive on top of the program's closure is propagated, and then
-        undone: the index is back in its closure state on return.
+        Forward chaining is monotone, so only what the literals and rules
+        newly derive on top of the program's closure is propagated, and
+        then undone: the index is back in its closure state on return.
         """
         if self.rounds is None:
             return False
+        missing = self._missing
+        if on:  # skipped on exceptional_rules' literals-only path, asked once per rule
+            for idx in on:
+                missing[idx] -= 1
+            literals = chain(literals, [self._heads[idx] for idx in on if not missing[idx]])
         trail: list[list[Literal]] = []
         consistent = self._propagate(literals, trail)
         for layer in trail:
             for lit in layer:
                 del self._signs[lit.atom]
                 for idx in self._watchers.get(lit, ()):
-                    self._missing[idx] += 1
+                    missing[idx] += 1
+        for idx in on:
+            missing[idx] += 1
         return consistent
 
 
@@ -326,12 +331,6 @@ def closure(program: Program) -> ClosedSet:
 
 def is_consistent(program: Program) -> bool:
     return not closure(program).is_bottom
-
-
-def consistent_with(literals: Iterable[Literal], program: Program) -> bool:
-    """Whether the literal set can be added to the program as facts
-    without collapsing its consequences."""
-    return not closure(program | Program.from_facts(literals)).is_bottom
 
 
 def stratify(program: Program) -> Stratification:

@@ -15,6 +15,7 @@ matches.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
@@ -243,11 +244,8 @@ def _fp2(inst: Instance) -> Verdict:
 def _fp3(inst: Instance) -> Verdict:
     p, q = inst.programs["P"], inst.programs["Q"]
     ph1, ph2 = inst.profiles["profile1"], inst.profiles["profile2"]
-    paired = (
-        len(ph1) == len(ph2)
-        and closure(p) == closure(q)
-        and all(closure(a) == closure(b) for a, b in zip(ph1, ph2))
-    )
+    # IC3 pairs the members by a bijection, so compare the multisets of closures
+    paired = closure(p) == closure(q) and Counter(map(closure, ph1)) == Counter(map(closure, ph2))
     if not paired:
         return _vacuous((("cns(P)", str(closure(p))), ("cns(Q)", str(closure(q)))))
     m1 = merge(p, ph1, inst.strategy)

@@ -144,12 +144,10 @@ def rank(p: Program, q: Program) -> int:
     new information alone.
     """
     b = base(p)
-    if closure(p).is_bottom or closure(q).is_bottom:
+    if closure(q).is_bottom:
         return b.last_index
-    for i, level in enumerate(b.levels):
-        if not closure(level | q).is_bottom:
-            return i
-    raise AssertionError("unreachable: bases end in the empty program")
+    # an inconsistent p has the base (p, empty), so this finds the last index
+    return next(i for i, level in enumerate(b.levels) if not closure(level | q).is_bottom)
 
 
 def revise_rank(p: Program, q: Program) -> Program:
@@ -180,29 +178,34 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
 @lru_cache(maxsize=MEMO_SIZE)
 def _enumerate_extensions(required: frozenset[Rule], candidates: tuple[Rule, ...],
                           q: Program) -> tuple[Program, ...]:
-    # memoised below the cap check, so the cap is obeyed on every call
-    def tolerable(rules: frozenset[Rule]) -> bool:
-        return not closure(Program(rules) | q).is_bottom
+    # memoised below the cap check, so the cap is obeyed on every call.
+    # One index of required | q per call, candidates switched off; each
+    # subset pays only for what its switched-on rules newly derive
+    compiled = CompiledProgram(Program(required) | q, candidates)
+    found: list[frozenset[int]] = []  # each set once; supersets tend to come first
 
-    found: set[frozenset[Rule]] = set()
-
-    def search(chosen: frozenset[Rule], rest: tuple[Rule, ...]) -> None:
+    def search(chosen: tuple[int, ...], start: int) -> None:
         # invariant: chosen is q-consistent
-        everything = chosen | frozenset(rest)
-        if tolerable(everything):
-            found.add(everything)
-            return
-        head, tail = rest[0], rest[1:]
-        if tolerable(chosen | {head}):
-            search(chosen | {head}, tail)
-        search(chosen, tail)
+        everything = chosen + tuple(range(start, len(candidates)))
+        if compiled.consistent_with((), everything):
+            found.append(frozenset(everything))
+        else:
+            branch(chosen, start)
 
-    search(required, candidates)
+    def branch(chosen: tuple[int, ...], start: int) -> None:
+        # chosen + candidates[start:] is q-inconsistent; taking
+        # candidates[start] keeps that set, so it is not asked again
+        if compiled.consistent_with((), chosen + (start,)):
+            branch(chosen + (start,), start + 1)
+        search(chosen, start + 1)
+
+    search((), 0)
 
     # every maximal extension is found and every found set is q-consistent,
     # so the maximal ones are those no other found set strictly contains
     maximal = [s for s in found if not any(s < t for t in found)]
-    return tuple(sorted((Program(s) for s in maximal), key=str))
+    extensions = (Program(required | {candidates[i] for i in s}) for s in maximal)
+    return tuple(sorted(extensions, key=str))
 
 
 def hull(p: Program, q: Program) -> Program:

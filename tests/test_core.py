@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmerge import (
     BOTTOM,
@@ -9,11 +10,11 @@ from fcmerge import (
     Program,
     Rule,
     closure,
-    consistent_with,
     entails,
     is_consistent,
     stratify,
 )
+from fcmerge.core import CompiledProgram
 
 from helpers import GAP_P, GAP_Q, LAYERED, TAXONOMY, closed, lit, lits, prog
 from oracles import naive_closure, naive_layers
@@ -117,9 +118,9 @@ class TestClosure:
         assert is_consistent(prog("a -> b. b -> -c. -c -> -a. -c -> b. -a -> -b. -a -> -c."))
 
     def test_consistent_with(self):
-        assert not consistent_with(lits("n"), prog(TAXONOMY))
-        assert consistent_with(lits(), prog(LAYERED))
-        assert consistent_with(lits("n"), prog("n -> c. n -> s."))
+        assert not CompiledProgram(prog(TAXONOMY)).consistent_with(lits("n"))
+        assert CompiledProgram(prog(LAYERED)).consistent_with(lits())
+        assert CompiledProgram(prog("n -> c. n -> s.")).consistent_with(lits("n"))
 
 
 class TestStratify:
@@ -166,6 +167,19 @@ class TestEntails:
 def test_closure_matches_naive_oracle(p, q):
     assert closure(p) == naive_closure(p)
     assert closure(p | q) == naive_closure(p | q)
+
+
+@given(programs, programs, st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_switched_on_rules_match_closure(p, q, subsets):
+    # p's rules, facts included, start switched off; every subset is asked
+    # of the same index, so each question must leave it as it found it
+    off = sorted(p.rules, key=str)
+    compiled = CompiledProgram(q, off)
+    for subset in subsets:
+        on = [i for i in sorted(subset) if i < len(off)]
+        switched_on = Program(frozenset(off[i] for i in on))
+        assert compiled.consistent_with((), on) == (not closure(switched_on | q).is_bottom)
 
 
 @given(programs, programs)

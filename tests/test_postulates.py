@@ -125,6 +125,16 @@ class TestFpCheckers:
         )
         assert check(PostulateId.FP3, inst).status is Status.VACUOUS
 
+    def test_fp3_pairs_profiles_up_to_member_order(self):
+        x, y = prog("a."), prog("b -> c. b.")
+        inst = Instance(
+            Strategy.RANK,
+            programs={"P": prog("a."), "Q": prog("a.")},
+            profiles={"profile1": Profile((x, y)), "profile2": Profile((y, x))},
+        )
+        assert inst.profiles["profile1"] == inst.profiles["profile2"]
+        assert check(PostulateId.FP3, inst).status is Status.HOLDS
+
     @pytest.mark.parametrize("strategy", ALL)
     def test_fp5_violated(self, strategy):
         inst = Instance(

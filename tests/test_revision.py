@@ -202,6 +202,16 @@ class TestMaximalExtensions:
             p, q = gen_program(cfg, rng, pool), gen_program(cfg, rng, pool)
             assert maximal_extensions(p, q) == brute_maximal_extensions(p, q)
 
+    def test_enumeration_adds_no_closure_miss_per_subset(self):
+        # late conflict over atoms no other test uses: 10 candidates, of
+        # which only lc_x and lc_x -> lc_z together collide with q.  Besides
+        # closure(q) and rank's closure(p | q), every question goes to one index
+        facts = " ".join(f"lc_a{i}." for i in range(8))
+        p, q = prog(f"{facts} lc_x. lc_x -> lc_z."), prog("-lc_z.")
+        misses = closure.cache_info().misses
+        assert len(maximal_extensions(p, q)) == 2
+        assert closure.cache_info().misses - misses <= 3
+
     def test_cap_exceeded(self, monkeypatch):
         rules = " ".join(f"a{i} -> c." for i in range(25))
         p, q = prog(rules), prog("-c. a0.")
@@ -370,4 +380,5 @@ def test_exceptional_rules_and_base_match_naive_oracles(p):
 @given(programs_up_to_12, programs_up_to_12)
 @settings(max_examples=150, deadline=None)
 def test_maximal_extensions_match_brute_force(p, q):
+    assert rank(p, q) == naive_rank(p, q)
     assert maximal_extensions(p, q) == brute_maximal_extensions(p, q)
