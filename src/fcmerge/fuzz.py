@@ -9,6 +9,11 @@ Generation is biased toward useful instances: half the time a pair of
 programs shares its atom pool (conflicts, hence non-vacuous guarded
 postulates), and syntax-sensitivity postulates receive equal-consequence
 variants built by adding redundant or never-firing rules.
+
+A witness shrinks one removal at a time: one program rule, then per
+profile one member or one member rule, then every rule that mentions
+one atom.  Members left without rules are dropped; a removal that would
+empty a profile is not tried.
 """
 
 from __future__ import annotations
@@ -67,16 +72,9 @@ class FuzzConfig:
             raise ConfigError("at least one postulate is required")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "atoms": self.atoms,
-            "rules": self.rules,
-            "body_len": self.body_len,
-            "neg_prob": self.neg_prob,
-            "strategies": [s.value for s in self.strategies],
-            "postulates": [p.value for p in self.postulates],
-        }
+        return {**asdict(self),
+                "strategies": [s.value for s in self.strategies],
+                "postulates": [p.value for p in self.postulates]}
 
 
 def _literal(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Literal:
@@ -372,68 +370,58 @@ def total_rules(instance: Instance) -> int:
     return count
 
 
-def _with_program(instance: Instance, name: str, program: Program) -> Instance:
-    programs = dict(instance.programs)
-    programs[name] = program
-    return Instance(instance.strategy, programs=programs,
-                    profiles=dict(instance.profiles))
+# where a rule sits: (binding name, member index or -1 for a program, rule)
+_Site = tuple[str, int, Rule]
 
 
-def _with_profile(instance: Instance, name: str,
-                  members: tuple[Program, ...]) -> Instance | None:
-    if not members:
-        return None
-    profiles = dict(instance.profiles)
-    profiles[name] = Profile(members)
-    return Instance(instance.strategy, programs=dict(instance.programs),
-                    profiles=profiles)
+def _without(instance: Instance, sites: list[_Site]) -> Instance | None:
+    """The instance without the rules at the given sites.
+
+    Only programs that lose a rule are rebuilt; profile members left empty
+    are dropped, and None stands for a profile that would be left empty.
+    """
+    programs, profiles = dict(instance.programs), dict(instance.profiles)
+    members: dict[str, list[Program]] = {}
+    for name, index, rule in sites:
+        if index < 0:
+            programs[name] = Program(programs[name].rules - {rule})
+        else:
+            kept = members.setdefault(name, list(profiles[name]))
+            kept[index] = Program(kept[index].rules - {rule})
+    for name, kept in members.items():
+        nonempty = tuple(m for m in kept if m.rules)
+        if not nonempty:
+            return None
+        profiles[name] = Profile(nonempty)
+    return Instance(instance.strategy, programs=programs, profiles=profiles)
 
 
-def _strip_atom(program: Program, atom: str) -> Program:
-    return Program(frozenset(r for r in program.rules if atom not in r.atoms()))
+def _removals(instance: Instance) -> Iterator[list[_Site]]:
+    # each program rule; per profile, each member, then each member rule;
+    # then each atom, that is every rule mentioning it.  Lazy, because
+    # shrink restarts from the first candidate it keeps
+    for name in sorted(instance.programs):
+        for rule in instance.programs[name]:
+            yield [(name, -1, rule)]
+    for name in sorted(instance.profiles):
+        members = instance.profiles[name].members
+        for i, member in enumerate(members):
+            yield [(name, i, rule) for rule in member.rules]
+        for i, member in enumerate(members):
+            for rule in member:
+                yield [(name, i, rule)]
+    sites = [(name, -1, rule) for name, p in instance.programs.items() for rule in p.rules]
+    sites += [(name, i, rule) for name, profile in instance.profiles.items()
+              for i, member in enumerate(profile) for rule in member.rules]
+    for atom in sorted({a for _, _, rule in sites for a in rule.atoms()}):
+        yield [site for site in sites if atom in site[2].atoms()]
 
 
 def _shrink_candidates(instance: Instance) -> Iterator[Instance]:
-    for name in sorted(instance.programs):
-        for rule in instance.programs[name]:
-            smaller = Program(instance.programs[name].rules - {rule})
-            yield _with_program(instance, name, smaller)
-    for name in sorted(instance.profiles):
-        members = instance.profiles[name].members
-        if len(members) > 1:
-            for i in range(len(members)):
-                candidate = _with_profile(instance, name, members[:i] + members[i + 1:])
-                if candidate is not None:
-                    yield candidate
-        for i, member in enumerate(members):
-            for rule in member:
-                smaller = Program(member.rules - {rule})
-                if smaller.rules:
-                    replaced = members[:i] + (smaller,) + members[i + 1:]
-                else:
-                    replaced = members[:i] + members[i + 1:]
-                candidate = _with_profile(instance, name, replaced)
-                if candidate is not None:
-                    yield candidate
-    atoms: set[str] = set()
-    for p in instance.programs.values():
-        atoms |= p.atoms()
-    for profile in instance.profiles.values():
-        for m in profile:
-            atoms |= m.atoms()
-    for atom in sorted(atoms):
-        programs = {name: _strip_atom(p, atom) for name, p in instance.programs.items()}
-        profiles: dict[str, Profile] = {}
-        ok = True
-        for name, profile in instance.profiles.items():
-            members = tuple(m for m in (_strip_atom(x, atom) for x in profile)
-                            if m.rules)
-            if not members:
-                ok = False
-                break
-            profiles[name] = Profile(members)
-        if ok:
-            yield Instance(instance.strategy, programs=programs, profiles=profiles)
+    for sites in _removals(instance):
+        candidate = _without(instance, sites)
+        if candidate is not None:
+            yield candidate
 
 
 def shrink(instance: Instance, predicate: Callable[[Instance], bool]) -> Instance:

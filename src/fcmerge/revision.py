@@ -182,13 +182,19 @@ def _enumerate_extensions(required: frozenset[Rule], candidates: tuple[Rule, ...
     # One index of required | q per call, candidates switched off; each
     # subset pays only for what its switched-on rules newly derive
     compiled = CompiledProgram(Program(required) | q, candidates)
-    found: list[frozenset[int]] = []  # each set once; supersets tend to come first
+    # the search reaches each set once, every maximal extension among them.
+    # It takes a candidate before leaving it out, so of two found sets
+    # s < t, t comes first (they first differ where t takes a candidate s
+    # leaves out), and a set is maximal iff no set kept so far contains it
+    found: list[frozenset[int]] = []  # the maximal sets, in search order
 
     def search(chosen: tuple[int, ...], start: int) -> None:
         # invariant: chosen is q-consistent
         everything = chosen + tuple(range(start, len(candidates)))
         if compiled.consistent_with((), everything):
-            found.append(frozenset(everything))
+            s = frozenset(everything)
+            if not any(s < t for t in found):
+                found.append(s)
         else:
             branch(chosen, start)
 
@@ -200,11 +206,7 @@ def _enumerate_extensions(required: frozenset[Rule], candidates: tuple[Rule, ...
         search(chosen, start + 1)
 
     search((), 0)
-
-    # every maximal extension is found and every found set is q-consistent,
-    # so the maximal ones are those no other found set strictly contains
-    maximal = [s for s in found if not any(s < t for t in found)]
-    extensions = (Program(required | {candidates[i] for i in s}) for s in maximal)
+    extensions = (Program(required | {candidates[i] for i in s}) for s in found)
     return tuple(sorted(extensions, key=str))
 
 

@@ -13,10 +13,11 @@ from fcmerge import (
     check,
     gen_instance,
     gen_program,
+    parse_profile,
     search,
     shrink,
 )
-from fcmerge.fuzz import FuzzConfig, total_rules
+from fcmerge.fuzz import FuzzConfig, render_instance, total_rules
 
 from helpers import prog
 
@@ -194,6 +195,56 @@ class TestShrink:
 
         result = shrink(inst, pred)
         assert result.profiles["profile1"] == Profile((prog("b."),))
+
+    def test_atom_is_stripped_everywhere_at_once(self):
+        # no single rule or member can go, but every rule mentioning a can:
+        # P and Q lose theirs, and the member a -> c. is left empty and dropped
+        inst = Instance(
+            Strategy.RANK,
+            programs={"P": prog("a."), "Q": prog("a -> b.")},
+            profiles={"profile1": Profile((prog("a -> c."), prog("d.")))},
+        )
+
+        def pred(i):
+            return len(i.programs["P"]) == len(i.programs["Q"]) == len(i.profiles["profile1"]) - 1
+
+        result = shrink(inst, pred)
+        assert result.programs == {"P": prog(""), "Q": prog("")}
+        assert result.profiles == {"profile1": Profile((prog("d."),))}
+
+    def test_one_member_profile_is_never_emptied(self):
+        inst = Instance(
+            Strategy.RANK,
+            programs={"P": prog("c.")},
+            profiles={"profile1": Profile((prog("a. b."),))},
+        )
+        result = shrink(inst, lambda i: True)
+        assert result.programs == {"P": prog("")}
+        assert result.profiles == {"profile1": Profile((prog("b."),))}
+
+    def test_two_profile_witness_shrinks_to_recorded_result(self):
+        # an FP6 violation under hull revision found by the fuzzer (seed 0);
+        # which local minimum shrink reaches depends on the order in which
+        # it tries removals, so the exact result pins that order
+        inst = Instance(
+            Strategy.HULL,
+            programs={"constraint": prog("f.")},
+            profiles={
+                "profile1": parse_profile("a, e -> a.\ne."),
+                "profile2": parse_profile(
+                    "-e -> -d.\n-e, -f -> d.\n-f.\na.\nb, d -> f.\nb.\nd.\n---\nb -> -a."),
+            },
+        )
+
+        def violated(i):
+            return check(PostulateId.FP6, i).status is Status.VIOLATED
+
+        result = shrink(inst, violated)
+        assert render_instance(result) == {
+            "strategy": "h",
+            "programs": {"constraint": ""},
+            "profiles": {"profile1": "e.", "profile2": "-f.\nb, d -> f.\nb.\nd."},
+        }
 
     def test_shrunk_violation_stays_violated_and_small(self):
         cfg = FuzzConfig(seed=3, trials=150, strategies=(Strategy.RANK,),

@@ -202,6 +202,17 @@ class TestMaximalExtensions:
             p, q = gen_program(cfg, rng, pool), gen_program(cfg, rng, pool)
             assert maximal_extensions(p, q) == brute_maximal_extensions(p, q)
 
+    def test_independent_conflicts_match_brute_force(self):
+        # k = 6 pairs bi. and bi -> zi., revised by every -zi.: each pair
+        # loses one of its two rules independently, so 2^6 extensions; the
+        # search also reaches sets below them, which must not be kept
+        k = 6
+        p = prog(" ".join(f"ic_b{i}. ic_b{i} -> ic_z{i}." for i in range(k)))
+        q = prog(" ".join(f"-ic_z{i}." for i in range(k)))
+        extensions = maximal_extensions(p, q)
+        assert len(extensions) == 2 ** k
+        assert extensions == brute_maximal_extensions(p, q)
+
     def test_enumeration_adds_no_closure_miss_per_subset(self):
         # late conflict over atoms no other test uses: 10 candidates, of
         # which only lc_x and lc_x -> lc_z together collide with q.  Besides
