@@ -9,9 +9,9 @@ rather than by materializing the set of all literals (which would depend
 on an unbounded vocabulary).
 
 Forward chaining runs on a ``CompiledProgram``: the program's watcher
-index (rule heads, missing-body counts, the rules watching each literal)
-together with the state of its closure, and rules that start switched
-off.  The same propagation loop yields the firing rounds that ``closure``
+index (rule heads, missing-body counts, the rules watching each literal,
+found by its atom and sign) together with the state of its closure, and
+rules that start switched off.  The same propagation loop yields the firing rounds that ``closure``
 and ``stratify`` report, and answers "is the program plus these literals
 and these switched-on rules consistent?" by propagating only what they
 add on top of that closure and undoing it afterwards.
@@ -226,14 +226,22 @@ class Stratification:
     layers: tuple[frozenset[Literal], ...]
 
 
+# the watchers of an atom that no rule body mentions
+_UNWATCHED: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+
+
 class CompiledProgram:
     """A program compiled once for forward chaining on top of its own
     closure.
 
     The watcher index holds, for each rule, its head and the number of
-    distinct body literals still underived, and for each literal the rules
-    whose body it appears in.  The rules of ``off`` come first, at their
-    positions in ``off``, each with one extra missing count: switched off.
+    distinct body literals still underived, and for each atom two lists:
+    the rules whose body holds its negative literal and those whose body
+    holds its positive one, indexed by ``Literal.positive``.  Keying by
+    the atom string, whose hash is cached, keeps Literal's generated
+    ``__hash__`` and ``__eq__`` out of chaining.  The rules of ``off``
+    come first, at their positions in ``off``, each with one extra
+    missing count: switched off.
     Construction fires the rules with nothing missing; ``rounds`` then
     holds the firing rounds (round 0 the facts, round i+1 the new heads of
     the rules whose last missing body literal was derived in round i), or
@@ -250,11 +258,15 @@ class CompiledProgram:
         rules = (*off, *program.rules)
         self._heads = [r.head for r in rules]
         self._missing = [len(r.body) + 1 for r in off] + [len(r.body) for r in program.rules]
-        self._watchers: dict[Literal, list[int]] = {}
-        self._signs: dict[str, bool] = {}  # derived atom -> derived sign
+        watchers: dict[str, tuple[list[int], list[int]]] = {}
         for idx, rule in enumerate(rules):
             for lit in rule.body:
-                self._watchers.setdefault(lit, []).append(idx)
+                pair = watchers.get(lit.atom)
+                if pair is None:
+                    pair = watchers[lit.atom] = ([], [])
+                pair[lit.positive].append(idx)
+        self._watchers = watchers
+        self._signs: dict[str, bool] = {}  # derived atom -> derived sign
         facts = [head for head, missing in zip(self._heads, self._missing) if not missing]
         rounds: list[list[Literal]] = []
         self.rounds = rounds if self._propagate(facts, rounds) else None
@@ -273,15 +285,16 @@ class CompiledProgram:
             layer: list[Literal] = []
             fired: list[Literal] = []
             for lit in frontier:
-                sign = signs.get(lit.atom)
+                atom, positive = lit.atom, lit.positive
+                sign = signs.get(atom)
                 if sign is None:
-                    signs[lit.atom] = lit.positive
+                    signs[atom] = positive
                     layer.append(lit)
-                    for idx in watchers.get(lit, ()):
+                    for idx in watchers.get(atom, _UNWATCHED)[positive]:
                         missing[idx] -= 1
                         if not missing[idx]:
                             fired.append(heads[idx])
-                elif sign != lit.positive:
+                elif sign != positive:
                     rounds.append(layer)
                     return False
             # round 0 stays even when empty; a later empty round fires nothing
@@ -309,10 +322,11 @@ class CompiledProgram:
             literals = chain(literals, [self._heads[idx] for idx in on if not missing[idx]])
         trail: list[list[Literal]] = []
         consistent = self._propagate(literals, trail)
+        signs, watchers = self._signs, self._watchers
         for layer in trail:
             for lit in layer:
-                del self._signs[lit.atom]
-                for idx in self._watchers.get(lit, ()):
+                del signs[lit.atom]
+                for idx in watchers.get(lit.atom, _UNWATCHED)[lit.positive]:
                     missing[idx] += 1
         for idx in on:
             missing[idx] += 1

@@ -13,6 +13,15 @@ Grammar:
 Profile files separate programs with lines consisting solely of
 core.PROFILE_SEPARATOR ("---"), with optional whitespace around it; core
 owns the separator, and rendering profiles and flocks writes it too.
+
+One regular expression splits a program (a profile block) into token
+strings, and one loop parses them.  An unexpected character anywhere in
+a program or block is reported ahead of an earlier grammar error in it;
+blocks are parsed in order.  Positions count lines and code points, and
+a SourceError's line and column are computed only when it is raised,
+from the offset of the token it points at.  Within one parse_program or
+parse_programs call each distinct literal is one shared Literal object.
+
 Rendering is canonical: literals sort by (atom, positive first), rules
 sort by their rendered text, and parse(render(x)) == x for programs and
 profiles.  The inconsistent closed set renders as "#bottom".
@@ -21,7 +30,7 @@ profiles.  The inconsistent closed set renders as "#bottom".
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Union
+from typing import Union
 
 from .core import ATOM, PROFILE_SEPARATOR, ClosedSet, Literal, Program, Rule, Stratification
 from .errors import EmptyProfile, SourceError
@@ -29,127 +38,130 @@ from .merging import Profile
 from .revision import Flock
 
 
-class _Token(NamedTuple):
-    kind: str  # atom | neg | arrow | comma | dot
-    text: str
-    line: int
-    column: int
-
-
-# tried in order at each position; columns count code points
-_TOKENS = re.compile(rf"""
-    (?P<newline>\n)
-  | (?P<skip>[^\S\n]+|%[^\n]*)   # other whitespace, or a comment to end of line
-  | (?P<arrow>->)
-  | (?P<neg>-)
-  | (?P<comma>,)
-  | (?P<dot>\.)
-  | (?P<atom>{ATOM})
-  | (?P<other>.)
-""", re.VERBOSE)
-
-
-def _scan(text: str, line_offset: int = 0) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1 + line_offset
-    line_start = 0
-    for m in _TOKENS.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "other":
-            raise SourceError(line, m.start() - line_start + 1,
-                              f"unexpected character {m.group()!r}")
-        elif kind != "skip":
-            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self) -> _Token | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def fail(self, message: str) -> SourceError:
-        # only called after a token was read, so at end of input the
-        # last token is there to point at
-        tok = self.peek() or self.tokens[-1]
-        return SourceError(tok.line, tok.column, message)
-
-    def take(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            raise self.fail(f"expected {expected}" +
-                            (f", found {tok.text!r}" if tok else ", found end of input"))
-        self.index += 1
-        return tok
-
-    def literal(self) -> Literal:
-        tok = self.peek()
-        if tok is None:
-            raise self.fail("expected a literal, found end of input")
-        positive = True
-        if tok.kind == "neg":
-            self.index += 1
-            positive = False
-        atom = self.take("atom", "an atom")
-        return Literal(atom.text, positive)
-
-    def program(self) -> Program:
-        rules: set[Rule] = set()
-        while self.peek() is not None:
-            lits = [self.literal()]
-            while self.peek() is not None and self.peek().kind == "comma":
-                self.index += 1
-                lits.append(self.literal())
-            tok = self.peek()
-            if tok is not None and tok.kind == "arrow":
-                self.index += 1
-                head = self.literal()
-                self.take("dot", "'.'")
-                rules.add(Rule(frozenset(lits), head))
-            elif tok is not None and tok.kind == "dot":
-                if len(lits) != 1:
-                    raise self.fail("a rule body must be followed by '->'")
-                self.index += 1
-                rules.add(Rule.fact(lits[0]))
-            else:
-                raise self.fail("expected ',', '->' or '.'")
-        return Program(frozenset(rules))
-
+# every token is one match: an arrow, an atom, a comment to end of line, or
+# any other single non-whitespace character (punctuation, or a character
+# outside the grammar, on which parsing fails)
+_TOKEN = re.compile(rf"->|{ATOM}|%[^\n]*|\S")
+_ATOM_TOKEN = re.compile(ATOM)
+_PUNCTUATION = frozenset(("->", "-", ",", "."))
 
 # a whole line holding the separator and other whitespace; no newline is
 # consumed, so each block keeps the newlines that count its lines
 _SEPARATOR_LINE = re.compile(rf"^[^\S\n]*{re.escape(PROFILE_SEPARATOR)}[^\S\n]*$",
                              re.MULTILINE)
 
+_Interned = tuple[dict[str, Literal], dict[str, Literal]]  # negative, positive
 
-def _parse_block(text: str, line_offset: int) -> Program:
-    return _Parser(_scan(text, line_offset)).program()
+
+class _Mismatch(Exception):
+    """A grammar error at a token index; the caller places it in the text."""
+
+
+def _intern(table: dict[str, Literal], tok: str, positive: bool, index: int) -> Literal:
+    try:
+        lit = table[tok] = Literal(tok, positive)
+    except ValueError:
+        expected = "a literal" if positive and not tok else "an atom"
+        found = repr(tok) if tok else "end of input"
+        raise _Mismatch(index, f"expected {expected}, found {found}") from None
+    return lit
+
+
+def _rules(tokens: list[str], negative: dict[str, Literal],
+           positive: dict[str, Literal]) -> set[Rule]:
+    """The rules of a token list that ends in the sentinel ""."""
+    rules: set[Rule] = set()
+    i = 0
+    tok = tokens[0]
+    while tok:
+        body: list[Literal] = []
+        while True:
+            if tok == "-":
+                i += 1
+                tok = tokens[i]
+                lit = negative.get(tok) or _intern(negative, tok, False, i)
+            else:
+                lit = positive.get(tok) or _intern(positive, tok, True, i)
+            i += 1
+            tok = tokens[i]
+            if tok != ",":
+                break
+            body.append(lit)
+            i += 1
+            tok = tokens[i]
+        if tok == "->":
+            body.append(lit)
+            i += 1
+            tok = tokens[i]
+            if tok == "-":
+                i += 1
+                tok = tokens[i]
+                lit = negative.get(tok) or _intern(negative, tok, False, i)
+            else:
+                lit = positive.get(tok) or _intern(positive, tok, True, i)
+            i += 1
+            tok = tokens[i]
+            if tok != ".":
+                raise _Mismatch(i, "expected '.', found " + (repr(tok) if tok else "end of input"))
+            rules.add(Rule(frozenset(body), lit))
+        elif tok == ".":
+            if body:
+                raise _Mismatch(i, "a rule body must be followed by '->'")
+            rules.add(Rule.fact(lit))
+        else:
+            raise _Mismatch(i, "expected ',', '->' or '.'")
+        i += 1
+        tok = tokens[i]
+    return rules
+
+
+def _error_at(text: str, offset: int, message: str) -> SourceError:
+    # lines count "\n" only; columns count code points
+    return SourceError(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset),
+                       message)
+
+
+def _block_error(text: str, start: int, end: int, index: int, message: str) -> SourceError:
+    """Place a grammar error at the offset of token ``index`` of the block
+    text[start:end], or at its last token when ``index`` is the sentinel.
+    An unexpected character anywhere in the block outranks it."""
+    offsets = []
+    for m in _TOKEN.finditer(text, start, end):
+        tok = m.group()
+        if tok[0] == "%":
+            continue
+        if tok not in _PUNCTUATION and not _ATOM_TOKEN.match(tok):
+            return _error_at(text, m.start(), f"unexpected character {tok!r}")
+        offsets.append(m.start())
+    return _error_at(text, offsets[min(index, len(offsets) - 1)], message)
+
+
+def _parse_block(text: str, start: int, end: int, interned: _Interned) -> Program:
+    tokens = _TOKEN.findall(text, start, end)
+    if text.find("%", start, end) >= 0:
+        tokens = [tok for tok in tokens if tok[0] != "%"]
+    tokens.append("")
+    try:
+        return Program(frozenset(_rules(tokens, *interned)))
+    except _Mismatch as mismatch:
+        index, message = mismatch.args
+    raise _block_error(text, start, end, index, message)
 
 
 def parse_program(text: str) -> Program:
     """Parse program text; empty input is the empty program."""
-    return _parse_block(text, 0)
+    return _parse_block(text, 0, len(text), ({}, {}))
 
 
 def parse_programs(text: str) -> tuple[Program, ...]:
     """Parse a sequence of programs separated by ``---`` lines, dropping
     blocks that contain no statements.  Used for profiles and flocks."""
-    programs: list[Program] = []
-    line_offset = 0
-    for block in _SEPARATOR_LINE.split(text):
-        program = _parse_block(block, line_offset)
-        if program.rules:
-            programs.append(program)
-        line_offset += block.count("\n")
-    return tuple(programs)
+    separators = [m.span() for m in _SEPARATOR_LINE.finditer(text)]
+    starts = [0] + [sep_end for _, sep_end in separators]
+    ends = [sep_start for sep_start, _ in separators] + [len(text)]
+    interned: _Interned = ({}, {})
+    programs = (_parse_block(text, start, end, interned) for start, end in zip(starts, ends))
+    return tuple(program for program in programs if program.rules)
 
 
 def parse_profile(text: str) -> Profile:

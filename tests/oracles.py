@@ -1,11 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive: whole-program scan fixpoints and
-full subset enumeration.  These functions never call the optimized code
+Everything here is deliberately naive: whole-program scan fixpoints,
+full subset enumeration, and a token-object parser that scans a whole
+block before parsing it.  These functions never call the optimized code
 paths they are used to check.
 """
 
-from fcmerge import BOTTOM, ClosedSet, Program
+import re
+from typing import NamedTuple
+
+from fcmerge import BOTTOM, ClosedSet, Literal, Program, Rule, SourceError
+from fcmerge.core import ATOM, PROFILE_SEPARATOR
 
 
 def naive_closure(program: Program) -> ClosedSet:
@@ -96,3 +101,121 @@ def brute_maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
         if not any(s < t for t in tolerated)
     ]
     return tuple(sorted((Program(s) for s in maximal), key=str))
+
+
+class _Token(NamedTuple):
+    kind: str  # atom | neg | arrow | comma | dot
+    text: str
+    line: int
+    column: int
+
+
+# tried in order at each position; columns count code points
+_TOKENS = re.compile(rf"""
+    (?P<newline>\n)
+  | (?P<skip>[^\S\n]+|%[^\n]*)   # other whitespace, or a comment to end of line
+  | (?P<arrow>->)
+  | (?P<neg>-)
+  | (?P<comma>,)
+  | (?P<dot>\.)
+  | (?P<atom>{ATOM})
+  | (?P<other>.)
+""", re.VERBOSE)
+
+
+def _scan(text: str, line_offset: int = 0) -> list[_Token]:
+    tokens: list[_Token] = []
+    line = 1 + line_offset
+    line_start = 0
+    for m in _TOKENS.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "other":
+            raise SourceError(line, m.start() - line_start + 1,
+                              f"unexpected character {m.group()!r}")
+        elif kind != "skip":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.index = 0
+
+    def peek(self) -> _Token | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return None
+
+    def fail(self, message: str) -> SourceError:
+        # only called after a token was read, so at end of input the
+        # last token is there to point at
+        tok = self.peek() or self.tokens[-1]
+        return SourceError(tok.line, tok.column, message)
+
+    def take(self, kind: str, expected: str) -> _Token:
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            raise self.fail(f"expected {expected}" +
+                            (f", found {tok.text!r}" if tok else ", found end of input"))
+        self.index += 1
+        return tok
+
+    def literal(self) -> Literal:
+        tok = self.peek()
+        if tok is None:
+            raise self.fail("expected a literal, found end of input")
+        positive = True
+        if tok.kind == "neg":
+            self.index += 1
+            positive = False
+        atom = self.take("atom", "an atom")
+        return Literal(atom.text, positive)
+
+    def program(self) -> Program:
+        rules: set[Rule] = set()
+        while self.peek() is not None:
+            lits = [self.literal()]
+            while self.peek() is not None and self.peek().kind == "comma":
+                self.index += 1
+                lits.append(self.literal())
+            tok = self.peek()
+            if tok is not None and tok.kind == "arrow":
+                self.index += 1
+                head = self.literal()
+                self.take("dot", "'.'")
+                rules.add(Rule(frozenset(lits), head))
+            elif tok is not None and tok.kind == "dot":
+                if len(lits) != 1:
+                    raise self.fail("a rule body must be followed by '->'")
+                self.index += 1
+                rules.add(Rule.fact(lits[0]))
+            else:
+                raise self.fail("expected ',', '->' or '.'")
+        return Program(frozenset(rules))
+
+
+_SEPARATOR_LINE = re.compile(rf"^[^\S\n]*{re.escape(PROFILE_SEPARATOR)}[^\S\n]*$",
+                             re.MULTILINE)
+
+
+def reference_parse_program(text: str) -> Program:
+    """Scan the whole text, then parse the tokens: an unexpected
+    character anywhere outranks an earlier grammar error."""
+    return _Parser(_scan(text)).program()
+
+
+def reference_parse_programs(text: str) -> tuple[Program, ...]:
+    """Each ``---``-separated block is scanned, then parsed, in order;
+    positions count lines from the start of the whole text."""
+    programs = []
+    line_offset = 0
+    for block in _SEPARATOR_LINE.split(text):
+        program = _Parser(_scan(block, line_offset)).program()
+        if program.rules:
+            programs.append(program)
+        line_offset += block.count("\n")
+    return tuple(programs)

@@ -21,6 +21,7 @@ from fcmerge import (
 )
 
 from helpers import LAYERED, closed, lit, lits, prog
+from oracles import reference_parse_program, reference_parse_programs
 from strategies import programs
 
 
@@ -53,34 +54,59 @@ class TestParseProgram:
         assert parse_program("_x1. _x1 -> y_2.").facts == lits("_x1")
 
 
+def _position_ids(cases):
+    # name each case by its text and position only
+    return [f"{text}-{line}-{col}" for text, line, col, _ in cases]
+
+
+PROGRAM_ERRORS = [
+    ("a", 1, 1, "expected ',', '->' or '.'"),  # missing '.'; points at the last token
+    ("a, b.", 1, 5, "a rule body must be followed by '->'"),
+    ("a -> b", 1, 6, "expected '.', found end of input"),
+    ("a.\n@b.", 2, 1, "unexpected character '@'"),
+    ("-.", 1, 2, "expected an atom, found '.'"),   # negation without atom
+    ("a ->.", 1, 5, "expected an atom, found '.'"),  # missing head
+    ("a,, b -> c.", 1, 3, "expected an atom, found ','"),
+    ("café.", 1, 4, "unexpected character 'é'"),  # non-ASCII letter inside an atom
+    ("a\u00b2.", 1, 2, "unexpected character '²'"),  # non-ASCII digit inside an atom
+    ("a\t\r@", 1, 4, "unexpected character '@'"),
+    (" a -> b.\n% c\n@", 3, 1, "unexpected character '@'"),
+    ("a - > b.", 1, 5, "unexpected character '>'"),
+    ("a. % end\nb -> ", 2, 3, "expected a literal, found end of input"),
+    ("a.\x0bb\x1c@", 1, 6, "unexpected character '@'"),
+    # an unexpected character outranks an earlier grammar error
+    ("a b.\n@", 2, 1, "unexpected character '@'"),
+    ("a -> .\n---\n@", 3, 1, "unexpected character '@'"),
+]
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "text, line, col",
-        [
-            ("a", 1, 1),          # missing '.'; points at the last token
-            ("a, b.", 1, 5),      # body without '->'
-            ("a -> b", 1, 6),     # missing '.' at end of input
-            ("a.\n@b.", 2, 1),    # unknown token
-            ("-.", 1, 2),         # negation without atom
-            ("a ->.", 1, 5),      # missing head
-            ("a,, b -> c.", 1, 3),
-            ("café.", 1, 4),      # non-ASCII letter inside an atom
-            ("a\u00b2.", 1, 2),   # non-ASCII digit inside an atom
-            ("a\t\r@", 1, 4),
-            (" a -> b.\n% c\n@", 3, 1),
-            ("a - > b.", 1, 5),
-            ("a. % end\nb -> ", 2, 3),
-            ("a.\x0bb\x1c@", 1, 6),
-        ],
-    )
-    def test_positions(self, text, line, col):
+    @pytest.mark.parametrize("text, line, col, message", PROGRAM_ERRORS,
+                             ids=_position_ids(PROGRAM_ERRORS))
+    def test_positions(self, text, line, col, message):
         with pytest.raises(SourceError) as err:
             parse_program(text)
-        assert (err.value.line, err.value.column) == (line, col)
+        assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
 
     def test_message_mentions_position(self):
         with pytest.raises(SourceError, match=r"^2:1: "):
             parse_program("a.\n@")
+
+
+PROFILE_ERRORS = [
+    ("a.\n \t---\xa0\nb -> .", 3, 6, "expected an atom, found '.'"),
+    ("a.\n----\nb.", 2, 2, "expected an atom, found '-'"),  # "----" is not a separator
+    ("a.\n--- x\nb.", 2, 2, "expected an atom, found '-'"),
+    ("---\n\n@", 3, 1, "unexpected character '@'"),
+    ("a.\r\n---\r\n\r\nb ->\r\n", 4, 3, "expected a literal, found end of input"),
+    ("a.\n\x0b---\x0b\nb. c", 3, 4, "expected ',', '->' or '.'"),
+    ("a.\n---\n---\nb -> c", 4, 6, "expected '.', found end of input"),
+    ("\x85---\n@", 2, 1, "unexpected character '@'"),
+    # an unexpected character outranks an earlier grammar error in its
+    # own block only; blocks are parsed in order
+    ("a b.\n@", 2, 1, "unexpected character '@'"),
+    ("a -> .\n---\n@", 1, 6, "expected an atom, found '.'"),
+]
 
 
 class TestProfileParsing:
@@ -113,23 +139,28 @@ class TestProfileParsing:
         profile = parse_profile("a.\r\n---\r\nb.\r\n")
         assert profile.members == (prog("a."), prog("b."))
 
-    @pytest.mark.parametrize(
-        "text, line, col",
-        [
-            ("a.\n \t---\xa0\nb -> .", 3, 6),
-            ("a.\n----\nb.", 2, 2),  # "----" is not a separator
-            ("a.\n--- x\nb.", 2, 2),
-            ("---\n\n@", 3, 1),
-            ("a.\r\n---\r\n\r\nb ->\r\n", 4, 3),
-            ("a.\n\x0b---\x0b\nb. c", 3, 4),
-            ("a.\n---\n---\nb -> c", 4, 6),
-            ("\x85---\n@", 2, 1),
-        ],
-    )
-    def test_positions(self, text, line, col):
+    @pytest.mark.parametrize("text, line, col, message", PROFILE_ERRORS,
+                             ids=_position_ids(PROFILE_ERRORS))
+    def test_positions(self, text, line, col, message):
         with pytest.raises(SourceError) as err:
             parse_programs(text)
-        assert (err.value.line, err.value.column) == (line, col)
+        assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
+
+
+def _literal_objects(programs):
+    return [l for p in programs for r in p.rules for l in (*r.body, r.head)]
+
+
+class TestLiteralSharing:
+    """A parse call builds one Literal object per distinct literal."""
+
+    def test_parse_program(self):
+        found = _literal_objects([parse_program("a. a -> b. -a, b -> -b. b, -b -> a. -a.")])
+        assert len({id(l) for l in found}) == len(set(found)) == 4
+
+    def test_parse_programs_shares_across_blocks(self):
+        found = _literal_objects(parse_programs("a -> b. -b.\n---\nb, -a -> a.\n---\n-a -> -b."))
+        assert len({id(l) for l in found}) == len(set(found)) == 4
 
 
 class TestRender:
@@ -197,3 +228,26 @@ def test_scanner_agrees_with_literal(name):
             parse_program(name + ".")
     else:
         assert parse_program(name + ".") == Program.from_facts([literal])
+
+
+# valid statements and every kind of token, the separator, and characters
+# on the edges of the grammar: the line breaks and whitespace Python's
+# regular expressions know beyond ASCII, and non-ASCII letters and digits
+_FRAGMENTS = [
+    "a", "b", "x_1", "-", "->", ",", ".", "a.", "-b, a -> c.", "%", "% c",
+    "---", " ", "\n", "\r\n", "\t", "\x0b", "\x1c", "\x85", "\xa0", "é", "²", "@",
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except SourceError as err:
+        return (err.line, err.column, err.message)
+
+
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=16).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_parsers_match_reference(text):
+    assert _outcome(parse_program, text) == _outcome(reference_parse_program, text)
+    assert _outcome(parse_programs, text) == _outcome(reference_parse_programs, text)
