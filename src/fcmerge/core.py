@@ -141,7 +141,8 @@ class Program:
         return iter(sorted(self.rules, key=str))
 
     def __str__(self) -> str:
-        return "\n".join(str(r) for r in self)
+        # distinct rules render differently: sorting the texts is __iter__'s order
+        return "\n".join(sorted(map(str, self.rules)))
 
 
 def _opposed(literals: frozenset[Literal]) -> bool:

@@ -9,8 +9,8 @@ revision), or to each maximal tolerant subset separately, producing a
 flock (extended hull revision).  Consequence-wise the three operators
 form a chain: rank below hull below extended hull.
 
-Hull and extended-hull revision enumerate maximal subsets, which takes
-exponential time in the worst case, so the number of candidate rules an
+Hull and extended-hull revision enumerate maximal subsets, whose number
+is exponential in the worst case, so the number of candidate rules an
 enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
 variable (default 24) is the only way to set the cap.  Only that
 enumeration reads it, at each call, so rank revision, and arbitration
@@ -30,7 +30,6 @@ from .core import (
     ClosedSet,
     CompiledProgram,
     Program,
-    Rule,
     closure,
 )
 from .errors import ConfigError, SizeLimitExceeded
@@ -159,55 +158,70 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     """All maximal subsets of p that contain the rank level and stay
     consistent with q, in canonical text order.
 
-    Empty exactly when q is inconsistent.  Enumeration is exponential in
-    the worst case; more candidate rules than enumeration_cap() raise
-    SizeLimitExceeded.
+    Empty exactly when q is inconsistent; the rank level alone, without
+    a search, when no rule lies outside it.  More candidate rules than
+    enumeration_cap() raise SizeLimitExceeded.  The search is output
+    sensitive: it asks at most one tolerability question per candidate
+    to grow each extension, and one per minimal transversal of the found
+    extensions' complements.  Its work follows the number of extensions
+    and of those transversals, not of subsets; both can be exponential.
     """
     if closure(q).is_bottom:
         return ()
-    required = base(p).levels[rank(p, q)].rules
-    candidates = tuple(sorted(p.rules - required, key=str))
+    level = base(p).levels[rank(p, q)]
+    candidates = tuple(sorted(p.rules - level.rules, key=str))
     cap = enumeration_cap()
     if len(candidates) > cap:
         raise SizeLimitExceeded(
             f"{len(candidates)} candidate rules exceed the enumeration cap of {cap}"
         )
-    return _enumerate_extensions(required, candidates, q)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _enumerate_extensions(required: frozenset[Rule], candidates: tuple[Rule, ...],
-                          q: Program) -> tuple[Program, ...]:
-    # memoised below the cap check, so the cap is obeyed on every call.
-    # One index of required | q per call, candidates switched off; each
-    # subset pays only for what its switched-on rules newly derive
-    compiled = CompiledProgram(Program(required) | q, candidates)
-    # the search reaches each set once, every maximal extension among them.
-    # It takes a candidate before leaving it out, so of two found sets
-    # s < t, t comes first (they first differ where t takes a candidate s
-    # leaves out), and a set is maximal iff no set kept so far contains it
-    found: list[frozenset[int]] = []  # the maximal sets, in search order
-
-    def search(chosen: tuple[int, ...], start: int) -> None:
-        # invariant: chosen is q-consistent
-        everything = chosen + tuple(range(start, len(candidates)))
-        if compiled.consistent_with((), everything):
-            s = frozenset(everything)
-            if not any(s < t for t in found):
-                found.append(s)
-        else:
-            branch(chosen, start)
-
-    def branch(chosen: tuple[int, ...], start: int) -> None:
-        # chosen + candidates[start:] is q-inconsistent; taking
-        # candidates[start] keeps that set, so it is not asked again
-        if compiled.consistent_with((), chosen + (start,)):
-            branch(chosen + (start,), start + 1)
-        search(chosen, start + 1)
-
-    search((), 0)
-    extensions = (Program(required | {candidates[i] for i in s}) for s in found)
+    if not candidates:
+        return (level,)
+    # one index of level | q, candidates switched off: a question switches a
+    # set of them (a bitmask over positions) on, paying for what it derives.
+    # Dualize and advance (Gunopulos et al., 1997): a tolerable set in no
+    # found extension meets every found extension's complement, so it
+    # holds a minimal transversal of them, tolerable too, as dropping rules
+    # never makes forward chaining inconsistent.  Once every minimal
+    # transversal is intolerable, every extension is found
+    compiled = CompiledProgram(level | q, candidates)
+    positions = range(len(candidates))
+    found: list[int] = []
+    # the minimal transversals, unasked and intolerable.  Refuted ones stay
+    # for the Berge step to see; what they grow into is never asked
+    pending, refuted = [0], []
+    while pending:
+        t = s = pending.pop()
+        chosen = [i for i in positions if t >> i & 1]
+        if not compiled.consistent_with((), chosen):
+            refuted.append(t)
+            continue
+        for i in positions:  # grow greedily, in canonical order, to a maximal set
+            if not s >> i & 1 and compiled.consistent_with((), chosen + [i]):
+                chosen.append(i)
+                s |= 1 << i
+        found.append(s)
+        edge = ~s & ((1 << len(candidates)) - 1)
+        hitting = [x for x in (*pending, *refuted) if x & edge]
+        pending = _add_edge([*pending, t], edge, hitting)
+        refuted = _add_edge(refuted, edge, hitting)
+    extensions = (Program(level.rules | {candidates[i] for i in positions if s >> i & 1})
+                  for s in found)
     return tuple(sorted(extensions, key=str))
+
+
+def _add_edge(transversals: list[int], edge: int, hitting: list[int]) -> list[int]:
+    # one Berge step: what the given minimal transversals become once the
+    # hypergraph gains the edge; hitting holds the old ones that meet it.
+    # One that misses the edge gains an element of it, and stays minimal
+    # unless a hitting one, which must hold that element, lies inside it
+    grown = [x for x in transversals if x & edge]
+    bits = [b for b in (1 << i for i in range(edge.bit_length())) if edge & b]
+    for x in transversals:
+        if not x & edge:
+            grown += [x | b for b in bits
+                      if not any(h & b and h & (x | b) == h for h in hitting)]
+    return grown
 
 
 def hull(p: Program, q: Program) -> Program:

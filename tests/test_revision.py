@@ -20,6 +20,7 @@ from fcmerge import (
     revise_hull,
     revise_rank,
 )
+from fcmerge.core import CompiledProgram
 from fcmerge.fuzz import FuzzConfig, atom_pool, gen_program
 
 from helpers import (
@@ -33,7 +34,7 @@ from helpers import (
     prog,
 )
 from oracles import brute_maximal_extensions, naive_base, naive_exceptional, naive_rank
-from strategies import rules
+from strategies import dense_programs, programs, rules
 
 
 class TestExceptionalRules:
@@ -223,6 +224,46 @@ class TestMaximalExtensions:
         assert len(maximal_extensions(p, q)) == 2
         assert closure.cache_info().misses - misses <= 3
 
+    def test_matches_brute_force_at_fourteen_candidates(self):
+        # a consistent program with base levels of 17, 9 and 3 rules; q
+        # joins the last, so 14 candidates and 26 extensions
+        p = prog("bf_p -> bf_f. bf_p -> -bf_fl. bf_p -> bf_b. bf_b -> bf_fl. "
+                 "bf_a. bf_a -> bf_c. bf_c -> -bf_f. bf_d. bf_d, bf_f -> bf_e. "
+                 "bf_e -> bf_fl. bf_g. bf_g -> -bf_e. bf_b, bf_g -> bf_h. "
+                 "bf_h -> -bf_c. bf_d -> bf_k. bf_k, bf_b -> -bf_a. -bf_fl -> bf_m.")
+        q = prog("bf_p.")
+        assert len(p.rules - base(p).levels[rank(p, q)].rules) == 14
+        extensions = maximal_extensions(p, q)
+        assert len(extensions) == 26
+        assert extensions == brute_maximal_extensions(p, q)
+
+    @pytest.mark.parametrize("p_text, q_text, extensions", [
+        # late conflict at the cap: 24 candidates, of which only zx and
+        # zx -> zz together collide with q
+        (" ".join(f"a{i}." for i in range(22)) + " zx. zx -> zz.", "-zz.", 2),
+        # independent conflicts, k = 8: 16 candidates, each pair loses one
+        # of its rules; the include/exclude search asked 15,307 questions
+        (" ".join(f"b{i}. b{i} -> z{i}." for i in range(8)),
+         " ".join(f"-z{i}." for i in range(8)), 2 ** 8),
+    ], ids=["late-conflict-24", "independent-conflicts-8"])
+    def test_enumeration_work_is_output_sensitive(self, monkeypatch, p_text, q_text,
+                                                  extensions):
+        # every tolerability question asked of the index, counted rather
+        # than timed, pinned at (candidates + 2) x (extensions + 1)
+        p, q = prog(p_text), prog(q_text)
+        candidates = len(p.rules - base(p).levels[rank(p, q)].rules)  # memoises base
+        asked = 0
+        consistent_with = CompiledProgram.consistent_with
+
+        def counting(self, literals, on=()):
+            nonlocal asked
+            asked += 1
+            return consistent_with(self, literals, on)
+
+        monkeypatch.setattr(CompiledProgram, "consistent_with", counting)
+        assert len(maximal_extensions(p, q)) == extensions
+        assert asked <= (candidates + 2) * (extensions + 1)
+
     def test_cap_exceeded(self, monkeypatch):
         rules = " ".join(f"a{i} -> c." for i in range(25))
         p, q = prog(rules), prog("-c. a0.")
@@ -393,3 +434,22 @@ def test_exceptional_rules_and_base_match_naive_oracles(p):
 def test_maximal_extensions_match_brute_force(p, q):
     assert rank(p, q) == naive_rank(p, q)
     assert maximal_extensions(p, q) == brute_maximal_extensions(p, q)
+
+
+def _assert_enumeration_matches_brute_force(p, q):
+    extensions = brute_maximal_extensions(p, q)
+    assert maximal_extensions(p, q) == extensions
+    common = frozenset.intersection(*(e.rules for e in extensions)) if extensions else ()
+    assert hull(p, q) == Program(common)
+
+
+@given(programs, programs)
+@settings(max_examples=300, deadline=None)
+def test_maximal_extensions_and_hull_match_brute_force(p, q):
+    _assert_enumeration_matches_brute_force(p, q)
+
+
+@given(dense_programs, dense_programs)
+@settings(max_examples=300, deadline=None)
+def test_maximal_extensions_and_hull_match_brute_force_under_dense_negation(p, q):
+    _assert_enumeration_matches_brute_force(p, q)

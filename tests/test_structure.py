@@ -82,7 +82,9 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-def test_every_memo_is_bounded_by_the_one_memo_size():
+def _memos() -> tuple[list[tuple[str, str]], list[str]]:
+    """(module.function, decorator) for every cached function, and the
+    modules that assign MEMO_SIZE."""
     memos, owners = [], []
     for path in MODULES:
         for node in ast.walk(_tree(path)):
@@ -93,5 +95,17 @@ def test_every_memo_is_bounded_by_the_one_memo_size():
             elif isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "MEMO_SIZE" for t in node.targets):
                 owners.append(path.stem)
+    return memos, owners
+
+
+def test_every_memo_is_bounded_by_the_one_memo_size():
+    memos, owners = _memos()
     assert owners == ["core"]
     assert memos and all(dec == "lru_cache(maxsize=MEMO_SIZE)" for _, dec in memos), memos
+
+
+def test_memoised_functions_are_closure_and_base():
+    # each memo costs resident memory on every workload: a new one must
+    # show that it pays for itself, and change this list
+    memos, _ = _memos()
+    assert sorted(name for name, _ in memos) == ["core.closure", "revision.base"]
