@@ -2,11 +2,12 @@
 
 Exit codes: 0 success (or postulate holds), 1 violation found (check,
 corpus mismatch, or fuzz violations of guaranteed postulates), 2 parse
-or input error, 3 usage or configuration error, 4 enumeration size limit
-exceeded.  The FCMERGE_MAX_ENUM environment variable (default 24) is
-the only way to set the maximal-subset enumeration cap.  Only h and eh
-enumeration reads it, at each call, so rk revision, arbitration and
-merging ignore a malformed value.  Input files must be UTF-8.
+or input error (a malformed corpus table among them), 3 usage or
+configuration error, 4 enumeration size limit exceeded.  The
+FCMERGE_MAX_ENUM environment variable (default 24) is the only way to
+set the maximal-subset enumeration cap.  Only h and eh enumeration reads
+it, at each call, so rk revision, arbitration and merging ignore a
+malformed value.  Input files must be UTF-8.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .arbitration import Strategy, arbitrate
 from .core import Program, closure
 from .errors import (
     ConfigError,
+    CorpusError,
     EmptyProfile,
     IncompleteBinding,
     SizeLimitExceeded,
@@ -28,9 +30,9 @@ from .errors import (
 )
 from .fuzz import FuzzConfig, search
 from .merging import Profile, merge
-from .postulates import POSTULATES, Instance, PostulateId, Status, check, run_corpus
+from .postulates import POSTULATES, PostulateId, Status, check, load_bindings, run_corpus
 from .revision import Flock, revise_extended_hull, revise_hull, revise_rank
-from .textio import parse_profile, parse_program, parse_programs
+from .textio import parse_program, parse_programs
 
 _STRATEGY_TOKENS = [s.value for s in Strategy]
 # the binding flags of check, in the order the postulates first name them
@@ -124,18 +126,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     pid = PostulateId.parse(args.postulate)
-    programs = {
-        var: _load_program(getattr(args, var))
-        for var in _PROGRAM_VARS
-        if getattr(args, var) is not None
-    }
-    profiles = {
-        var: parse_profile(_read(getattr(args, var)))
-        for var in _PROFILE_VARS
-        if getattr(args, var) is not None
-    }
-    instance = Instance(Strategy.from_token(args.strategy),
-                        programs=programs, profiles=profiles)
+    instance = load_bindings(
+        Strategy.from_token(args.strategy),
+        {var: getattr(args, var) for var in _PROGRAM_VARS if getattr(args, var) is not None},
+        {var: getattr(args, var) for var in _PROFILE_VARS if getattr(args, var) is not None},
+    )
     verdict = check(pid, instance)
     lines = [verdict.status.value]
     lines += [f"  {key} = {value}" for key, value in verdict.witness]
@@ -166,19 +161,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         postulates=_parse_list(args.postulates, PostulateId.parse),
     )
     report = search(cfg)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    _emit(args, report.to_text(), report.to_dict())
     return 1 if report.guaranteed_violations else 0
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     report = run_corpus(Path(args.directory) if args.directory else None)
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    else:
-        print(report.to_text())
+    _emit(args, report.to_text(), report.to_dict())
     return 0 if report.all_match else 1
 
 
@@ -261,7 +250,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SourceError as exc:
         print(f"fcmerge: parse error: {exc}", file=sys.stderr)
         return 2
-    except (EmptyProfile, OSError, UnicodeDecodeError) as exc:
+    except (CorpusError, EmptyProfile, OSError, UnicodeDecodeError) as exc:
         print(f"fcmerge: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, IncompleteBinding) as exc:

@@ -20,6 +20,10 @@ class IncompleteBinding(Exception):
     its free variables."""
 
 
+class CorpusError(Exception):
+    """A corpus expectation table is malformed."""
+
+
 class ConfigError(Exception):
     """Invalid fuzzing or runtime configuration."""
 

@@ -364,12 +364,6 @@ def search(cfg: FuzzConfig) -> FuzzReport:
     return FuzzReport(cfg, tuple(cells), tuple(evaluations), tuple(violations))
 
 
-def total_rules(instance: Instance) -> int:
-    count = sum(len(p) for p in instance.programs.values())
-    count += sum(len(m) for profile in instance.profiles.values() for m in profile)
-    return count
-
-
 # where a rule sits: (binding name, member index or -1 for a program, rule)
 _Site = tuple[str, int, Rule]
 
@@ -398,7 +392,8 @@ def _without(instance: Instance, sites: list[_Site]) -> Instance | None:
 
 def _removals(instance: Instance) -> Iterator[list[_Site]]:
     # each program rule; per profile, each member, then each member rule;
-    # then each atom, that is every rule mentioning it.  Lazy, because
+    # then each atom, that is every rule mentioning it.  Each list names
+    # rules of the instance, so every removal shrinks it.  Lazy, because
     # shrink restarts from the first candidate it keeps
     for name in sorted(instance.programs):
         for rule in instance.programs[name]:
@@ -417,13 +412,6 @@ def _removals(instance: Instance) -> Iterator[list[_Site]]:
         yield [site for site in sites if atom in site[2].atoms()]
 
 
-def _shrink_candidates(instance: Instance) -> Iterator[Instance]:
-    for sites in _removals(instance):
-        candidate = _without(instance, sites)
-        if candidate is not None:
-            yield candidate
-
-
 def shrink(instance: Instance, predicate: Callable[[Instance], bool]) -> Instance:
     """Greedily remove rules, profile members, and atoms while the
     predicate keeps holding.  The result is locally minimal: no single
@@ -432,8 +420,9 @@ def shrink(instance: Instance, predicate: Callable[[Instance], bool]) -> Instanc
         raise PredicateNotHolding("predicate does not hold on the input instance")
     current = instance
     while True:
-        for candidate in _shrink_candidates(current):
-            if total_rules(candidate) < total_rules(current) and predicate(candidate):
+        for sites in _removals(current):
+            candidate = _without(current, sites)
+            if candidate is not None and predicate(candidate):
                 current = candidate
                 break
         else:

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .arbitration import Strategy, arbitrate, conj, disj
 from .core import BOTTOM, ClosedSet, Literal, Program, closure, entails
-from .errors import IncompleteBinding
+from .errors import CorpusError, IncompleteBinding
 from .merging import Profile, merge
 from .textio import parse_profile, parse_program
 
@@ -337,33 +337,34 @@ def _fp8(inst: Instance) -> Verdict:
 
 @dataclass(frozen=True)
 class PostulateSpec:
-    pid: PostulateId
     program_vars: tuple[str, ...]
     profile_vars: tuple[str, ...]
     evaluate: Callable[[Instance], Verdict]
+    # the strategies the paper guarantees the postulate for
+    guaranteed_for: frozenset[Strategy] = frozenset()
 
+
+_EVERY = frozenset(Strategy)
 
 POSTULATES: dict[PostulateId, PostulateSpec] = {
-    spec.pid: spec
-    for spec in (
-        PostulateSpec(PostulateId.SA1, ("P", "Q"), (), _sa1),
-        PostulateSpec(PostulateId.SA2, ("P", "Q"), (), _sa2),
-        PostulateSpec(PostulateId.SA3, ("P", "Q"), (), _sa3),
-        PostulateSpec(PostulateId.SA4, ("P", "Q"), (), _sa4),
-        PostulateSpec(PostulateId.SA5, ("P1", "P2", "Q1", "Q2"), (), _sa5),
-        PostulateSpec(PostulateId.SA6, ("P", "Q1", "Q2"), (), _sa6),
-        PostulateSpec(PostulateId.SA7, ("P", "Q"), (), _sa7),
-        PostulateSpec(PostulateId.SA8, ("P", "Q"), (), _sa8),
-        PostulateSpec(PostulateId.FP0, ("constraint",), ("profile1",), _fp0),
-        PostulateSpec(PostulateId.FP1, ("constraint",), ("profile1",), _fp1),
-        PostulateSpec(PostulateId.FP2, ("constraint",), ("profile1",), _fp2),
-        PostulateSpec(PostulateId.FP3, ("P", "Q"), ("profile1", "profile2"), _fp3),
-        PostulateSpec(PostulateId.FP4, ("constraint", "P1", "P2"), (), _fp4),
-        PostulateSpec(PostulateId.FP5, ("constraint",), ("profile1", "profile2"), _fp5),
-        PostulateSpec(PostulateId.FP6, ("constraint",), ("profile1", "profile2"), _fp6),
-        PostulateSpec(PostulateId.FP7, ("constraint", "Q"), ("profile1",), _fp7),
-        PostulateSpec(PostulateId.FP8, ("constraint", "Q"), ("profile1",), _fp8),
-    )
+    PostulateId.SA1: PostulateSpec(("P", "Q"), (), _sa1, _EVERY),
+    PostulateId.SA2: PostulateSpec(("P", "Q"), (), _sa2, _EVERY),
+    PostulateId.SA3: PostulateSpec(("P", "Q"), (), _sa3, _EVERY),
+    PostulateId.SA4: PostulateSpec(("P", "Q"), (), _sa4, _EVERY),
+    PostulateId.SA5: PostulateSpec(("P1", "P2", "Q1", "Q2"), (), _sa5),
+    PostulateId.SA6: PostulateSpec(("P", "Q1", "Q2"), (), _sa6),
+    PostulateId.SA7: PostulateSpec(("P", "Q"), (), _sa7, _EVERY),
+    PostulateId.SA8: PostulateSpec(("P", "Q"), (), _sa8, _EVERY),
+    PostulateId.FP0: PostulateSpec(("constraint",), ("profile1",), _fp0, _EVERY),
+    PostulateId.FP1: PostulateSpec(("constraint",), ("profile1",), _fp1, _EVERY),
+    PostulateId.FP2: PostulateSpec(("constraint",), ("profile1",), _fp2, _EVERY),
+    PostulateId.FP3: PostulateSpec(("P", "Q"), ("profile1", "profile2"), _fp3),
+    PostulateId.FP4: PostulateSpec(("constraint", "P1", "P2"), (), _fp4,
+                                   frozenset({Strategy.RANK})),
+    PostulateId.FP5: PostulateSpec(("constraint",), ("profile1", "profile2"), _fp5),
+    PostulateId.FP6: PostulateSpec(("constraint",), ("profile1", "profile2"), _fp6),
+    PostulateId.FP7: PostulateSpec(("constraint", "Q"), ("profile1",), _fp7),
+    PostulateId.FP8: PostulateSpec(("constraint", "Q"), ("profile1",), _fp8),
 }
 
 
@@ -389,19 +390,9 @@ def check(pid: PostulateId, instance: Instance) -> Verdict:
 
 
 def guaranteed(pid: PostulateId, strategy: Strategy) -> bool:
-    """Whether the postulate is guaranteed to hold for the strategy.
-
-    SA1-SA4, SA7, SA8 hold for all strategies, as do FP0-FP2; FP4 holds
-    for rank revision only.  Everything else can be violated.
-    """
-    if pid in (PostulateId.SA1, PostulateId.SA2, PostulateId.SA3,
-               PostulateId.SA4, PostulateId.SA7, PostulateId.SA8):
-        return True
-    if pid in (PostulateId.FP0, PostulateId.FP1, PostulateId.FP2):
-        return True
-    if pid is PostulateId.FP4:
-        return strategy is Strategy.RANK
-    return False
+    """Whether the postulate is guaranteed to hold for the strategy, as
+    its row of POSTULATES records.  Everything else can be violated."""
+    return strategy in POSTULATES[pid].guaranteed_for
 
 
 # --- regression corpus --------------------------------------------------
@@ -452,78 +443,92 @@ def _corpus_root() -> Path:
     return Path(str(resources.files("fcmerge") / "corpus"))
 
 
-def _load_bindings(entry: Mapping, root: Path, strategy: Strategy) -> Instance:
-    programs = {
-        name: parse_program((root / rel).read_text(encoding="utf-8"))
-        for name, rel in entry.get("programs", {}).items()
-    }
-    profiles = {
-        name: parse_profile((root / rel).read_text(encoding="utf-8"))
-        for name, rel in entry.get("profiles", {}).items()
-    }
-    return Instance(strategy=strategy, programs=programs, profiles=profiles)
+def load_bindings(strategy: Strategy, programs: Mapping[str, str | Path],
+                  profiles: Mapping[str, str | Path]) -> Instance:
+    """An instance binding each name to the program, or the profile, in
+    the UTF-8 file at its path."""
+    def read(path: str | Path) -> str:
+        return Path(path).read_text(encoding="utf-8")
+    return Instance(strategy,
+                    programs={name: parse_program(read(path)) for name, path in programs.items()},
+                    profiles={name: parse_profile(read(path)) for name, path in profiles.items()})
 
 
-def _run_postulate_entry(entry: Mapping, root: Path) -> list[CorpusResult]:
-    pid = PostulateId.parse(entry["postulate"])
-    expected_status = Status(entry["expect"])
-    expected_values: dict[str, str] = entry.get("values", {})
-    results = []
-    for token in entry["strategies"]:
-        strategy = Strategy.from_token(token)
-        instance = _load_bindings(entry, root, strategy)
-        verdict = check(pid, instance)
+@dataclass(frozen=True)
+class _Entry:
+    """One table entry, read and checked before any entry is evaluated."""
+
+    name: str
+    postulate: PostulateId | None  # None for an arbitration entry
+    # per strategy, the expected verdict status or arbitration result
+    expected: tuple[tuple[Strategy, str], ...]
+    values: Mapping[str, str]
+    programs: dict[str, Path]
+    profiles: dict[str, Path]
+
+
+def _read_entry(entry: Mapping, root: Path) -> _Entry:
+    kind = entry["kind"]
+    if kind == "postulate":
+        pid = PostulateId.parse(entry["postulate"])
+        status = Status(entry["expect"]).value
+        expected = tuple((Strategy.from_token(t), status) for t in entry["strategies"])
+        programs, values = entry.get("programs", {}), dict(entry.get("values", {}))
+    elif kind == "arbitration":
+        pid, values = None, {}
+        expected = tuple((Strategy.from_token(t), str(result))
+                         for t, result in entry["expect_results"].items())
+        programs = {var: entry["programs"][var] for var in ("P", "Q")}
+    else:
+        raise ValueError(f"unknown corpus entry kind {kind!r}")
+    return _Entry(entry["name"], pid, expected, values,
+                  {name: root / rel for name, rel in programs.items()},
+                  {name: root / rel for name, rel in entry.get("profiles", {}).items()})
+
+
+def _evaluate(entry: _Entry) -> Iterator[CorpusResult]:
+    for strategy, expected in entry.expected:
+        instance = load_bindings(strategy, entry.programs, entry.profiles)
         notes = []
-        got = verdict.witness_dict
-        for key, want in expected_values.items():
-            if key not in got:
-                notes.append(f"missing witness value {key!r}")
-            elif got[key] != want:
-                notes.append(f"{key}: expected {want!r}, got {got[key]!r}")
-        matched = verdict.status is expected_status and not notes
-        results.append(CorpusResult(
-            name=entry["name"],
-            detail=pid.value,
-            strategy=token,
-            expected=expected_status.value,
-            actual=verdict.status.value,
-            matched=matched,
-            notes=tuple(notes),
-        ))
-    return results
-
-
-def _run_arbitration_entry(entry: Mapping, root: Path) -> list[CorpusResult]:
-    results = []
-    for token, expected in entry["expect_results"].items():
-        strategy = Strategy.from_token(token)
-        instance = _load_bindings(entry, root, strategy)
-        actual = str(arbitrate(instance.programs["P"], instance.programs["Q"], strategy))
-        results.append(CorpusResult(
-            name=entry["name"],
-            detail="arbitration",
-            strategy=token,
+        if entry.postulate is None:
+            actual = str(arbitrate(instance.programs["P"], instance.programs["Q"], strategy))
+        else:
+            verdict = check(entry.postulate, instance)
+            actual, got = verdict.status.value, verdict.witness_dict
+            for key, want in entry.values.items():
+                if key not in got:
+                    notes.append(f"missing witness value {key!r}")
+                elif got[key] != want:
+                    notes.append(f"{key}: expected {want!r}, got {got[key]!r}")
+        yield CorpusResult(
+            name=entry.name,
+            detail=entry.postulate.value if entry.postulate else "arbitration",
+            strategy=strategy.value,
             expected=expected,
             actual=actual,
-            matched=actual == expected,
-        ))
-    return results
+            matched=actual == expected and not notes,
+            notes=tuple(notes),
+        )
 
 
 def run_corpus(location: Path | None = None) -> CorpusReport:
     """Evaluate every corpus entry and compare against its expectation.
 
     The default corpus ships with the package; pass a directory holding
-    an ``expectations.json`` to run a different one.
+    an ``expectations.json`` to run a different one.  A malformed table
+    raises CorpusError, naming the entry at fault, before any entry is
+    evaluated.
     """
     root = Path(location) if location is not None else _corpus_root()
-    table = json.loads((root / "expectations.json").read_text(encoding="utf-8"))
-    results: list[CorpusResult] = []
-    for entry in table["entries"]:
-        if entry["kind"] == "postulate":
-            results.extend(_run_postulate_entry(entry, root))
-        elif entry["kind"] == "arbitration":
-            results.extend(_run_arbitration_entry(entry, root))
-        else:
-            raise ValueError(f"unknown corpus entry kind {entry['kind']!r}")
-    return CorpusReport(tuple(results))
+    path = root / "expectations.json"
+    text = path.read_text(encoding="utf-8")
+    entries, where = [], str(path)
+    try:
+        for i, entry in enumerate(json.loads(text)["entries"], 1):
+            where = f"{path}: entry {i}"  # by position until its name is read
+            where += f" {entry['name']!r}"
+            entries.append(_read_entry(entry, root))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise CorpusError(f"{where}: {problem}") from None
+    return CorpusReport(tuple(r for entry in entries for r in _evaluate(entry)))

@@ -14,7 +14,9 @@ is exponential in the worst case, so the number of candidate rules an
 enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
 variable (default 24) is the only way to set the cap.  Only that
 enumeration reads it, at each call, so rank revision, and arbitration
-and merging built on it, ignore a malformed value.
+and merging built on it, ignore a malformed value.  The search keeps each
+intolerable minimal transversal as it is: no extension contains it, so
+it meets the complement of every extension found later.
 """
 
 from __future__ import annotations
@@ -55,18 +57,6 @@ def enumeration_cap() -> int:
     if value < 0:
         raise ConfigError(f"{ENUM_CAP_ENV} must be nonnegative, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class Base:
-    """The decreasing sequence of exceptional-rule programs, ending in
-    the empty program."""
-
-    levels: tuple[Program, ...]
-
-    @property
-    def last_index(self) -> int:
-        return len(self.levels) - 1
 
 
 @dataclass(frozen=True)
@@ -121,9 +111,9 @@ def exceptional_rules(program: Program) -> Program:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def base(program: Program) -> Base:
-    """Iterate exceptional_rules from the program down to a fixpoint,
-    then append the empty program unless the fixpoint already is empty."""
+def base(program: Program) -> tuple[Program, ...]:
+    """The levels of the base: exceptional_rules iterated from the program
+    down to a fixpoint, then the empty program if the fixpoint has rules."""
     levels = [program]
     while True:
         nxt = exceptional_rules(levels[-1])
@@ -132,7 +122,7 @@ def base(program: Program) -> Base:
         levels.append(nxt)
     if levels[-1].rules:
         levels.append(Program())
-    return Base(tuple(levels))
+    return tuple(levels)
 
 
 def rank(p: Program, q: Program) -> int:
@@ -142,16 +132,16 @@ def rank(p: Program, q: Program) -> int:
     base, whose level is the empty program, so revision collapses to the
     new information alone.
     """
-    b = base(p)
+    levels = base(p)
     if closure(q).is_bottom:
-        return b.last_index
+        return len(levels) - 1
     # an inconsistent p has the base (p, empty), so this finds the last index
-    return next(i for i, level in enumerate(b.levels) if not closure(level | q).is_bottom)
+    return next(i for i, level in enumerate(levels) if not closure(level | q).is_bottom)
 
 
 def revise_rank(p: Program, q: Program) -> Program:
     """Adjoin q to the least exceptional level of p consistent with it."""
-    return base(p).levels[rank(p, q)] | q
+    return base(p)[rank(p, q)] | q
 
 
 def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
@@ -168,7 +158,7 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     """
     if closure(q).is_bottom:
         return ()
-    level = base(p).levels[rank(p, q)]
+    level = base(p)[rank(p, q)]
     candidates = tuple(sorted(p.rules - level.rules, key=str))
     cap = enumeration_cap()
     if len(candidates) > cap:
@@ -187,8 +177,8 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     compiled = CompiledProgram(level | q, candidates)
     positions = range(len(candidates))
     found: list[int] = []
-    # the minimal transversals, unasked and intolerable.  Refuted ones stay
-    # for the Berge step to see; what they grow into is never asked
+    # the minimal transversals, unasked and intolerable.  Refuted ones are
+    # only appended to; what they grow into is never asked
     pending, refuted = [0], []
     while pending:
         t = s = pending.pop()
@@ -202,20 +192,21 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
                 s |= 1 << i
         found.append(s)
         edge = ~s & ((1 << len(candidates)) - 1)
-        hitting = [x for x in (*pending, *refuted) if x & edge]
-        pending = _add_edge([*pending, t], edge, hitting)
-        refuted = _add_edge(refuted, edge, hitting)
+        pending = _add_edge([*pending, t], edge, refuted)
     extensions = (Program(level.rules | {candidates[i] for i in positions if s >> i & 1})
                   for s in found)
     return tuple(sorted(extensions, key=str))
 
 
-def _add_edge(transversals: list[int], edge: int, hitting: list[int]) -> list[int]:
-    # one Berge step: what the given minimal transversals become once the
-    # hypergraph gains the edge; hitting holds the old ones that meet it.
-    # One that misses the edge gains an element of it, and stays minimal
-    # unless a hitting one, which must hold that element, lies inside it
+def _add_edge(transversals: list[int], edge: int, refuted: list[int]) -> list[int]:
+    # one Berge step: what the pending minimal transversals become once the
+    # hypergraph gains the edge, a found extension's complement.  A refuted
+    # one is intolerable, so it lies in no extension and meets the edge: it
+    # stays as it is, and joins the pending ones that meet the edge in
+    # hitting.  One that misses the edge gains an element of it, and stays
+    # minimal unless a hitting one, which must hold that element, lies in it
     grown = [x for x in transversals if x & edge]
+    hitting = grown + refuted
     bits = [b for b in (1 << i for i in range(edge.bit_length())) if edge & b]
     for x in transversals:
         if not x & edge:

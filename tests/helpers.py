@@ -1,6 +1,6 @@
 """Shared program fixtures and construction shorthands for the tests."""
 
-from fcmerge import ClosedSet, Literal, Program
+from fcmerge import ClosedSet, Instance, Literal, Program
 from fcmerge.textio import parse_program
 
 
@@ -20,6 +20,13 @@ def lits(*texts: str) -> frozenset[Literal]:
 
 def closed(*texts: str) -> ClosedSet:
     return ClosedSet(lits(*texts))
+
+
+def total_rules(instance: Instance) -> int:
+    """Rules over every program and profile member of the instance."""
+    count = sum(len(p) for p in instance.programs.values())
+    count += sum(len(m) for profile in instance.profiles.values() for m in profile)
+    return count
 
 
 # a four-layer derivation chain

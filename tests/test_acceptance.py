@@ -63,7 +63,7 @@ def test_criterion_01_layered_stratification_golden():
 
 
 def test_criterion_02_taxonomy_base_golden():
-    levels = base(prog(TAXONOMY)).levels
+    levels = base(prog(TAXONOMY))
     assert levels == (
         prog(TAXONOMY),
         prog(TAXONOMY_LEVEL1),

@@ -204,6 +204,50 @@ def test_corpus_mismatch_exit_code(tmp_path, capsys):
     assert run(["corpus", "--directory", str(tmp_path)]) == 1
 
 
+_ARBITRATION_ENTRY = {
+    "name": "arb", "kind": "arbitration",
+    "programs": {"P": "p.fc", "Q": "q.fc"}, "expect_results": {"rk": ""},
+}
+_POSTULATE_ENTRY = {
+    "name": "sa1", "kind": "postulate", "postulate": "SA1", "strategies": ["rk"],
+    "programs": {"P": "p.fc", "Q": "q.fc"}, "expect": "holds",
+}
+
+
+@pytest.mark.parametrize("table, named", [
+    ("{", "expectations.json: "),
+    ("{}", "missing key 'entries'"),
+    (json.dumps({"entries": [{**_POSTULATE_ENTRY, "kind": "lemma"}]}),
+     "entry 1 'sa1': unknown corpus entry kind 'lemma'"),
+    (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_POSTULATE_ENTRY, "postulate": "SA9"}]}),
+     "entry 2 'sa1': unknown postulate 'SA9'"),
+    (json.dumps({"entries": [{**_POSTULATE_ENTRY, "strategies": ["rk", "zz"]}]}),
+     "entry 1 'sa1': unknown strategy 'zz'"),
+    (json.dumps({"entries": [{**_POSTULATE_ENTRY, "expect": "maybe"}]}),
+     "entry 1 'sa1': 'maybe' is not a valid Status"),
+    (json.dumps({"entries": [{k: v for k, v in _POSTULATE_ENTRY.items() if k != "expect"}]}),
+     "entry 1 'sa1': missing key 'expect'"),
+    (json.dumps({"entries": [{k: v for k, v in _ARBITRATION_ENTRY.items() if k != "name"}]}),
+     "entry 1: missing key 'name'"),
+    (json.dumps({"entries": [{**_ARBITRATION_ENTRY, "programs": {"P": "p.fc"}}]}),
+     "entry 1 'arb': missing key 'Q'"),
+    (json.dumps({"entries": [{**_POSTULATE_ENTRY, "programs": ["p.fc", "q.fc"]}]}),
+     "entry 1 'sa1': "),
+], ids=["invalid-json", "no-entries", "unknown-kind", "unknown-postulate",
+        "unknown-strategy", "unknown-expect", "missing-expect", "missing-name",
+        "arbitration-without-q", "programs-not-a-map"])
+def test_corpus_malformed_table_is_input_error(tmp_path, capsys, table, named):
+    (tmp_path / "p.fc").write_text("a.\n")
+    (tmp_path / "q.fc").write_text("b.\n")
+    (tmp_path / "expectations.json").write_text(table)
+    assert run(["corpus", "--directory", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("fcmerge: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
 def test_fuzz_command(capsys):
     code = run(["fuzz", "--seed", "4", "--trials", "20",
                 "--postulates", "SA1,SA2", "--strategies", "rk"])

@@ -17,9 +17,9 @@ from fcmerge import (
     search,
     shrink,
 )
-from fcmerge.fuzz import FuzzConfig, render_instance, total_rules
+from fcmerge.fuzz import FuzzConfig, render_instance
 
-from helpers import prog
+from helpers import prog, total_rules
 
 
 class TestConfig:

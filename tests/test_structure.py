@@ -109,3 +109,19 @@ def test_memoised_functions_are_closure_and_base():
     # show that it pays for itself, and change this list
     memos, _ = _memos()
     assert sorted(name for name, _ in memos) == ["core.closure", "revision.base"]
+
+
+def test_cli_writes_stdout_only_through_emit():
+    # one writer decides between the plain and the JSON form of a result
+    tree = _tree(Path(fcmerge.__file__).parent / "cli.py")
+    emit = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    inside = {id(node) for node in ast.walk(emit)}
+    stray = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "print" and not any(k.arg == "file" for k in node.keywords)
+        and id(node) not in inside
+    ]
+    assert stray == []
