@@ -22,7 +22,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 from .arbitration import Strategy
@@ -32,6 +32,12 @@ from .merging import Profile
 from .postulates import Instance, PostulateId, Status, Verdict, check, guaranteed
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _fields(obj) -> dict:
+    # a dataclass's fields as a shallow dict, sharing the field values;
+    # asdict would deep-copy every leaf of every report record
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def atom_pool(size: int) -> tuple[str, ...]:
@@ -72,7 +78,7 @@ class FuzzConfig:
             raise ConfigError("at least one postulate is required")
 
     def to_dict(self) -> dict:
-        return {**asdict(self),
+        return {**_fields(self),
                 "strategies": [s.value for s in self.strategies],
                 "postulates": [p.value for p in self.postulates]}
 
@@ -258,7 +264,7 @@ class Violation:
     guaranteed: bool
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "witness": dict(self.witness)}
+        return {**_fields(self), "witness": dict(self.witness)}
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,7 @@ class CellSummary:
         return self.holds + self.violated
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "non_vacuous": self.non_vacuous}
+        return {**_fields(self), "non_vacuous": self.non_vacuous}
 
 
 @dataclass(frozen=True)
@@ -299,7 +305,7 @@ class FuzzReport:
         return {
             "config": self.config.to_dict(),
             "cells": [c.to_dict() for c in self.cells],
-            "evaluations": [asdict(e) for e in self.evaluations],
+            "evaluations": [_fields(e) for e in self.evaluations],
             "violations": [v.to_dict() for v in self.violations],
             "found_guaranteed_violation": bool(self.guaranteed_violations),
         }

@@ -17,7 +17,7 @@ from .core import PROFILE_SEPARATOR, ClosedSet, Program, closure
 from .errors import EmptyProfile
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Profile:
     """A finite nonempty multiset of nonempty programs.
 

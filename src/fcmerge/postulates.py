@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .arbitration import Strategy, arbitrate, conj, disj
 from .core import BOTTOM, ClosedSet, Literal, Program, closure, entails
@@ -368,25 +368,33 @@ POSTULATES: dict[PostulateId, PostulateSpec] = {
 }
 
 
+def _binding_problem(pid: PostulateId, programs: Iterable[str],
+                     profiles: Iterable[str]) -> str | None:
+    """What is wrong with binding these program and profile names for the
+    postulate, or None when they are exactly its free variables."""
+    spec = POSTULATES[pid]
+    programs, profiles = set(programs), set(profiles)
+    wanted_programs, wanted_profiles = set(spec.program_vars), set(spec.profile_vars)
+    missing = sorted((wanted_programs - programs) | (wanted_profiles - profiles))
+    extra = sorted((programs - wanted_programs) | (profiles - wanted_profiles))
+    parts = []
+    if missing:
+        parts.append("missing " + ", ".join(missing))
+    if extra:
+        parts.append("unexpected " + ", ".join(extra))
+    return f"{pid.value}: " + "; ".join(parts) if parts else None
+
+
 def check(pid: PostulateId, instance: Instance) -> Verdict:
     """Evaluate one postulate on one instance.
 
     Bindings must cover exactly the postulate's free variables.  Size
     limits from subset enumeration propagate to the caller.
     """
-    spec = POSTULATES[pid]
-    missing = [v for v in spec.program_vars if v not in instance.programs]
-    missing += [v for v in spec.profile_vars if v not in instance.profiles]
-    extra = [v for v in instance.programs if v not in spec.program_vars]
-    extra += [v for v in instance.profiles if v not in spec.profile_vars]
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append("missing " + ", ".join(sorted(missing)))
-        if extra:
-            parts.append("unexpected " + ", ".join(sorted(extra)))
-        raise IncompleteBinding(f"{pid.value}: " + "; ".join(parts))
-    return spec.evaluate(instance)
+    problem = _binding_problem(pid, instance.programs, instance.profiles)
+    if problem:
+        raise IncompleteBinding(problem)
+    return POSTULATES[pid].evaluate(instance)
 
 
 def guaranteed(pid: PostulateId, strategy: Strategy) -> bool:
@@ -474,6 +482,9 @@ def _read_entry(entry: Mapping, root: Path) -> _Entry:
         status = Status(entry["expect"]).value
         expected = tuple((Strategy.from_token(t), status) for t in entry["strategies"])
         programs, values = entry.get("programs", {}), dict(entry.get("values", {}))
+        problem = _binding_problem(pid, programs, entry.get("profiles", {}))
+        if problem:
+            raise ValueError(problem)
     elif kind == "arbitration":
         pid, values = None, {}
         expected = tuple((Strategy.from_token(t), str(result))

@@ -59,7 +59,7 @@ def enumeration_cap() -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flock:
     """A nonempty ordered sequence of programs whose joint consequences
     are the intersection of the member consequences."""

@@ -233,9 +233,12 @@ _POSTULATE_ENTRY = {
      "entry 1 'arb': missing key 'Q'"),
     (json.dumps({"entries": [{**_POSTULATE_ENTRY, "programs": ["p.fc", "q.fc"]}]}),
      "entry 1 'sa1': "),
+    (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_POSTULATE_ENTRY,
+                                                  "programs": {"P": "p.fc", "R": "q.fc"}}]}),
+     "entry 2 'sa1': SA1: missing Q; unexpected R"),
 ], ids=["invalid-json", "no-entries", "unknown-kind", "unknown-postulate",
         "unknown-strategy", "unknown-expect", "missing-expect", "missing-name",
-        "arbitration-without-q", "programs-not-a-map"])
+        "arbitration-without-q", "programs-not-a-map", "wrong-binding-names"])
 def test_corpus_malformed_table_is_input_error(tmp_path, capsys, table, named):
     (tmp_path / "p.fc").write_text("a.\n")
     (tmp_path / "q.fc").write_text("b.\n")

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +8,10 @@ from hypothesis import strategies as st
 from fcmerge import (
     BOTTOM,
     ClosedSet,
+    Flock,
     InconsistentProgram,
     Literal,
+    Profile,
     Program,
     Rule,
     closure,
@@ -238,3 +243,24 @@ def test_stratify_matches_naive_oracle(p, q):
 def test_gap_pair_closures():
     assert closure(prog(GAP_P)) == closed("a")
     assert closure(prog(GAP_Q)) == closed("b")
+
+
+_VALUES = [
+    lit("a"), lit("-a"),
+    Rule(lits("a", "-b"), lit("c")), Rule.fact(lit("a")),
+    prog(LAYERED), Program(),
+    closed("a", "-b"), BOTTOM,
+    Flock((prog("a."), prog("a -> b."))),
+    Profile((prog("a."), prog("-a."), prog("a."))),
+]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_value_types_survive_pickle_and_deepcopy(value, duplicate):
+    # the slotted value types keep their state across both round trips
+    twin = duplicate(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value)
+    assert str(twin) == str(value)

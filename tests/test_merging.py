@@ -7,8 +7,11 @@ from fcmerge import (
     Profile,
     Program,
     Strategy,
+    arbitrate,
+    base,
     closure,
     merge,
+    revise_rank,
 )
 from fcmerge.fuzz import FuzzConfig, gen_program
 
@@ -116,3 +119,22 @@ class TestMergeProperties:
             hits += 1
             assert merge(constraint, Profile((member,)), strategy) == pooled
         assert hits > 50
+
+
+def test_one_rank_request_reuses_its_own_closures_and_bases():
+    # one rank-style request in miniature, over atoms no other test uses,
+    # so every program it closes is new to the memos.  Its closures and
+    # bases are asked for again within the request (12 closure and 8 base
+    # hits), which is the short-range reuse the memos are sized for: a
+    # memo too small to keep it would show here as extra misses
+    p1 = prog("wr_m -> wr_s. wr_c -> wr_m. wr_c -> -wr_s. wr_n -> wr_c. wr_n -> wr_s."
+              " wr_a. wr_a -> wr_b.")
+    p2 = prog("wr_c. wr_n. wr_b -> -wr_a.")
+    constraint = prog("-wr_m.")
+    closure_misses, base_misses = closure.cache_info().misses, base.cache_info().misses
+    revised = revise_rank(p1, p2)
+    assert closure(revised) == closed("wr_c", "wr_n", "wr_s")
+    assert arbitrate(p1, p2, Strategy.RANK) == closed()
+    assert merge(constraint, Profile((p1, p2)), Strategy.RANK) == closed("-wr_m")
+    assert closure.cache_info().misses - closure_misses == 9
+    assert base.cache_info().misses - base_misses == 2

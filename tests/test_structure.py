@@ -125,3 +125,20 @@ def test_cli_writes_stdout_only_through_emit():
         and id(node) not in inside
     ]
     assert stray == []
+
+
+def test_value_dataclasses_are_slotted():
+    # the value types fill the memos and every request's garbage: each
+    # frozen dataclass of these modules carries no per-instance __dict__
+    frozen = {}
+    for path in MODULES:
+        if path.stem not in ("core", "revision", "merging"):
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    if isinstance(dec, ast.Call) and ast.unparse(dec.func) == "dataclass":
+                        flags = {k.arg: ast.literal_eval(k.value) for k in dec.keywords}
+                        if flags.get("frozen"):
+                            frozen[f"{path.stem}.{node.name}"] = flags.get("slots", False)
+    assert frozen and [name for name, slotted in frozen.items() if not slotted] == []
