@@ -11,7 +11,6 @@ from .core import (
     Stratification,
     closure,
     entails,
-    is_consistent,
     stratify,
 )
 from .errors import (
@@ -36,7 +35,6 @@ from .postulates import (
     run_corpus,
 )
 from .revision import (
-    Flock,
     base,
     exceptional_rules,
     flock_closure,
@@ -57,7 +55,6 @@ __all__ = [
     "ConfigError",
     "CorpusError",
     "EmptyProfile",
-    "Flock",
     "FuzzConfig",
     "FuzzReport",
     "IncompleteBinding",
@@ -88,7 +85,6 @@ __all__ = [
     "gen_program",
     "guaranteed",
     "hull",
-    "is_consistent",
     "maximal_extensions",
     "merge",
     "parse_profile",

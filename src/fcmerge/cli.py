@@ -31,8 +31,8 @@ from .errors import (
 from .fuzz import FuzzConfig, search
 from .merging import Profile, merge
 from .postulates import POSTULATES, PostulateId, Status, check, load_bindings, run_corpus
-from .revision import Flock, revise_extended_hull, revise_hull, revise_rank
-from .textio import parse_program, parse_programs
+from .revision import revise_extended_hull, revise_hull, revise_rank
+from .textio import parse_program, parse_programs, render
 
 _STRATEGY_TOKENS = [s.value for s in Strategy]
 # the binding flags of check, in the order the postulates first name them
@@ -59,11 +59,11 @@ def _load_program(path: str) -> Program:
     return parse_program(_read(path))
 
 
-def _load_flock(path: str) -> Flock:
+def _load_flock(path: str) -> tuple[Program, ...]:
     programs = parse_programs(_read(path))
     if not programs:
         raise EmptyProfile(f"{path}: no programs in flock file")
-    return Flock(programs)
+    return programs
 
 
 def _emit(args: argparse.Namespace, plain: str, payload: dict) -> None:
@@ -93,8 +93,8 @@ def _cmd_revise(args: argparse.Namespace) -> int:
         else:
             result = revise_hull(base_program, new)
         kind = "program"
-    _emit(args, str(result),
-          {"command": "revise", "op": args.op, "kind": kind, "result": str(result)})
+    text = render(result)
+    _emit(args, text, {"command": "revise", "op": args.op, "kind": kind, "result": text})
     return 0
 
 

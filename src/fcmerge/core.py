@@ -66,9 +66,6 @@ class Literal:
         if not _ATOM_RE.fullmatch(self.atom):
             raise ValueError(f"invalid atom name: {self.atom!r}")
 
-    def negated(self) -> Literal:
-        return Literal(self.atom, not self.positive)
-
     def sort_key(self) -> tuple[str, bool]:
         # atom ascending, positive before negative
         return (self.atom, not self.positive)
@@ -96,10 +93,6 @@ class Rule:
     def fact(cls, head: Literal) -> Rule:
         return cls(frozenset(), head)
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
     def atoms(self) -> frozenset[str]:
         return frozenset(lit.atom for lit in self.body) | {self.head.atom}
 
@@ -123,10 +116,6 @@ class Program:
     @classmethod
     def from_facts(cls, literals: Iterable[Literal]) -> Program:
         return cls(frozenset(Rule.fact(l) for l in literals))
-
-    @property
-    def facts(self) -> frozenset[Literal]:
-        return frozenset(r.head for r in self.rules if r.is_fact)
 
     def atoms(self) -> frozenset[str]:
         out: set[str] = set()
@@ -349,10 +338,6 @@ def closure(program: Program) -> ClosedSet:
     if rounds is None:
         return BOTTOM
     return ClosedSet(frozenset(chain.from_iterable(rounds)))
-
-
-def is_consistent(program: Program) -> bool:
-    return not closure(program).is_bottom
 
 
 def stratify(program: Program) -> Stratification:

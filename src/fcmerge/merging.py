@@ -10,10 +10,11 @@ constraint is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
 
 from .arbitration import Strategy, revised_closure
-from .core import PROFILE_SEPARATOR, ClosedSet, Program, closure
+from .core import BOTTOM, PROFILE_SEPARATOR, ClosedSet, Program, closure
 from .errors import EmptyProfile
 
 
@@ -71,9 +72,5 @@ def merge(constraint: Program, profile: Profile, strategy: Strategy) -> ClosedSe
     pooled = closure(constraint | profile.union_program())
     if not pooled.is_bottom:
         return pooled
-    result: ClosedSet | None = None
-    for member in profile:
-        revised = revised_closure(member, constraint, strategy)
-        result = revised if result is None else result.meet(revised)
-    assert result is not None
-    return result
+    revised = (revised_closure(member, constraint, strategy) for member in profile)
+    return reduce(ClosedSet.meet, revised, BOTTOM)

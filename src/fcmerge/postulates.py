@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -368,13 +368,12 @@ POSTULATES: dict[PostulateId, PostulateSpec] = {
 }
 
 
-def _binding_problem(pid: PostulateId, programs: Iterable[str],
-                     profiles: Iterable[str]) -> str | None:
-    """What is wrong with binding these program and profile names for the
-    postulate, or None when they are exactly its free variables."""
-    spec = POSTULATES[pid]
+def _binding_problem(label: str, wanted: tuple[Iterable[str], Iterable[str]],
+                     programs: Iterable[str], profiles: Iterable[str]) -> str | None:
+    """What is wrong with binding these program and profile names where the
+    wanted ones are expected, or None when they are exactly those."""
     programs, profiles = set(programs), set(profiles)
-    wanted_programs, wanted_profiles = set(spec.program_vars), set(spec.profile_vars)
+    wanted_programs, wanted_profiles = map(set, wanted)
     missing = sorted((wanted_programs - programs) | (wanted_profiles - profiles))
     extra = sorted((programs - wanted_programs) | (profiles - wanted_profiles))
     parts = []
@@ -382,7 +381,7 @@ def _binding_problem(pid: PostulateId, programs: Iterable[str],
         parts.append("missing " + ", ".join(missing))
     if extra:
         parts.append("unexpected " + ", ".join(extra))
-    return f"{pid.value}: " + "; ".join(parts) if parts else None
+    return f"{label}: " + "; ".join(parts) if parts else None
 
 
 def check(pid: PostulateId, instance: Instance) -> Verdict:
@@ -391,10 +390,12 @@ def check(pid: PostulateId, instance: Instance) -> Verdict:
     Bindings must cover exactly the postulate's free variables.  Size
     limits from subset enumeration propagate to the caller.
     """
-    problem = _binding_problem(pid, instance.programs, instance.profiles)
+    spec = POSTULATES[pid]
+    problem = _binding_problem(pid.value, (spec.program_vars, spec.profile_vars),
+                               instance.programs, instance.profiles)
     if problem:
         raise IncompleteBinding(problem)
-    return POSTULATES[pid].evaluate(instance)
+    return spec.evaluate(instance)
 
 
 def guaranteed(pid: PostulateId, strategy: Strategy) -> bool:
@@ -481,25 +482,33 @@ def _read_entry(entry: Mapping, root: Path) -> _Entry:
         pid = PostulateId.parse(entry["postulate"])
         status = Status(entry["expect"]).value
         expected = tuple((Strategy.from_token(t), status) for t in entry["strategies"])
-        programs, values = entry.get("programs", {}), dict(entry.get("values", {}))
-        problem = _binding_problem(pid, programs, entry.get("profiles", {}))
-        if problem:
-            raise ValueError(problem)
+        values = dict(entry.get("values", {}))
+        label, spec = pid.value, POSTULATES[pid]
+        wanted = (spec.program_vars, spec.profile_vars)
     elif kind == "arbitration":
-        pid, values = None, {}
+        pid, values, label, wanted = None, {}, "arbitration", (("P", "Q"), ())
         expected = tuple((Strategy.from_token(t), str(result))
                          for t, result in entry["expect_results"].items())
-        programs = {var: entry["programs"][var] for var in ("P", "Q")}
+        for var in wanted[0]:  # a missing operand is reported as a missing key
+            entry["programs"][var]
     else:
         raise ValueError(f"unknown corpus entry kind {kind!r}")
+    programs, profiles = entry.get("programs", {}), entry.get("profiles", {})
+    problem = _binding_problem(label, wanted, programs, profiles)
+    if problem:
+        raise ValueError(problem)
     return _Entry(entry["name"], pid, expected, values,
                   {name: root / rel for name, rel in programs.items()},
-                  {name: root / rel for name, rel in entry.get("profiles", {}).items()})
+                  {name: root / rel for name, rel in profiles.items()})
 
 
 def _evaluate(entry: _Entry) -> Iterator[CorpusResult]:
+    if not entry.expected:
+        return
+    # the files are read and parsed once; each strategy shares the bindings
+    loaded = load_bindings(entry.expected[0][0], entry.programs, entry.profiles)
     for strategy, expected in entry.expected:
-        instance = load_bindings(strategy, entry.programs, entry.profiles)
+        instance = replace(loaded, strategy=strategy)
         notes = []
         if entry.postulate is None:
             actual = str(arbitrate(instance.programs["P"], instance.programs["Q"], strategy))

@@ -22,18 +22,9 @@ it meets the complement of every extension found later.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Union
+from functools import lru_cache, reduce
 
-from .core import (
-    MEMO_SIZE,
-    PROFILE_SEPARATOR,
-    ClosedSet,
-    CompiledProgram,
-    Program,
-    closure,
-)
+from .core import BOTTOM, MEMO_SIZE, ClosedSet, CompiledProgram, Program, closure
 from .errors import ConfigError, SizeLimitExceeded
 
 DEFAULT_ENUM_CAP = 24
@@ -57,35 +48,6 @@ def enumeration_cap() -> int:
     if value < 0:
         raise ConfigError(f"{ENUM_CAP_ENV} must be nonnegative, got {value}")
     return value
-
-
-@dataclass(frozen=True, slots=True)
-class Flock:
-    """A nonempty ordered sequence of programs whose joint consequences
-    are the intersection of the member consequences."""
-
-    members: tuple[Program, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise ValueError("a flock must contain at least one program")
-
-    @classmethod
-    def of(cls, program: Program) -> Flock:
-        return cls((program,))
-
-    def __add__(self, other: Flock) -> Flock:
-        return Flock(self.members + other.members)
-
-    def __iter__(self) -> Iterator[Program]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __str__(self) -> str:
-        return f"\n{PROFILE_SEPARATOR}\n".join(str(m) for m in self.members)
 
 
 def exceptional_rules(program: Program) -> Program:
@@ -203,15 +165,16 @@ def _add_edge(transversals: list[int], edge: int, refuted: list[int]) -> list[in
     # hypergraph gains the edge, a found extension's complement.  A refuted
     # one is intolerable, so it lies in no extension and meets the edge: it
     # stays as it is, and joins the pending ones that meet the edge in
-    # hitting.  One that misses the edge gains an element of it, and stays
-    # minimal unless a hitting one, which must hold that element, lies in it
+    # hitting.  One, x, that misses the edge gains an element b of it, and
+    # stays minimal unless a hitting one lies in x | b.  Such a one must
+    # hold b, so it lies in x | b exactly when what it holds outside x is b
     grown = [x for x in transversals if x & edge]
     hitting = grown + refuted
     bits = [b for b in (1 << i for i in range(edge.bit_length())) if edge & b]
     for x in transversals:
         if not x & edge:
-            grown += [x | b for b in bits
-                      if not any(h & b and h & (x | b) == h for h in hitting)]
+            blocked = {h & ~x for h in hitting}
+            grown += [x | b for b in bits if b not in blocked]
     return grown
 
 
@@ -231,26 +194,21 @@ def revise_hull(p: Program, q: Program) -> Program:
     return hull(p, q) | q
 
 
-def revise_extended_hull(a: Union[Flock, Program], q: Program) -> Flock:
-    """Revise each flock member into one program per maximal extension
-    and concatenate; a member with no extensions contributes q alone.
-    A bare program is treated as a singleton flock."""
-    if isinstance(a, Program):
-        a = Flock.of(a)
+def revise_extended_hull(flock: Program | tuple[Program, ...], q: Program) -> tuple[Program, ...]:
+    """Revise each member of a nonempty flock into one program per maximal
+    extension, in order; a member with no extensions contributes q alone.
+    A bare program is a flock of one."""
+    if isinstance(flock, Program):
+        flock = (flock,)
+    if not flock:
+        raise ValueError("a flock must contain at least one program")
     members: list[Program] = []
-    for m in a:
-        extensions = maximal_extensions(m, q)
-        if extensions:
-            members.extend(ext | q for ext in extensions)
-        else:
-            members.append(q)
-    return Flock(tuple(members))
+    for m in flock:
+        members += [ext | q for ext in maximal_extensions(m, q)] or [q]
+    return tuple(members)
 
 
-def flock_closure(a: Flock) -> ClosedSet:
+def flock_closure(flock: tuple[Program, ...]) -> ClosedSet:
     """Intersection of the member closures, the inconsistent value acting
-    as top element."""
-    result = closure(a.members[0])
-    for m in a.members[1:]:
-        result = result.meet(closure(m))
-    return result
+    as top element, so the empty flock's closure is BOTTOM."""
+    return reduce(ClosedSet.meet, map(closure, flock), BOTTOM)

@@ -35,7 +35,6 @@ from typing import Union
 from .core import ATOM, PROFILE_SEPARATOR, ClosedSet, Literal, Program, Rule, Stratification
 from .errors import EmptyProfile, SourceError
 from .merging import Profile
-from .revision import Flock
 
 
 # every token is one match: an arrow, an atom, a comment to end of line, or
@@ -172,17 +171,21 @@ def parse_profile(text: str) -> Profile:
     return Profile(programs)
 
 
-Renderable = Union[Literal, Rule, Program, Profile, Flock, ClosedSet, Stratification]
+Renderable = Union[Literal, Rule, Program, Profile, ClosedSet, Stratification,
+                   tuple[Program, ...]]
 
 
 def render(value: Renderable) -> str:
-    """Canonical text form.  parse_program/parse_profile invert it for
-    programs and profiles."""
+    """Canonical text form.  A tuple of programs, such as a flock, renders
+    its members in order, separated as a profile's are.
+    parse_program/parse_profile invert it for programs and profiles."""
     if isinstance(value, Stratification):
         return " | ".join(
             ", ".join(str(l) for l in sorted(layer, key=Literal.sort_key))
             for layer in value.layers
         )
-    if isinstance(value, (Literal, Rule, Program, Profile, Flock, ClosedSet)):
+    if isinstance(value, tuple) and all(isinstance(m, Program) for m in value):
+        return f"\n{PROFILE_SEPARATOR}\n".join(map(str, value))
+    if isinstance(value, (Literal, Rule, Program, Profile, ClosedSet)):
         return str(value)
     raise TypeError(f"cannot render {type(value).__name__}")

@@ -22,6 +22,11 @@ def closed(*texts: str) -> ClosedSet:
     return ClosedSet(lits(*texts))
 
 
+def facts(p: Program) -> frozenset[Literal]:
+    """The heads of the program's rules with an empty body."""
+    return frozenset(r.head for r in p.rules if not r.body)
+
+
 def total_rules(instance: Instance) -> int:
     """Rules over every program and profile member of the instance."""
     count = sum(len(p) for p in instance.programs.values())

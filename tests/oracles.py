@@ -25,7 +25,7 @@ def naive_closure(program: Program) -> ClosedSet:
         if not added:
             break
     for l in derived:
-        if l.negated() in derived:
+        if Literal(l.atom, not l.positive) in derived:
             return BOTTOM
     return ClosedSet(frozenset(derived))
 

@@ -205,7 +205,7 @@ def test_criterion_09_conditional_revision_properties():
         facts = [l for l in derived if l != trigger and rng.random() < 0.5]
         extra = gen_program(cfg, rng, pool) if rng.random() < 0.4 else Program()
         p = (Program.from_facts(facts)
-             | Program({Rule([trigger], victim.negated())})
+             | Program({Rule([trigger], Literal(victim.atom, not victim.positive))})
              | extra)
 
         q_consistent = not closure(q).is_bottom

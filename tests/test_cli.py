@@ -65,6 +65,20 @@ def test_revise_program_and_flock(files, capsys):
     assert out == "a -> c.\na.\nb.\n---\na.\nb -> -c.\nb."
 
 
+def test_revise_two_member_flock_text_and_json(files, capsys):
+    base = files("flock.fc", "a -> c.\nb -> -c.\n---\nd.\na -> -d.\n")
+    new = files("new.fc", "a. b.")
+    flock = "a -> c.\na.\nb.\n---\na.\nb -> -c.\nb.\n---\na -> -d.\na.\nb."
+    assert run(["revise", "--op", "eh", base, new]) == 0
+    assert capsys.readouterr().out == flock + "\n"
+    assert run(["revise", "--op", "eh", "--json", base, new]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "revise", "op": "eh", "kind": "flock", "result": flock}
+    assert run(["revise", "--op", "rk", "--json", files("p.fc", "a -> c. b -> -c."), new]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "revise", "op": "rk", "kind": "program", "result": "a.\nb."}
+
+
 def test_merge(files, capsys):
     constraint = files("c.fc", "a.")
     m1 = files("m1.fc", "a -> b.")
@@ -236,9 +250,16 @@ _POSTULATE_ENTRY = {
     (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_POSTULATE_ENTRY,
                                                   "programs": {"P": "p.fc", "R": "q.fc"}}]}),
      "entry 2 'sa1': SA1: missing Q; unexpected R"),
+    (json.dumps({"entries": [{**_ARBITRATION_ENTRY,
+                              "programs": {"P": "p.fc", "Q": "q.fc", "R": "nope.fc"}}]}),
+     "entry 1 'arb': arbitration: unexpected R"),
+    (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_ARBITRATION_ENTRY, "name": "arb2",
+                                                  "profiles": {"profile1": "zz.fc"}}]}),
+     "entry 2 'arb2': arbitration: unexpected profile1"),
 ], ids=["invalid-json", "no-entries", "unknown-kind", "unknown-postulate",
         "unknown-strategy", "unknown-expect", "missing-expect", "missing-name",
-        "arbitration-without-q", "programs-not-a-map", "wrong-binding-names"])
+        "arbitration-without-q", "programs-not-a-map", "wrong-binding-names",
+        "arbitration-extra-program", "arbitration-with-profiles"])
 def test_corpus_malformed_table_is_input_error(tmp_path, capsys, table, named):
     (tmp_path / "p.fc").write_text("a.\n")
     (tmp_path / "q.fc").write_text("b.\n")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fcmerge import (
     BOTTOM,
     ClosedSet,
-    Flock,
     InconsistentProgram,
     Literal,
     Profile,
@@ -16,12 +15,11 @@ from fcmerge import (
     Rule,
     closure,
     entails,
-    is_consistent,
     stratify,
 )
 from fcmerge.core import CompiledProgram
 
-from helpers import GAP_P, GAP_Q, LAYERED, TAXONOMY, closed, lit, lits, prog
+from helpers import GAP_P, GAP_Q, LAYERED, TAXONOMY, closed, facts, lit, lits, prog
 from oracles import naive_closure, naive_layers
 from strategies import programs
 
@@ -29,7 +27,8 @@ from strategies import programs
 class TestLiteral:
     def test_negation_is_an_involution(self):
         l = lit("-a")
-        assert l.negated().negated() == l
+        flipped = Literal(l.atom, not l.positive)
+        assert flipped == lit("a") and Literal(flipped.atom, not flipped.positive) == l
 
     @pytest.mark.parametrize("bad", ["", "1a", "a-b", "a b", "ä"])
     def test_invalid_atoms_rejected(self, bad):
@@ -46,8 +45,8 @@ class TestRule:
         assert Rule([lit("a"), lit("a")], lit("b")) == Rule([lit("a")], lit("b"))
 
     def test_fact_is_empty_body(self):
-        assert Rule.fact(lit("a")).is_fact
-        assert not Rule([lit("b")], lit("a")).is_fact
+        assert not Rule.fact(lit("a")).body
+        assert Rule([lit("b")], lit("a")).body
 
     def test_opposed_body_is_legal_but_never_fires(self):
         p = Program({Rule([lit("a"), lit("-a")], lit("b")), Rule.fact(lit("a"))})
@@ -66,7 +65,7 @@ class TestProgram:
 
     def test_facts_and_atoms(self):
         p = prog("a. b -> -c.")
-        assert p.facts == lits("a")
+        assert facts(p) == lits("a")
         assert p.atoms() == {"a", "b", "c"}
 
 
@@ -117,10 +116,10 @@ class TestClosure:
         assert naive_closure(p).is_bottom
 
     def test_is_consistent(self):
-        assert is_consistent(prog(LAYERED))
-        assert not is_consistent(prog("a. -a."))
+        assert not closure(prog(LAYERED)).is_bottom
+        assert closure(prog("a. -a.")).is_bottom
         # no facts, so nothing ever fires
-        assert is_consistent(prog("a -> b. b -> -c. -c -> -a. -c -> b. -a -> -b. -a -> -c."))
+        assert not closure(prog("a -> b. b -> -c. -c -> -a. -c -> b. -a -> -b. -a -> -c.")).is_bottom
 
     def test_consistent_with(self):
         assert not CompiledProgram(prog(TAXONOMY)).consistent_with(lits("n"))
@@ -210,13 +209,13 @@ def test_closure_idempotent_over_facts(q, p):
 def test_facts_included_in_closure(p):
     c = closure(p)
     if not c.is_bottom:
-        assert all(f in c for f in p.facts)
+        assert all(f in c for f in facts(p))
 
 
 @given(programs)
 @settings(max_examples=200, deadline=None)
 def test_stratification_partitions_closure(p):
-    if not is_consistent(p):
+    if closure(p).is_bottom:
         return
     strat = stratify(p)
     seen = set()
@@ -224,8 +223,8 @@ def test_stratification_partitions_closure(p):
         assert not (layer & seen)
         seen |= layer
     assert frozenset(seen) == closure(p).literals
-    chaining = [r for r in p.rules if not r.is_fact]
-    assert len(seen) <= len(p.facts) + len(chaining)
+    chaining = [r for r in p.rules if r.body]
+    assert len(seen) <= len(facts(p)) + len(chaining)
     assert all(strat.layers[i] for i in range(1, len(strat.layers)))
 
 
@@ -250,7 +249,6 @@ _VALUES = [
     Rule(lits("a", "-b"), lit("c")), Rule.fact(lit("a")),
     prog(LAYERED), Program(),
     closed("a", "-b"), BOTTOM,
-    Flock((prog("a."), prog("a -> b."))),
     Profile((prog("a."), prog("-a."), prog("a."))),
 ]
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from fcmerge import (
     BOTTOM,
-    Flock,
     Program,
     SizeLimitExceeded,
     base,
@@ -21,6 +20,7 @@ from fcmerge import (
     revise_rank,
 )
 from fcmerge.core import CompiledProgram
+from fcmerge.revision import _add_edge
 from fcmerge.fuzz import FuzzConfig, atom_pool, gen_program
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     TAXONOMY_LEVEL1,
     TAXONOMY_LEVEL2,
     closed,
+    facts,
     prog,
 )
 from oracles import brute_maximal_extensions, naive_base, naive_exceptional, naive_rank
@@ -56,7 +57,7 @@ class TestExceptionalRules:
         p = prog("a. a -> b. b -> -a.")  # inconsistent: everything exceptional
         assert exceptional_rules(p) == p
         q = prog("a. b -> -a.")
-        assert not any(r.is_fact for r in exceptional_rules(q).rules)
+        assert all(r.body for r in exceptional_rules(q).rules)
 
     def test_one_level_adds_at_most_one_closure_miss(self):
         # 48 rules over atoms no other test uses, so nothing is memoised yet:
@@ -99,7 +100,7 @@ class TestBase:
             levels = base(p)
             assert levels == naive_base(p)
             if not closure(p).is_bottom:
-                assert all(not level.facts for level in levels[1:])
+                assert all(not facts(level) for level in levels[1:])
 
 
 class TestRank:
@@ -327,7 +328,7 @@ class TestExtendedHull:
         before = prog("a -> c. b -> -c.")
         update = prog("a. b.")
         result = revise_extended_hull(before, update)
-        assert result.members == (
+        assert result == (
             prog("a. b. a -> c."),
             prog("a. b. b -> -c."),
         )
@@ -335,7 +336,7 @@ class TestExtendedHull:
 
     def test_consistent_union_single_member(self):
         result = revise_extended_hull(prog("a."), prog("b."))
-        assert result.members == (prog("a. b."),)
+        assert result == (prog("a. b."),)
 
     def test_gap_pair_flock_closures(self):
         p, q = prog(GAP_P), prog(GAP_Q)
@@ -344,13 +345,13 @@ class TestExtendedHull:
 
     def test_inconsistent_new_information_keeps_it_alone(self):
         result = revise_extended_hull(prog("a."), prog("x. -x."))
-        assert result.members == (prog("x. -x."),)
+        assert result == (prog("x. -x."),)
 
     def test_flock_lifting_concatenates_memberwise(self):
-        flock = Flock((prog("a -> c. b -> -c."), prog("d.")))
+        flock = (prog("a -> c. b -> -c."), prog("d."))
         update = prog("a. b.")
         result = revise_extended_hull(flock, update)
-        assert result.members == (
+        assert result == (
             prog("a. b. a -> c."),
             prog("a. b. b -> -c."),
             prog("a. b. d."),
@@ -358,29 +359,29 @@ class TestExtendedHull:
 
     def test_flock_must_be_nonempty(self):
         with pytest.raises(ValueError):
-            Flock(())
-
-    def test_flock_concatenation(self):
-        f = Flock.of(prog("a.")) + Flock.of(prog("b."))
-        assert f.members == (prog("a."), prog("b."))
+            revise_extended_hull((), prog("a."))
 
 
 class TestFlockClosure:
     def test_singleton_is_program_closure(self):
         p = prog("a. a -> b.")
-        assert flock_closure(Flock.of(p)) == closure(p)
+        assert flock_closure((p,)) == closure(p)
 
     def test_gap_extensions_intersection(self):
         p, q = prog(GAP_P), prog(GAP_Q)
         members = tuple(t | p for t in maximal_extensions(q, p))
-        assert flock_closure(Flock(members)) == closed("a", "d", "e", "f")
+        assert flock_closure(members) == closed("a", "d", "e", "f")
 
     def test_all_bottom_members(self):
         bad = prog("a. -a.")
-        assert flock_closure(Flock((bad, bad))).is_bottom
+        assert flock_closure((bad, bad)).is_bottom
 
     def test_bottom_member_is_absorbed(self):
-        assert flock_closure(Flock((prog("a. -a."), prog("b.")))) == closed("b")
+        assert flock_closure((prog("a. -a."), prog("b."))) == closed("b")
+
+    def test_empty_flock_is_top(self):
+        # the meet of no closures is the top element
+        assert flock_closure(()) is BOTTOM
 
 
 class TestRevisionProperties:
@@ -455,3 +456,16 @@ def test_maximal_extensions_and_hull_match_brute_force(p, q):
 @settings(max_examples=300, deadline=None)
 def test_maximal_extensions_and_hull_match_brute_force_under_dense_negation(p, q):
     _assert_enumeration_matches_brute_force(p, q)
+
+
+@given(st.lists(st.integers(0, (1 << 8) - 1), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_berge_steps_give_the_minimal_transversals(edges):
+    # folding the edges in, from the one minimal transversal of no edges,
+    # with nothing refuted, must keep exactly the minimal transversals
+    transversals = [0]
+    for edge in edges:
+        transversals = _add_edge(transversals, edge, [])
+    hitting = [t for t in range(1 << 8) if all(t & e for e in edges)]
+    minimal = [t for t in hitting if not any(h != t and h & t == h for h in hitting)]
+    assert sorted(transversals) == minimal

@@ -6,6 +6,7 @@ from pathlib import Path
 import fcmerge
 
 MODULES = sorted(Path(fcmerge.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -142,3 +143,19 @@ def test_value_dataclasses_are_slotted():
                         if flags.get("frozen"):
                             frozen[f"{path.stem}.{node.name}"] = flags.get("slots", False)
     assert frozen and [name for name, slotted in frozen.items() if not slotted] == []
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only tests reach is a helper nothing calls: the
+    # package's other modules and the benchmark harness must use each one
+    callers = [path for path in MODULES if path.name != "__init__.py"]
+    callers += [path for path in sorted(PERFBENCH.glob("*.py"))
+                if not path.name.startswith("test_")]
+    used = set()
+    for path in callers:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(fcmerge.__all__) - used) == []

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from fcmerge import (
     BOTTOM,
     EmptyProfile,
-    Flock,
     Literal,
     Profile,
     Program,
@@ -20,7 +19,7 @@ from fcmerge import (
     stratify,
 )
 
-from helpers import LAYERED, closed, lit, lits, prog
+from helpers import LAYERED, closed, facts, lit, lits, prog
 from oracles import reference_parse_program, reference_parse_programs
 from strategies import programs
 
@@ -29,7 +28,7 @@ class TestParseProgram:
     def test_layered_chain(self):
         p = parse_program(LAYERED)
         assert len(p) == 9
-        assert p.facts == lits("a", "u")
+        assert facts(p) == lits("a", "u")
 
     def test_empty_input(self):
         assert parse_program("") == Program()
@@ -51,7 +50,7 @@ class TestParseProgram:
         assert p == Program({Rule(lits("a", "-a"), lit("b"))})
 
     def test_underscore_atoms(self):
-        assert parse_program("_x1. _x1 -> y_2.").facts == lits("_x1")
+        assert facts(parse_program("_x1. _x1 -> y_2.")) == lits("_x1")
 
 
 def _position_ids(cases):
@@ -183,7 +182,7 @@ class TestRender:
     def test_profile_and_flock(self):
         profile = Profile((prog("a."), prog("b.")))
         assert render(profile) == "a.\n---\nb."
-        flock = Flock((prog("b."), prog("a.")))
+        flock = (prog("b."), prog("a."))
         # flock member order is semantic input order, never re-sorted
         assert render(flock) == "b.\n---\na."
 
