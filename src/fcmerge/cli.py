@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .arbitration import Strategy, arbitrate
-from .core import Program, closure
+from .core import PROFILE_SEPARATOR, Program, closure
 from .errors import (
     ConfigError,
     CorpusError,
@@ -56,7 +56,17 @@ def _read(path: str) -> str:
 
 
 def _load_program(path: str) -> Program:
-    return parse_program(_read(path))
+    text = _read(path)
+    try:
+        return parse_program(text)
+    except SourceError:  # only then look for a separator line, the likeliest cause
+        lines = text.split("\n")
+        at = next((n for n, s in enumerate(lines) if s.strip() == PROFILE_SEPARATOR), None)
+        if at is None:
+            raise
+        raise SourceError(at + 1, lines[at].index(PROFILE_SEPARATOR) + 1,
+                          f"a {PROFILE_SEPARATOR!r} line separates programs, but only "
+                          "profiles and an eh BASE hold several programs") from None
 
 
 def _load_flock(path: str) -> tuple[Program, ...]:
@@ -84,15 +94,10 @@ def _cmd_revise(args: argparse.Namespace) -> int:
     strategy = Strategy.from_token(args.op)
     new = _load_program(args.new)
     if strategy is Strategy.EXTENDED_HULL:
-        result = revise_extended_hull(_load_flock(args.base), new)
-        kind = "flock"
+        result, kind = revise_extended_hull(_load_flock(args.base), new), "flock"
     else:
-        base_program = _load_program(args.base)
-        if strategy is Strategy.RANK:
-            result = revise_rank(base_program, new)
-        else:
-            result = revise_hull(base_program, new)
-        kind = "program"
+        revise = revise_rank if strategy is Strategy.RANK else revise_hull
+        result, kind = revise(_load_program(args.base), new), "program"
     text = render(result)
     _emit(args, text, {"command": "revise", "op": args.op, "kind": kind, "result": text})
     return 0

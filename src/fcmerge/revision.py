@@ -7,7 +7,9 @@ adjoins it to the least exceptional level that tolerates it (rank
 revision), to the intersection of all maximal tolerant subsets (hull
 revision), or to each maximal tolerant subset separately, producing a
 flock (extended hull revision).  Consequence-wise the three operators
-form a chain: rank below hull below extended hull.
+form a chain: rank below hull below extended hull.  The level q joins is
+p itself when p | q is consistent and the empty program when q is not,
+so the base is built only when q is consistent and p | q is not.
 
 Hull and extended-hull revision enumerate maximal subsets, whose number
 is exponential in the worst case, so the number of candidate rules an
@@ -90,20 +92,30 @@ def base(program: Program) -> tuple[Program, ...]:
 def rank(p: Program, q: Program) -> int:
     """Index of the first base level of p that q can consistently join.
 
-    When either program is inconsistent the rank is the last index of the
-    base, whose level is the empty program, so revision collapses to the
-    new information alone.
+    Level 0 is p itself, so when p | q is consistent the rank is 0 and
+    the base is not built.  When either program is inconsistent the rank is
+    the last index of the base, whose level is the empty program.
     """
-    levels = base(p)
     if closure(q).is_bottom:
-        return len(levels) - 1
-    # an inconsistent p has the base (p, empty), so this finds the last index
-    return next(i for i, level in enumerate(levels) if not closure(level | q).is_bottom)
+        return len(base(p)) - 1
+    if not closure(p | q).is_bottom:
+        return 0
+    # level 0, p itself, failed above; an inconsistent p's base is (p, empty)
+    return next(i for i, level in enumerate(base(p)[1:], 1) if not closure(level | q).is_bottom)
+
+
+def _rank_level(p: Program, q: Program) -> Program:
+    # the base's last level, empty, when q is inconsistent; only when q is
+    # consistent and p | q is not does the rank exceed 0 and need the base
+    if closure(q).is_bottom:
+        return Program()
+    i = rank(p, q)
+    return base(p)[i] if i else p
 
 
 def revise_rank(p: Program, q: Program) -> Program:
     """Adjoin q to the least exceptional level of p consistent with it."""
-    return base(p)[rank(p, q)] | q
+    return _rank_level(p, q) | q
 
 
 def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
@@ -111,7 +123,8 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     consistent with q, in canonical text order.
 
     Empty exactly when q is inconsistent; the rank level alone, without
-    a search, when no rule lies outside it.  More candidate rules than
+    a search, when no rule lies outside it, as when p | q is consistent
+    (the base of p is built only when it is not).  More candidate rules than
     enumeration_cap() raise SizeLimitExceeded.  The search is output
     sensitive: it asks at most one tolerability question per candidate
     to grow each extension, and one per minimal transversal of the found
@@ -120,7 +133,7 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     """
     if closure(q).is_bottom:
         return ()
-    level = base(p)[rank(p, q)]
+    level = _rank_level(p, q)
     candidates = tuple(sorted(p.rules - level.rules, key=str))
     cap = enumeration_cap()
     if len(candidates) > cap:
@@ -184,10 +197,7 @@ def hull(p: Program, q: Program) -> Program:
     extensions = maximal_extensions(p, q)
     if not extensions:
         return Program()
-    rules = extensions[0].rules
-    for ext in extensions[1:]:
-        rules &= ext.rules
-    return Program(rules)
+    return Program(frozenset.intersection(*(e.rules for e in extensions)))
 
 
 def revise_hull(p: Program, q: Program) -> Program:

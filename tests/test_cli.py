@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +139,27 @@ def test_non_ascii_atom_is_parse_error(files, capsys):
     path = files("p.fc", "café.")
     assert run(["cns", path]) == 2
     assert "parse error: 1:4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op, flock_is_new", [
+    ("rk", False), ("h", False), ("rk", True), ("h", True), ("eh", True),
+])
+def test_separator_in_a_single_program_is_named(files, capsys, op, flock_is_new):
+    # BASE of rk and h, and NEW of every op, is one program; without the
+    # check the parser points at the separator's second '-'
+    flock = files("flock.fc", "a -> c.\n  ---\nb -> -c.\n")
+    other = files("facts.fc", "a. b.")
+    args = [other, flock] if flock_is_new else [flock, other]
+    assert run(["revise", "--op", op, *args]) == 2
+    assert capsys.readouterr().err == (
+        "fcmerge: parse error: 2:3: a '---' line separates programs, but only "
+        "profiles and an eh BASE hold several programs\n")
+
+
+def test_separator_check_keeps_the_parse_error_without_one(files, capsys):
+    path = files("bad.fc", "a -> -.\n--\n")
+    assert run(["cns", path]) == 2
+    assert capsys.readouterr().err == "fcmerge: parse error: 1:7: expected an atom, found '.'\n"
 
 
 def test_non_utf8_input_exit_code(tmp_path, capsys):
@@ -306,3 +330,12 @@ def test_fuzz_default_strategy_is_rank(capsys):
 def test_fuzz_config_error_exit_code(capsys):
     assert run(["fuzz", "--trials", "0"]) == 3
     assert run(["fuzz", "--postulates", "SA99"]) == 3
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "fcmerge", "corpus"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

@@ -124,7 +124,7 @@ class TestMergeProperties:
 def test_one_rank_request_reuses_its_own_closures_and_bases():
     # one rank-style request in miniature, over atoms no other test uses,
     # so every program it closes is new to the memos.  Its closures and
-    # bases are asked for again within the request (12 closure and 8 base
+    # bases are asked for again within the request (16 closure and 4 base
     # hits), which is the short-range reuse the memos are sized for: a
     # memo too small to keep it would show here as extra misses
     p1 = prog("wr_m -> wr_s. wr_c -> wr_m. wr_c -> -wr_s. wr_n -> wr_c. wr_n -> wr_s."

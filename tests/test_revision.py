@@ -20,8 +20,8 @@ from fcmerge import (
     revise_rank,
 )
 from fcmerge.core import CompiledProgram
-from fcmerge.revision import _add_edge
-from fcmerge.fuzz import FuzzConfig, atom_pool, gen_program
+from fcmerge.revision import _add_edge, _rank_level
+from fcmerge.fuzz import FuzzConfig, atom_pool, gen_program, search
 
 from helpers import (
     ALL_EXCEPTIONAL,
@@ -432,11 +432,57 @@ def test_exceptional_rules_and_base_match_naive_oracles(p):
     assert base(p) == naive_base(p)
 
 
+def _assert_rank_revision_matches_oracles(p, q):
+    assert rank(p, q) == naive_rank(p, q)
+    assert _rank_level(p, q) == base(p)[rank(p, q)]
+    assert revise_rank(p, q) == naive_base(p)[naive_rank(p, q)] | q
+    assert maximal_extensions(p, q) == brute_maximal_extensions(p, q)
+
+
 @given(programs_up_to_12, programs_up_to_12)
 @settings(max_examples=150, deadline=None)
 def test_maximal_extensions_match_brute_force(p, q):
-    assert rank(p, q) == naive_rank(p, q)
-    assert maximal_extensions(p, q) == brute_maximal_extensions(p, q)
+    _assert_rank_revision_matches_oracles(p, q)
+
+
+def test_maximal_extensions_match_brute_force_on_one_atom_pool():
+    # p and q over the same three atoms, so p | q often conflicts while q
+    # alone does not: the rank level then comes from the base's later levels
+    cfg = FuzzConfig(seed=0, trials=1, rules=8, atoms=3, neg_prob=0.5)
+    rng = random.Random(4711)
+    pool = atom_pool(3)
+    conflicts = 0
+    for _ in range(200):
+        p, q = gen_program(cfg, rng, pool), gen_program(cfg, rng, pool)
+        conflicts += closure(p | q).is_bottom and not closure(q).is_bottom
+        _assert_rank_revision_matches_oracles(p, q)
+    assert conflicts >= 40
+
+
+@pytest.mark.parametrize("p_text, q_text", [
+    # p | q consistent: the rank level is p itself
+    ("lb_a. lb_a -> lb_b. lb_c -> -lb_b.", "lb_d. lb_d -> lb_e."),
+    # q inconsistent: the rank level is the empty program
+    ("lb_f. lb_f -> lb_g. lb_h -> -lb_g.", "lb_i. lb_i -> -lb_i."),
+], ids=["consistent-union", "inconsistent-q"])
+def test_rank_level_needs_no_base(p_text, q_text):
+    # atoms no other test uses, so base(p) is not in the memo yet
+    p, q = prog(p_text), prog(q_text)
+    misses = base.cache_info().misses
+    revise_rank(p, q)
+    maximal_extensions(p, q)
+    assert base.cache_info().misses == misses
+
+
+def test_fixed_fuzz_run_memo_misses():
+    # pinned work: base misses may only fall.  The base is built only when
+    # q is consistent and p | q is not (2,834 misses when every rank
+    # request built it); closure misses are unchanged by that
+    closure.cache_clear()
+    base.cache_clear()
+    search(FuzzConfig(seed=7, trials=40))
+    assert base.cache_info().misses == 489
+    assert closure.cache_info().misses == 8257
 
 
 def _assert_enumeration_matches_brute_force(p, q):
