@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .arbitration import Strategy, arbitrate
-from .core import PROFILE_SEPARATOR, Program, closure
+from .core import Program, closure
 from .errors import (
     ConfigError,
     CorpusError,
@@ -32,7 +32,7 @@ from .fuzz import FuzzConfig, search
 from .merging import Profile, merge
 from .postulates import POSTULATES, PostulateId, Status, check, load_bindings, run_corpus
 from .revision import revise_extended_hull, revise_hull, revise_rank
-from .textio import parse_program, parse_programs, render
+from .textio import parse_programs, parse_single_program, render
 
 _STRATEGY_TOKENS = [s.value for s in Strategy]
 # the binding flags of check, in the order the postulates first name them
@@ -56,17 +56,7 @@ def _read(path: str) -> str:
 
 
 def _load_program(path: str) -> Program:
-    text = _read(path)
-    try:
-        return parse_program(text)
-    except SourceError:  # only then look for a separator line, the likeliest cause
-        lines = text.split("\n")
-        at = next((n for n, s in enumerate(lines) if s.strip() == PROFILE_SEPARATOR), None)
-        if at is None:
-            raise
-        raise SourceError(at + 1, lines[at].index(PROFILE_SEPARATOR) + 1,
-                          f"a {PROFILE_SEPARATOR!r} line separates programs, but only "
-                          "profiles and an eh BASE hold several programs") from None
+    return parse_single_program(_read(path))
 
 
 def _load_flock(path: str) -> tuple[Program, ...]:

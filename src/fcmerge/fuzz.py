@@ -10,6 +10,10 @@ programs shares its atom pool (conflicts, hence non-vacuous guarded
 postulates), and syntax-sensitivity postulates receive equal-consequence
 variants built by adding redundant or never-firing rules.
 
+A config builds each of the 4 * cfg.atoms literals a draw can give once,
+in a table keyed by (atom, positive); only a pool outside its atoms, which
+gen_program accepts, builds a literal per draw.
+
 A witness shrinks one removal at a time: one program rule, then per
 profile one member or one member rule, then every rule that mentions
 one atom.  Members left without rules are dropped; a removal that would
@@ -76,6 +80,9 @@ class FuzzConfig:
             raise ConfigError("at least one strategy is required")
         if not self.postulates:
             raise ConfigError("at least one postulate is required")
+        # a plain attribute, not a field, so ==, repr and to_dict ignore it
+        object.__setattr__(self, "_literals", {(atom, sign): Literal(atom, sign)
+                           for atom in atom_pool(2 * self.atoms) for sign in (True, False)})
 
     def to_dict(self) -> dict:
         return {**_fields(self),
@@ -84,7 +91,8 @@ class FuzzConfig:
 
 
 def _literal(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Literal:
-    return Literal(rng.choice(pool), rng.random() >= cfg.neg_prob)
+    key = (rng.choice(pool), rng.random() >= cfg.neg_prob)
+    return cfg._literals.get(key) or Literal(*key)  # new for a pool outside cfg's
 
 
 def _rule(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Rule:
@@ -133,12 +141,9 @@ def _equivalent_variant(p: Program, cfg: FuzzConfig, rng: random.Random,
         body_size = rng.randint(1, max(1, min(cfg.body_len, len(derived))))
         body = frozenset(rng.choice(derived) for _ in range(body_size))
         return p | Program(frozenset({Rule(body, rng.choice(derived))}))
-    blocked = [
-        lit
-        for atom in pool
-        for lit in (Literal(atom), Literal(atom, False))
-        if lit not in c
-    ]
+    table = cfg._literals  # pool is one of _pair_pools', all in the table
+    blocked = [lit for atom in pool for lit in (table[atom, True], table[atom, False])
+               if lit not in c]
     if not blocked:
         return p
     body = frozenset({rng.choice(blocked)})
@@ -414,8 +419,9 @@ def _removals(instance: Instance) -> Iterator[list[_Site]]:
     sites = [(name, -1, rule) for name, p in instance.programs.items() for rule in p.rules]
     sites += [(name, i, rule) for name, profile in instance.profiles.items()
               for i, member in enumerate(profile) for rule in member.rules]
-    for atom in sorted({a for _, _, rule in sites for a in rule.atoms()}):
-        yield [site for site in sites if atom in site[2].atoms()]
+    mentions = [(site, site[2].atoms()) for site in sites]
+    for atom in sorted(frozenset().union(*(atoms for _, atoms in mentions))):
+        yield [site for site, atoms in mentions if atom in atoms]
 
 
 def shrink(instance: Instance, predicate: Callable[[Instance], bool]) -> Instance:

@@ -26,7 +26,7 @@ from .arbitration import Strategy, arbitrate, conj, disj
 from .core import BOTTOM, ClosedSet, Literal, Program, closure, entails
 from .errors import CorpusError, IncompleteBinding
 from .merging import Profile, merge
-from .textio import parse_profile, parse_program
+from .textio import parse_profile, parse_single_program
 
 
 class PostulateId(Enum):
@@ -459,7 +459,7 @@ def load_bindings(strategy: Strategy, programs: Mapping[str, str | Path],
     def read(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     return Instance(strategy,
-                    programs={name: parse_program(read(path)) for name, path in programs.items()},
+                    programs={name: parse_single_program(read(path)) for name, path in programs.items()},
                     profiles={name: parse_profile(read(path)) for name, path in profiles.items()})
 
 

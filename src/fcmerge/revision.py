@@ -94,28 +94,27 @@ def rank(p: Program, q: Program) -> int:
 
     Level 0 is p itself, so when p | q is consistent the rank is 0 and
     the base is not built.  When either program is inconsistent the rank is
-    the last index of the base, whose level is the empty program.
+    the last index of the base, whose level is the empty program.  That is
+    the rank whenever no earlier level is, so neither it nor q is asked about.
     """
-    if closure(q).is_bottom:
-        return len(base(p)) - 1
     if not closure(p | q).is_bottom:
         return 0
     # level 0, p itself, failed above; an inconsistent p's base is (p, empty)
-    return next(i for i, level in enumerate(base(p)[1:], 1) if not closure(level | q).is_bottom)
+    levels = base(p)
+    return next((i for i, level in enumerate(levels[1:-1], 1)
+                 if not closure(level | q).is_bottom), len(levels) - 1)
 
 
 def _rank_level(p: Program, q: Program) -> Program:
-    # the base's last level, empty, when q is inconsistent; only when q is
-    # consistent and p | q is not does the rank exceed 0 and need the base
-    if closure(q).is_bottom:
-        return Program()
+    # for a consistent q; only when p | q is not does the rank need the base
     i = rank(p, q)
     return base(p)[i] if i else p
 
 
 def revise_rank(p: Program, q: Program) -> Program:
     """Adjoin q to the least exceptional level of p consistent with it."""
-    return _rank_level(p, q) | q
+    # when q is inconsistent its level is the base's last, the empty program
+    return q if closure(q).is_bottom else _rank_level(p, q) | q
 
 
 def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:

@@ -152,6 +152,20 @@ def parse_program(text: str) -> Program:
     return _parse_block(text, 0, len(text), ({}, {}))
 
 
+def parse_single_program(text: str) -> Program:
+    """parse_program for text that must hold one program.  Only when that
+    fails is a separator line, the likeliest cause, looked for and named."""
+    try:
+        return parse_program(text)
+    except SourceError:
+        separator = _SEPARATOR_LINE.search(text)
+        if separator is None:
+            raise
+    raise _error_at(text, separator.start() + separator.group().index(PROFILE_SEPARATOR),
+                    f"a {PROFILE_SEPARATOR!r} line separates programs, but only "
+                    "profiles and an eh BASE hold several programs")
+
+
 def parse_programs(text: str) -> tuple[Program, ...]:
     """Parse a sequence of programs separated by ``---`` lines, dropping
     blocks that contain no statements.  Used for profiles and flocks."""

@@ -1,16 +1,31 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive: whole-program scan fixpoints,
-full subset enumeration, and a token-object parser that scans a whole
-block before parsing it.  These functions never call the optimized code
+full subset enumeration, a token-object parser that scans a whole
+block before parsing it, and a fuzz instance generator that builds a
+fresh Literal for every draw.  These functions never call the optimized code
 paths they are used to check.
 """
 
+import random
 import re
 from typing import NamedTuple
 
-from fcmerge import BOTTOM, ClosedSet, Literal, Program, Rule, SourceError
+from fcmerge import (
+    BOTTOM,
+    ClosedSet,
+    FuzzConfig,
+    Instance,
+    Literal,
+    PostulateId,
+    Profile,
+    Program,
+    Rule,
+    SourceError,
+    Strategy,
+)
 from fcmerge.core import ATOM, PROFILE_SEPARATOR
+from fcmerge.fuzz import atom_pool
 
 
 def naive_closure(program: Program) -> ClosedSet:
@@ -219,3 +234,107 @@ def reference_parse_programs(text: str) -> tuple[Program, ...]:
             programs.append(program)
         line_offset += block.count("\n")
     return tuple(programs)
+
+
+def _draw_literal(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Literal:
+    return Literal(rng.choice(pool), rng.random() >= cfg.neg_prob)
+
+
+def _draw_rule(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Rule:
+    body_size = rng.randint(0, cfg.body_len)
+    body = frozenset(_draw_literal(cfg, rng, pool) for _ in range(body_size))
+    return Rule(body, _draw_literal(cfg, rng, pool))
+
+
+def reference_gen_program(cfg: FuzzConfig, rng: random.Random,
+                          pool: tuple[str, ...]) -> Program:
+    """fuzz.gen_program, drawing the same values in the same order, with
+    a new Literal built for every draw."""
+    count = rng.randint(0, cfg.rules)
+    return Program(frozenset(_draw_rule(cfg, rng, pool) for _ in range(count)))
+
+
+def _draw_nonempty(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Program:
+    p = reference_gen_program(cfg, rng, pool)
+    return p if p.rules else Program.from_facts([_draw_literal(cfg, rng, pool)])
+
+
+def _draw_variant(p: Program, cfg: FuzzConfig, rng: random.Random,
+                  pool: tuple[str, ...]) -> Program:
+    c = naive_closure(p)
+    if c.is_bottom:
+        return p | Program(frozenset({_draw_rule(cfg, rng, pool)}))
+    derived = sorted(c.literals, key=Literal.sort_key)
+    if derived and rng.random() < 0.5:
+        body_size = rng.randint(1, max(1, min(cfg.body_len, len(derived))))
+        body = frozenset(rng.choice(derived) for _ in range(body_size))
+        return p | Program(frozenset({Rule(body, rng.choice(derived))}))
+    blocked = [lit for atom in pool for lit in (Literal(atom), Literal(atom, False))
+               if lit not in c]
+    if not blocked:
+        return p
+    body = frozenset({rng.choice(blocked)})
+    return p | Program(frozenset({Rule(body, _draw_literal(cfg, rng, pool))}))
+
+
+def _draw_profile(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...],
+                  max_members: int = 3) -> Profile:
+    count = rng.randint(1, max_members)
+    return Profile(tuple(_draw_nonempty(cfg, rng, pool) for _ in range(count)))
+
+
+def reference_gen_instance(pid: PostulateId, cfg: FuzzConfig, rng: random.Random,
+                           strategy: Strategy) -> Instance:
+    """fuzz.gen_instance as a straight transcription: the same draws in
+    the same order, a new Literal per draw, naive_closure for consistency."""
+    extended = atom_pool(2 * cfg.atoms)
+    pool_p = pool_q = extended[:cfg.atoms]
+    if rng.random() >= 0.5:
+        pool_q = extended[cfg.atoms:]
+    gen = reference_gen_program
+    if pid is PostulateId.SA5:
+        p1, q1 = gen(cfg, rng, pool_p), gen(cfg, rng, pool_q)
+        return Instance(strategy, programs={
+            "P1": p1, "P2": _draw_variant(p1, cfg, rng, pool_p),
+            "Q1": q1, "Q2": _draw_variant(q1, cfg, rng, pool_q),
+        })
+    if pid is PostulateId.SA6:
+        return Instance(strategy, programs={
+            "P": gen(cfg, rng, pool_p), "Q1": gen(cfg, rng, pool_q), "Q2": gen(cfg, rng, pool_q),
+        })
+    if pid.family == "SA":
+        p, q = gen(cfg, rng, pool_p), gen(cfg, rng, pool_q)
+        return Instance(strategy, programs={"P": p, "Q": q})
+
+    constraint = gen(cfg, rng, pool_p)
+    if rng.random() < 0.5:
+        constraint = constraint | Program.from_facts([_draw_literal(cfg, rng, pool_p)])
+    if pid is PostulateId.FP3:
+        members = tuple(_draw_nonempty(cfg, rng, pool_q) for _ in range(rng.randint(1, 2)))
+        variants = tuple(_draw_variant(m, cfg, rng, pool_q) for m in members)
+        return Instance(
+            strategy,
+            programs={"P": constraint, "Q": _draw_variant(constraint, cfg, rng, pool_p)},
+            profiles={"profile1": Profile(members), "profile2": Profile(variants)},
+        )
+    if pid is PostulateId.FP4:
+        def side() -> Program:
+            if rng.random() >= 0.7:
+                return _draw_nonempty(cfg, rng, pool_q)
+            for _ in range(4):
+                candidate = constraint | gen(cfg, rng, pool_q)
+                if not naive_closure(candidate).is_bottom and candidate.rules:
+                    return candidate
+            return constraint if constraint.rules else _draw_nonempty(cfg, rng, pool_q)
+        return Instance(strategy, programs={"constraint": constraint, "P1": side(), "P2": side()})
+    if pid in (PostulateId.FP5, PostulateId.FP6):
+        return Instance(strategy, programs={"constraint": constraint}, profiles={
+            "profile1": _draw_profile(cfg, rng, pool_q, 2),
+            "profile2": _draw_profile(cfg, rng, pool_q, 2),
+        })
+    if pid in (PostulateId.FP7, PostulateId.FP8):
+        return Instance(strategy,
+                        programs={"constraint": constraint, "Q": gen(cfg, rng, pool_q)},
+                        profiles={"profile1": _draw_profile(cfg, rng, pool_q)})
+    return Instance(strategy, programs={"constraint": constraint},
+                    profiles={"profile1": _draw_profile(cfg, rng, pool_q)})

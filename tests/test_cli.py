@@ -162,6 +162,18 @@ def test_separator_check_keeps_the_parse_error_without_one(files, capsys):
     assert capsys.readouterr().err == "fcmerge: parse error: 1:7: expected an atom, found '.'\n"
 
 
+def test_separator_in_a_check_binding_is_named(files, capsys):
+    # a program binding of check is one program, as BASE and NEW are
+    flock = files("flock.fc", "a -> c.\n  ---\nb -> -c.\n")
+    facts = files("facts.fc", "a. b.")
+    assert run(["check", "SA1", "--strategy", "rk", "--P", flock, "--Q", facts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fcmerge: parse error: 2:3: a '---' line separates programs, but only "
+        "profiles and an eh BASE hold several programs\n")
+
+
 def test_non_utf8_input_exit_code(tmp_path, capsys):
     path = tmp_path / "p.fc"
     path.write_bytes(b"a\xff.")

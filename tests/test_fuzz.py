@@ -1,10 +1,13 @@
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 
 from fcmerge import (
     ConfigError,
     Instance,
+    Literal,
     PostulateId,
     PredicateNotHolding,
     Profile,
@@ -17,9 +20,10 @@ from fcmerge import (
     search,
     shrink,
 )
-from fcmerge.fuzz import FuzzConfig, render_instance
+from fcmerge.fuzz import FuzzConfig, _removals, _stream, atom_pool, render_instance
 
 from helpers import prog, total_rules
+from oracles import reference_gen_instance, reference_gen_program
 
 
 class TestConfig:
@@ -90,6 +94,64 @@ class TestGenInstance:
         a = gen_instance(PostulateId.SA5, cfg, random.Random(7), Strategy.HULL)
         b = gen_instance(PostulateId.SA5, cfg, random.Random(7), Strategy.HULL)
         assert a == b
+
+
+class TestLiteralTable:
+    """Each config builds every Literal its campaign can draw once; the
+    draws, and so the instances, are those of a generator that builds a
+    Literal per draw."""
+
+    @pytest.mark.parametrize("atoms", [1, 6, 14])
+    def test_instances_match_the_reference_generator(self, atoms):
+        seen = set()
+        for seed in range(20):
+            cfg = FuzzConfig(seed=seed, atoms=atoms)
+            for pid in PostulateId:
+                for strategy in Strategy:
+                    instance = gen_instance(pid, cfg, _stream(seed, pid, strategy, 0), strategy)
+                    reference = reference_gen_instance(pid, cfg, _stream(seed, pid, strategy, 0),
+                                                       strategy)
+                    assert render_instance(instance) == render_instance(reference)
+                    seen |= {a for p in instance.programs.values() for a in p.atoms()}
+        # the second pool reaches the table's last atoms, x26 and x27 at 14
+        assert set(atom_pool(2 * atoms)[-2:]) <= seen
+
+    @pytest.mark.parametrize("pool", [("c", "x40", "zz_top"), ("a", "q")])
+    def test_pool_outside_the_table_matches_the_reference(self, pool):
+        cfg = FuzzConfig(atoms=1, neg_prob=0.5)
+        for seed in range(20):
+            program = gen_program(cfg, random.Random(seed), pool)
+            assert program == reference_gen_program(cfg, random.Random(seed), pool)
+
+    def test_fixed_run_builds_each_literal_once(self, monkeypatch):
+        # pinned work, which may only fall: 12 atoms, both signs, all built
+        # by the config (63,930 when every draw built its own)
+        built = []
+        post_init = Literal.__post_init__
+
+        def counting(lit):
+            built.append(lit)
+            post_init(lit)
+
+        monkeypatch.setattr(Literal, "__post_init__", counting)
+        search(FuzzConfig(seed=7, trials=40))
+        assert len(built) == 24
+
+    def test_table_is_not_part_of_the_config_value(self):
+        cfg = FuzzConfig(seed=3, atoms=2)
+        assert cfg == FuzzConfig(seed=3, atoms=2)
+        assert hash(cfg) == hash(FuzzConfig(seed=3, atoms=2))
+        shown = ", ".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg))
+        assert repr(cfg) == f"FuzzConfig({shown})"
+        assert sorted(cfg.to_dict()) == sorted(f.name for f in fields(cfg))
+
+    def test_pickle_round_trip(self):
+        cfg = FuzzConfig(seed=3, atoms=14)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and repr(copy) == repr(cfg) and copy.to_dict() == cfg.to_dict()
+        for pid in PostulateId:
+            assert (render_instance(gen_instance(pid, copy, random.Random(1), Strategy.HULL))
+                    == render_instance(gen_instance(pid, cfg, random.Random(1), Strategy.HULL)))
 
 
 class TestSearch:
@@ -167,6 +229,23 @@ class TestShrink:
         inst = Instance(Strategy.RANK, programs={"P": prog("a."), "Q": prog("b.")})
         with pytest.raises(PredicateNotHolding):
             shrink(inst, lambda i: False)
+
+    def test_removals_come_in_a_fixed_order(self):
+        # program rules, then per profile its members and their rules, then
+        # per atom in name order the rules mentioning it.  The order within
+        # one removal follows set iteration and does not change its result
+        inst = Instance(Strategy.RANK, programs={"P": prog("a -> b. c.")},
+                        profiles={"profile1": Profile((prog("a."), prog("b -> c.")))})
+        removals = [{(name, i, str(rule)) for name, i, rule in sites}
+                    for sites in _removals(inst)]
+        assert removals == [
+            {("P", -1, "a -> b.")}, {("P", -1, "c.")},
+            {("profile1", 0, "a.")}, {("profile1", 1, "b -> c.")},
+            {("profile1", 0, "a.")}, {("profile1", 1, "b -> c.")},
+            {("P", -1, "a -> b."), ("profile1", 0, "a.")},
+            {("P", -1, "a -> b."), ("profile1", 1, "b -> c.")},
+            {("P", -1, "c."), ("profile1", 1, "b -> c.")},
+        ]
 
     def test_already_minimal_unchanged(self):
         inst = Instance(Strategy.RANK, programs={"P": prog("a."), "Q": prog("")})

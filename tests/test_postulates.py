@@ -8,6 +8,7 @@ from fcmerge import (
     Instance,
     PostulateId,
     Profile,
+    SourceError,
     Status,
     Strategy,
     Verdict,
@@ -296,6 +297,21 @@ class TestCorpus:
         report = run_corpus(tmp_path)
         assert not report.all_match
         assert "FAIL" in report.to_text()
+
+    def test_separator_in_a_corpus_program_is_named(self, tmp_path: Path):
+        # entry programs load as check's bindings do, one program a file
+        (tmp_path / "p.fc").write_text("a.\n---\nb.\n")
+        (tmp_path / "q.fc").write_text("b.\n")
+        (tmp_path / "expectations.json").write_text(json.dumps({
+            "entries": [{
+                "name": "flock",
+                "kind": "arbitration",
+                "programs": {"P": "p.fc", "Q": "q.fc"},
+                "expect_results": {"rk": "a, b"},
+            }]
+        }))
+        with pytest.raises(SourceError, match="^2:1: a '---' line separates programs"):
+            run_corpus(tmp_path)
 
     def test_value_mismatch_is_flagged(self, tmp_path: Path):
         (tmp_path / "p.fc").write_text("a.\n")

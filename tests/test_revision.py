@@ -483,6 +483,27 @@ def test_fixed_fuzz_run_memo_misses():
     search(FuzzConfig(seed=7, trials=40))
     assert base.cache_info().misses == 489
     assert closure.cache_info().misses == 8257
+    # hits may only fall too: 18,054 when revise_rank asked closure(q)
+    # twice and maximal_extensions three times, and rank asked the base's
+    # last, empty level
+    assert closure.cache_info().hits == 11224
+
+
+@pytest.mark.parametrize("p_text, q_text, lookups", [
+    # p | q consistent: q, then p | q
+    ("cq_a. cq_a -> cq_b.", "cq_c.", 2),
+    # q joins the base's middle level: q, p | q, then that level | q
+    ("cq_p -> cq_b. cq_p -> -cq_f. cq_b -> cq_f.", "cq_p.", 3),
+    # q inconsistent: q alone
+    ("cq_d. cq_d -> cq_e.", "cq_g. cq_g -> -cq_g.", 1),
+], ids=["consistent-union", "middle-level", "inconsistent-q"])
+def test_q_is_asked_about_once_per_call(p_text, q_text, lookups):
+    p, q = prog(p_text), prog(q_text)
+    for revise in (revise_rank, maximal_extensions):
+        before = closure.cache_info()
+        revise(p, q)
+        after = closure.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == lookups
 
 
 def _assert_enumeration_matches_brute_force(p, q):
