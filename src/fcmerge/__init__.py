@@ -8,7 +8,6 @@ from .core import (
     Literal,
     Program,
     Rule,
-    Stratification,
     closure,
     entails,
     stratify,
@@ -70,7 +69,6 @@ __all__ = [
     "SourceError",
     "Status",
     "Strategy",
-    "Stratification",
     "Verdict",
     "arbitrate",
     "base",

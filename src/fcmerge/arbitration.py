@@ -45,7 +45,7 @@ def revised_closure(p: Program, q: Program, strategy: Strategy) -> ClosedSet:
         return closure(revise_rank(p, q))
     if strategy is Strategy.HULL:
         return closure(revise_hull(p, q))
-    return flock_closure(revise_extended_hull(p, q))
+    return flock_closure(revise_extended_hull((p,), q))
 
 
 def arbitrate(p1: Program, p2: Program, strategy: Strategy) -> ClosedSet:

@@ -7,7 +7,7 @@ configuration error, 4 enumeration size limit exceeded.  The
 FCMERGE_MAX_ENUM environment variable (default 24) is the only way to
 set the maximal-subset enumeration cap.  Only h and eh enumeration reads
 it, at each call, so rk revision, arbitration and merging ignore a
-malformed value.  Input files must be UTF-8.
+malformed value.  Input files must be UTF-8; a parse error names its file.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fuzz import FuzzConfig, search
 from .merging import Profile, merge
 from .postulates import POSTULATES, PostulateId, Status, check, load_bindings, run_corpus
 from .revision import revise_extended_hull, revise_hull, revise_rank
-from .textio import parse_programs, parse_single_program, render
+from .textio import parse_file, parse_programs, parse_single_program, render
 
 _STRATEGY_TOKENS = [s.value for s in Strategy]
 # the binding flags of check, in the order the postulates first name them
@@ -51,16 +51,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
-def _load_program(path: str) -> Program:
-    return parse_single_program(_read(path))
-
-
 def _load_flock(path: str) -> tuple[Program, ...]:
-    programs = parse_programs(_read(path))
+    programs = parse_file(path, parse_programs)
     if not programs:
         raise EmptyProfile(f"{path}: no programs in flock file")
     return programs
@@ -74,7 +66,7 @@ def _emit(args: argparse.Namespace, plain: str, payload: dict) -> None:
 
 
 def _cmd_cns(args: argparse.Namespace) -> int:
-    result = closure(_load_program(args.file))
+    result = closure(parse_file(args.file, parse_single_program))
     _emit(args, str(result),
           {"command": "cns", "result": str(result), "is_bottom": result.is_bottom})
     return 0
@@ -82,12 +74,12 @@ def _cmd_cns(args: argparse.Namespace) -> int:
 
 def _cmd_revise(args: argparse.Namespace) -> int:
     strategy = Strategy.from_token(args.op)
-    new = _load_program(args.new)
+    new = parse_file(args.new, parse_single_program)
     if strategy is Strategy.EXTENDED_HULL:
         result, kind = revise_extended_hull(_load_flock(args.base), new), "flock"
     else:
         revise = revise_rank if strategy is Strategy.RANK else revise_hull
-        result, kind = revise(_load_program(args.base), new), "program"
+        result, kind = revise(parse_file(args.base, parse_single_program), new), "program"
     text = render(result)
     _emit(args, text, {"command": "revise", "op": args.op, "kind": kind, "result": text})
     return 0
@@ -95,7 +87,8 @@ def _cmd_revise(args: argparse.Namespace) -> int:
 
 def _cmd_arbitrate(args: argparse.Namespace) -> int:
     strategy = Strategy.from_token(args.op)
-    result = arbitrate(_load_program(args.a), _load_program(args.b), strategy)
+    a, b = (parse_file(path, parse_single_program) for path in (args.a, args.b))
+    result = arbitrate(a, b, strategy)
     _emit(args, str(result),
           {"command": "arbitrate", "op": args.op, "result": str(result),
            "is_bottom": result.is_bottom})
@@ -104,10 +97,10 @@ def _cmd_arbitrate(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     strategy = Strategy.from_token(args.op)
-    constraint = _load_program(args.constraint)
+    constraint = parse_file(args.constraint, parse_single_program)
     members = []
     for path in args.programs:
-        member = _load_program(path)
+        member = parse_file(path, parse_single_program)
         if not member.rules:
             raise EmptyProfile(f"{path}: an empty program cannot join a profile")
         members.append(member)

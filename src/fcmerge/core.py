@@ -215,14 +215,6 @@ class ClosedSet:
 BOTTOM = ClosedSet(None)
 
 
-@dataclass(frozen=True, slots=True)
-class Stratification:
-    """Derivation layers of a consistent program: layer 0 holds the facts
-    and layer i the literals first derived after i firing rounds."""
-
-    layers: tuple[frozenset[Literal], ...]
-
-
 # the watchers of an atom that no rule body mentions
 _UNWATCHED: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
@@ -340,9 +332,9 @@ def closure(program: Program) -> ClosedSet:
     return ClosedSet(frozenset(chain.from_iterable(rounds)))
 
 
-def stratify(program: Program) -> Stratification:
+def stratify(program: Program) -> tuple[frozenset[Literal], ...]:
     """Split the consequences of a consistent program into its firing
-    rounds.
+    rounds, one layer per round.
 
     Layer 0 is the set of facts; layer i+1 holds the heads of rules whose
     bodies are covered by layers 0..i and that are not already derived.
@@ -352,7 +344,7 @@ def stratify(program: Program) -> Stratification:
     rounds = CompiledProgram(program).rounds
     if rounds is None:
         raise InconsistentProgram(str(program))
-    return Stratification(tuple(frozenset(layer) for layer in rounds))
+    return tuple(frozenset(layer) for layer in rounds)
 
 
 def entails(p: Program, q: Program) -> bool:

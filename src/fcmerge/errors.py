@@ -33,10 +33,11 @@ class PredicateNotHolding(Exception):
 
 
 class SourceError(Exception):
-    """Malformed program text.  Positions are 1-based."""
+    """Malformed program text.  Positions are 1-based; path, if given, names
+    the file the text was read from and leads the message."""
 
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"{line}:{column}: {message}")
+    def __init__(self, line: int, column: int, message: str, path: str | None = None):
+        super().__init__(f"{path + ':' if path else ''}{line}:{column}: {message}")
         self.line = line
         self.column = column
         self.message = message

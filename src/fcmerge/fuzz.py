@@ -300,12 +300,6 @@ class FuzzReport:
     def guaranteed_violations(self) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.guaranteed)
 
-    def cell(self, pid: PostulateId, strategy: Strategy) -> CellSummary:
-        for c in self.cells:
-            if c.postulate == pid.value and c.strategy == strategy.value:
-                return c
-        raise KeyError((pid, strategy))
-
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),

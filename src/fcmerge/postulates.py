@@ -26,7 +26,7 @@ from .arbitration import Strategy, arbitrate, conj, disj
 from .core import BOTTOM, ClosedSet, Literal, Program, closure, entails
 from .errors import CorpusError, IncompleteBinding
 from .merging import Profile, merge
-from .textio import parse_profile, parse_single_program
+from .textio import parse_file, parse_profile, parse_single_program
 
 
 class PostulateId(Enum):
@@ -455,12 +455,11 @@ def _corpus_root() -> Path:
 def load_bindings(strategy: Strategy, programs: Mapping[str, str | Path],
                   profiles: Mapping[str, str | Path]) -> Instance:
     """An instance binding each name to the program, or the profile, in
-    the UTF-8 file at its path."""
-    def read(path: str | Path) -> str:
-        return Path(path).read_text(encoding="utf-8")
+    the UTF-8 file at its path, read by textio.parse_file."""
     return Instance(strategy,
-                    programs={name: parse_single_program(read(path)) for name, path in programs.items()},
-                    profiles={name: parse_profile(read(path)) for name, path in profiles.items()})
+                    programs={name: parse_file(path, parse_single_program)
+                              for name, path in programs.items()},
+                    profiles={name: parse_file(path, parse_profile) for name, path in profiles.items()})
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,6 @@ def exceptional_rules(program: Program) -> Program:
     its body newly derives.
     """
     compiled = CompiledProgram(program)
-    if compiled.rounds is None:
-        return program
     return Program(frozenset(
         r for r in program.rules if not compiled.consistent_with(r.body)
     ))
@@ -203,12 +201,9 @@ def revise_hull(p: Program, q: Program) -> Program:
     return hull(p, q) | q
 
 
-def revise_extended_hull(flock: Program | tuple[Program, ...], q: Program) -> tuple[Program, ...]:
+def revise_extended_hull(flock: tuple[Program, ...], q: Program) -> tuple[Program, ...]:
     """Revise each member of a nonempty flock into one program per maximal
-    extension, in order; a member with no extensions contributes q alone.
-    A bare program is a flock of one."""
-    if isinstance(flock, Program):
-        flock = (flock,)
+    extension, in order; a member with no extensions contributes q alone."""
     if not flock:
         raise ValueError("a flock must contain at least one program")
     members: list[Program] = []

@@ -1,4 +1,4 @@
-"""Concrete text syntax for programs, profiles, flocks, and closed sets.
+"""Concrete text syntax for programs, profiles, flocks, layers and closed sets.
 
 Grammar:
 
@@ -30,9 +30,10 @@ profiles.  The inconsistent closed set renders as "#bottom".
 from __future__ import annotations
 
 import re
-from typing import Union
+from pathlib import Path
+from typing import Callable, TypeVar, Union
 
-from .core import ATOM, PROFILE_SEPARATOR, ClosedSet, Literal, Program, Rule, Stratification
+from .core import ATOM, PROFILE_SEPARATOR, ClosedSet, Literal, Program, Rule
 from .errors import EmptyProfile, SourceError
 from .merging import Profile
 
@@ -50,6 +51,7 @@ _SEPARATOR_LINE = re.compile(rf"^[^\S\n]*{re.escape(PROFILE_SEPARATOR)}[^\S\n]*$
                              re.MULTILINE)
 
 _Interned = tuple[dict[str, Literal], dict[str, Literal]]  # negative, positive
+_T = TypeVar("_T")
 
 
 class _Mismatch(Exception):
@@ -74,6 +76,7 @@ def _rules(tokens: list[str], negative: dict[str, Literal],
     tok = tokens[0]
     while tok:
         body: list[Literal] = []
+        arrow = False  # once "->" is read, the next literal is the head
         while True:
             if tok == "-":
                 i += 1
@@ -83,32 +86,19 @@ def _rules(tokens: list[str], negative: dict[str, Literal],
                 lit = positive.get(tok) or _intern(positive, tok, True, i)
             i += 1
             tok = tokens[i]
-            if tok != ",":
+            if arrow or (tok != "," and tok != "->"):
                 break
             body.append(lit)
+            arrow = tok == "->"
             i += 1
             tok = tokens[i]
-        if tok == "->":
-            body.append(lit)
-            i += 1
-            tok = tokens[i]
-            if tok == "-":
-                i += 1
-                tok = tokens[i]
-                lit = negative.get(tok) or _intern(negative, tok, False, i)
-            else:
-                lit = positive.get(tok) or _intern(positive, tok, True, i)
-            i += 1
-            tok = tokens[i]
-            if tok != ".":
-                raise _Mismatch(i, "expected '.', found " + (repr(tok) if tok else "end of input"))
-            rules.add(Rule(frozenset(body), lit))
-        elif tok == ".":
-            if body:
-                raise _Mismatch(i, "a rule body must be followed by '->'")
-            rules.add(Rule.fact(lit))
-        else:
-            raise _Mismatch(i, "expected ',', '->' or '.'")
+        if tok != ".":
+            found = repr(tok) if tok else "end of input"
+            raise _Mismatch(i, f"expected '.', found {found}" if arrow
+                            else "expected ',', '->' or '.'")
+        if body and not arrow:
+            raise _Mismatch(i, "a rule body must be followed by '->'")
+        rules.add(Rule(frozenset(body), lit))  # a fact when body is empty
         i += 1
         tok = tokens[i]
     return rules
@@ -185,21 +175,32 @@ def parse_profile(text: str) -> Profile:
     return Profile(programs)
 
 
-Renderable = Union[Literal, Rule, Program, Profile, ClosedSet, Stratification,
-                   tuple[Program, ...]]
+def parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """parse applied to the UTF-8 text of the file at path; a parse error
+    or an empty profile names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except SourceError as exc:
+        raise SourceError(exc.line, exc.column, exc.message, str(path)) from None
+    except EmptyProfile as exc:
+        raise EmptyProfile(f"{path}: {exc}") from None
+
+
+Renderable = Union[Literal, Rule, Program, Profile, ClosedSet, tuple[Program, ...],
+                   tuple[frozenset[Literal], ...]]
 
 
 def render(value: Renderable) -> str:
     """Canonical text form.  A tuple of programs, such as a flock, renders
-    its members in order, separated as a profile's are.
+    its members in order, separated as a profile's are; a tuple of literal
+    sets, such as stratify's layers, renders them in order, separated by "|".
     parse_program/parse_profile invert it for programs and profiles."""
-    if isinstance(value, Stratification):
-        return " | ".join(
-            ", ".join(str(l) for l in sorted(layer, key=Literal.sort_key))
-            for layer in value.layers
-        )
     if isinstance(value, tuple) and all(isinstance(m, Program) for m in value):
         return f"\n{PROFILE_SEPARATOR}\n".join(map(str, value))
+    if isinstance(value, tuple) and all(isinstance(m, frozenset) for m in value):
+        return " | ".join(
+            ", ".join(str(l) for l in sorted(layer, key=Literal.sort_key)) for layer in value
+        )
     if isinstance(value, (Literal, Rule, Program, Profile, ClosedSet)):
         return str(value)
     raise TypeError(f"cannot render {type(value).__name__}")

@@ -54,7 +54,7 @@ def _passed(label: str) -> None:
 def test_criterion_01_layered_stratification_golden():
     program = prog(LAYERED)
     start = time.perf_counter()
-    layers = stratify(program).layers
+    layers = stratify(program)
     elapsed = time.perf_counter() - start
     assert layers == (lits("a", "u"), lits("b", "c", "h"), lits("t", "s"), lits("w"))
     assert elapsed < 0.010, f"stratification took {elapsed * 1000:.2f} ms"
@@ -121,8 +121,9 @@ def test_criterion_05_arbitration_postulate_campaign():
     elapsed = time.perf_counter() - start
     assert all(c.violated == 0 for c in report.cells), report.to_text()
     assert all(c.skipped == 0 for c in report.cells)
+    cells = {(c.postulate, c.strategy): c for c in report.cells}
     for strategy in ALL:
-        sa3 = report.cell(PostulateId.SA3, strategy)
+        sa3 = cells["SA3", strategy.value]
         assert sa3.non_vacuous >= 100, f"SA3 non-vacuous {sa3.non_vacuous} [{strategy.value}]"
     assert elapsed < 60.0, f"campaign took {elapsed:.1f} s"
     _passed(f"criterion 5: 1000-trial arbitration campaign clean in {elapsed:.1f} s")
@@ -137,7 +138,7 @@ def test_criterion_06_rank_merging_campaign():
     )
     report = search(cfg)
     assert all(c.violated == 0 for c in report.cells), report.to_text()
-    fp4 = report.cell(PostulateId.FP4, Strategy.RANK)
+    (fp4,) = (c for c in report.cells if c.postulate == "FP4")
     assert fp4.non_vacuous >= 50, f"FP4 non-vacuous {fp4.non_vacuous}"
     _passed(f"criterion 6: 500-trial rank merging campaign clean, "
             f"{fp4.non_vacuous} substantive fairness checks")
@@ -177,7 +178,7 @@ def test_criterion_08_revision_chain_properties():
         # conservative-extension chain
         rk = closure(revise_rank(p, q))
         h = closure(revise_hull(p, q))
-        eh = flock_closure(revise_extended_hull(p, q))
+        eh = flock_closure(revise_extended_hull((p,), q))
         assert rk.issubset(h) and h.issubset(eh)
 
         # the hull sits below every maximal extension

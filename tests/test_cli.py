@@ -138,7 +138,7 @@ def test_parse_error_exit_code(files, capsys):
 def test_non_ascii_atom_is_parse_error(files, capsys):
     path = files("p.fc", "café.")
     assert run(["cns", path]) == 2
-    assert "parse error: 1:4:" in capsys.readouterr().err
+    assert f"parse error: {path}:1:4:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("op, flock_is_new", [
@@ -152,14 +152,15 @@ def test_separator_in_a_single_program_is_named(files, capsys, op, flock_is_new)
     args = [other, flock] if flock_is_new else [flock, other]
     assert run(["revise", "--op", op, *args]) == 2
     assert capsys.readouterr().err == (
-        "fcmerge: parse error: 2:3: a '---' line separates programs, but only "
+        f"fcmerge: parse error: {flock}:2:3: a '---' line separates programs, but only "
         "profiles and an eh BASE hold several programs\n")
 
 
 def test_separator_check_keeps_the_parse_error_without_one(files, capsys):
     path = files("bad.fc", "a -> -.\n--\n")
     assert run(["cns", path]) == 2
-    assert capsys.readouterr().err == "fcmerge: parse error: 1:7: expected an atom, found '.'\n"
+    assert capsys.readouterr().err == (
+        f"fcmerge: parse error: {path}:1:7: expected an atom, found '.'\n")
 
 
 def test_separator_in_a_check_binding_is_named(files, capsys):
@@ -170,8 +171,35 @@ def test_separator_in_a_check_binding_is_named(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "fcmerge: parse error: 2:3: a '---' line separates programs, but only "
+        f"fcmerge: parse error: {flock}:2:3: a '---' line separates programs, but only "
         "profiles and an eh BASE hold several programs\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cns", "{bad}"],
+    ["revise", "--op", "rk", "{bad}", "{good}"],
+    ["revise", "--op", "h", "{good}", "{bad}"],
+    ["revise", "--op", "eh", "{bad}", "{good}"],
+    ["arbitrate", "{good}", "{bad}"],
+    ["merge", "{good}", "{good}", "{bad}"],
+    ["check", "SA1", "--P", "{good}", "--Q", "{bad}"],
+    ["check", "FP0", "--constraint", "{good}", "--profile1", "{bad}"],
+], ids=["cns", "revise-base", "revise-new", "revise-flock", "arbitrate", "merge",
+        "check-program", "check-profile"])
+def test_parse_error_names_its_file(files, capsys, argv):
+    # with several input files, only the path says which one is malformed
+    good = files("good.fc", "a.")
+    bad = files("bad.fc", "a -> .")
+    assert run([arg.format(good=good, bad=bad) for arg in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"fcmerge: parse error: {bad}:1:6: expected an atom, found '.'\n")
+
+
+def test_empty_profile_names_its_file(files, capsys):
+    constraint = files("a.fc", "a.")
+    empty = files("empty.fc", "% no programs\n")
+    assert run(["check", "FP0", "--constraint", constraint, "--profile1", empty]) == 2
+    assert capsys.readouterr().err == f"fcmerge: {empty}: profile text contains no programs\n"
 
 
 def test_non_utf8_input_exit_code(tmp_path, capsys):
@@ -306,6 +334,15 @@ def test_corpus_malformed_table_is_input_error(tmp_path, capsys, table, named):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("fcmerge: ") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+def test_corpus_parse_error_names_its_file(tmp_path, capsys):
+    (tmp_path / "p.fc").write_text("a.\n")
+    (tmp_path / "q.fc").write_text("a -> .\n")
+    (tmp_path / "expectations.json").write_text(json.dumps({"entries": [_ARBITRATION_ENTRY]}))
+    assert run(["corpus", "--directory", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"fcmerge: parse error: {tmp_path / 'q.fc'}:1:6: expected an atom, found '.'\n")
 
 
 def test_fuzz_command(capsys):

@@ -129,14 +129,14 @@ class TestClosure:
 
 class TestStratify:
     def test_layered_chain_golden(self):
-        layers = stratify(prog(LAYERED)).layers
+        layers = stratify(prog(LAYERED))
         assert layers == (lits("a", "u"), lits("b", "c", "h"), lits("t", "s"), lits("w"))
 
     def test_empty_program_single_empty_layer(self):
-        assert stratify(Program()).layers == (frozenset(),)
+        assert stratify(Program()) == (frozenset(),)
 
     def test_single_round(self):
-        assert stratify(prog("a. a -> b.")).layers == (lits("a"), lits("b"))
+        assert stratify(prog("a. a -> b.")) == (lits("a"), lits("b"))
         assert naive_layers(prog("a. a -> b.")) == (lits("a"), lits("b"))
 
     def test_inconsistent_program_rejected(self):
@@ -217,15 +217,15 @@ def test_facts_included_in_closure(p):
 def test_stratification_partitions_closure(p):
     if closure(p).is_bottom:
         return
-    strat = stratify(p)
+    layers = stratify(p)
     seen = set()
-    for layer in strat.layers:
+    for layer in layers:
         assert not (layer & seen)
         seen |= layer
     assert frozenset(seen) == closure(p).literals
     chaining = [r for r in p.rules if r.body]
     assert len(seen) <= len(facts(p)) + len(chaining)
-    assert all(strat.layers[i] for i in range(1, len(strat.layers)))
+    assert all(layers[1:])
 
 
 @given(programs, programs)
@@ -236,7 +236,7 @@ def test_stratify_matches_naive_oracle(p, q):
         with pytest.raises(InconsistentProgram):
             stratify(program)
     else:
-        assert stratify(program).layers == naive_layers(program)
+        assert stratify(program) == naive_layers(program)
 
 
 def test_gap_pair_closures():

@@ -195,7 +195,9 @@ class TestSearch:
         cfg = FuzzConfig(seed=3, trials=150, strategies=(Strategy.RANK,),
                          postulates=(PostulateId.SA5,))
         report = search(cfg)
-        assert report.cell(PostulateId.SA5, Strategy.RANK).violated >= 1
+        (cell,) = report.cells
+        assert (cell.postulate, cell.strategy) == ("SA5", "rk")
+        assert cell.violated >= 1
         assert not report.guaranteed_violations
 
     def test_skipped_on_size_limit(self, monkeypatch):
@@ -203,7 +205,8 @@ class TestSearch:
         cfg = FuzzConfig(seed=1, trials=30, strategies=(Strategy.HULL,),
                          postulates=(PostulateId.SA1,))
         report = search(cfg)
-        cell = report.cell(PostulateId.SA1, Strategy.HULL)
+        (cell,) = report.cells
+        assert (cell.postulate, cell.strategy) == ("SA1", "h")
         assert cell.skipped > 0
         assert cell.skipped + cell.holds + cell.vacuous + cell.violated == 30
 

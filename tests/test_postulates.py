@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -310,7 +311,8 @@ class TestCorpus:
                 "expect_results": {"rk": "a, b"},
             }]
         }))
-        with pytest.raises(SourceError, match="^2:1: a '---' line separates programs"):
+        where = re.escape(str(tmp_path / "p.fc"))
+        with pytest.raises(SourceError, match=f"^{where}:2:1: a '---' line separates programs"):
             run_corpus(tmp_path)
 
     def test_value_mismatch_is_flagged(self, tmp_path: Path):

@@ -327,7 +327,7 @@ class TestExtendedHull:
     def test_conflicting_constraint_splits_into_flock(self):
         before = prog("a -> c. b -> -c.")
         update = prog("a. b.")
-        result = revise_extended_hull(before, update)
+        result = revise_extended_hull((before,), update)
         assert result == (
             prog("a. b. a -> c."),
             prog("a. b. b -> -c."),
@@ -335,16 +335,16 @@ class TestExtendedHull:
         assert flock_closure(result) == closed("a", "b")
 
     def test_consistent_union_single_member(self):
-        result = revise_extended_hull(prog("a."), prog("b."))
+        result = revise_extended_hull((prog("a."),), prog("b."))
         assert result == (prog("a. b."),)
 
     def test_gap_pair_flock_closures(self):
         p, q = prog(GAP_P), prog(GAP_Q)
-        assert flock_closure(revise_extended_hull(p, q)) == closed("b", "d", "e")
-        assert flock_closure(revise_extended_hull(q, p)) == closed("a", "d", "e", "f")
+        assert flock_closure(revise_extended_hull((p,), q)) == closed("b", "d", "e")
+        assert flock_closure(revise_extended_hull((q,), p)) == closed("a", "d", "e", "f")
 
     def test_inconsistent_new_information_keeps_it_alone(self):
-        result = revise_extended_hull(prog("a."), prog("x. -x."))
+        result = revise_extended_hull((prog("a."),), prog("x. -x."))
         assert result == (prog("x. -x."),)
 
     def test_flock_lifting_concatenates_memberwise(self):
@@ -392,7 +392,7 @@ class TestRevisionProperties:
             p, q = gen_program(cfg, rng), gen_program(cfg, rng)
             rk = closure(revise_rank(p, q))
             h = closure(revise_hull(p, q))
-            eh = flock_closure(revise_extended_hull(p, q))
+            eh = flock_closure(revise_extended_hull((p,), q))
             assert rk.issubset(h)
             assert h.issubset(eh)
 
@@ -407,7 +407,7 @@ class TestRevisionProperties:
             checked += 1
             assert not closure(revise_rank(p, q)).is_bottom
             assert not closure(revise_hull(p, q)).is_bottom
-            for member in revise_extended_hull(p, q):
+            for member in revise_extended_hull((p,), q):
                 assert not closure(member).is_bottom
         assert checked > 100
 

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import FunctionType
 
 import fcmerge
 
@@ -145,9 +146,9 @@ def test_value_dataclasses_are_slotted():
     assert frozen and [name for name, slotted in frozen.items() if not slotted] == []
 
 
-def test_every_public_name_has_a_caller():
-    # a public name that only tests reach is a helper nothing calls: the
-    # package's other modules and the benchmark harness must use each one
+def _used_names() -> set[str]:
+    """Every name and attribute the package's modules, __init__ aside, and
+    the benchmark harness's non-test modules mention."""
     callers = [path for path in MODULES if path.name != "__init__.py"]
     callers += [path for path in sorted(PERFBENCH.glob("*.py"))
                 if not path.name.startswith("test_")]
@@ -158,4 +159,26 @@ def test_every_public_name_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert sorted(set(fcmerge.__all__) - used) == []
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only tests reach is a helper nothing calls: the
+    # package's other modules and the benchmark harness must use each one
+    assert sorted(set(fcmerge.__all__) - _used_names()) == []
+
+
+def test_every_public_method_has_a_caller():
+    # the same rule one level down: each public method, property or
+    # classmethod an exported class defines must have a caller outside tests
+    used = _used_names()
+    methods = [
+        f"{cls.__name__}.{attr}"
+        for cls in (getattr(fcmerge, name) for name in fcmerge.__all__)
+        if isinstance(cls, type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_")
+        and isinstance(value, (FunctionType, property, classmethod, staticmethod))
+    ]
+    assert len(methods) > 10
+    assert sorted(m for m in methods if m.partition(".")[2] not in used) == []

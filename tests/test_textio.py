@@ -189,6 +189,28 @@ class TestRender:
     def test_stratification(self):
         assert render(stratify(prog("a. a -> b."))) == "a | b"
 
+    # a tuple renders as a flock when its members are programs and as
+    # layers when they are literal sets, so the members pick the case
+    def test_tuple_of_programs_is_a_flock(self):
+        assert render((prog("a. a -> b."), prog("-c."))) == "a -> b.\na.\n---\n-c."
+
+    def test_multi_layer_stratification(self):
+        assert render(stratify(prog(LAYERED))) == "a, u | b, c, h | s, t | w"
+        assert render(stratify(prog("-a. -a -> b. b -> a1."))) == "-a | b | a1"
+
+    def test_stratification_of_the_empty_program(self):
+        assert stratify(Program()) == (frozenset(),)
+        assert render(stratify(Program())) == ""
+
+    def test_empty_tuple(self):
+        assert render(()) == ""
+
+    def test_mixed_tuple_is_unrenderable(self):
+        with pytest.raises(TypeError):
+            render((prog("a."), lits("a")))
+        with pytest.raises(TypeError):
+            render((lits("a"), prog("a.")))
+
     def test_unrenderable(self):
         with pytest.raises(TypeError):
             render(42)
