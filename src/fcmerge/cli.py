@@ -7,7 +7,7 @@ configuration error, 4 enumeration size limit exceeded.  The
 FCMERGE_MAX_ENUM environment variable (default 24) is the only way to
 set the maximal-subset enumeration cap.  Only h and eh enumeration reads
 it, at each call, so rk revision, arbitration and merging ignore a
-malformed value.  Input files must be UTF-8; a parse error names its file.
+malformed value.  Input files must be UTF-8; an input error names its file.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .arbitration import Strategy, arbitrate
-from .core import Program, closure
+from .core import closure
 from .errors import (
     ConfigError,
     CorpusError,
@@ -29,10 +29,10 @@ from .errors import (
     SourceError,
 )
 from .fuzz import FuzzConfig, search
-from .merging import Profile, merge
+from .merging import merge
 from .postulates import POSTULATES, PostulateId, Status, check, load_bindings, run_corpus
 from .revision import revise_extended_hull, revise_hull, revise_rank
-from .textio import parse_file, parse_programs, parse_single_program, render
+from .textio import parse_file, parse_profile, parse_single_program, render
 
 _STRATEGY_TOKENS = [s.value for s in Strategy]
 # the binding flags of check, in the order the postulates first name them
@@ -49,13 +49,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _load_flock(path: str) -> tuple[Program, ...]:
-    programs = parse_file(path, parse_programs)
-    if not programs:
-        raise EmptyProfile(f"{path}: no programs in flock file")
-    return programs
 
 
 def _emit(args: argparse.Namespace, plain: str, payload: dict) -> None:
@@ -76,7 +69,7 @@ def _cmd_revise(args: argparse.Namespace) -> int:
     strategy = Strategy.from_token(args.op)
     new = parse_file(args.new, parse_single_program)
     if strategy is Strategy.EXTENDED_HULL:
-        result, kind = revise_extended_hull(_load_flock(args.base), new), "flock"
+        result, kind = revise_extended_hull(parse_file(args.base, parse_profile), new), "flock"
     else:
         revise = revise_rank if strategy is Strategy.RANK else revise_hull
         result, kind = revise(parse_file(args.base, parse_single_program), new), "program"
@@ -104,8 +97,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         if not member.rules:
             raise EmptyProfile(f"{path}: an empty program cannot join a profile")
         members.append(member)
-    profile = Profile(tuple(members))
-    result = merge(constraint, profile, strategy)
+    result = merge(constraint, tuple(members), strategy)
     _emit(args, str(result),
           {"command": "merge", "op": args.op, "result": str(result),
            "is_bottom": result.is_bottom})
@@ -238,7 +230,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SourceError as exc:
         print(f"fcmerge: parse error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, EmptyProfile, OSError, UnicodeDecodeError) as exc:
+    except (CorpusError, EmptyProfile, OSError, UnicodeError) as exc:
         print(f"fcmerge: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, IncompleteBinding) as exc:

@@ -32,8 +32,8 @@ from typing import Callable, Iterator
 from .arbitration import Strategy
 from .core import Literal, Program, Rule, closure
 from .errors import ConfigError, PredicateNotHolding, SizeLimitExceeded
-from .merging import Profile
 from .postulates import Instance, PostulateId, Status, Verdict, check, guaranteed
+from .textio import render
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -151,9 +151,9 @@ def _equivalent_variant(p: Program, cfg: FuzzConfig, rng: random.Random,
 
 
 def _gen_profile(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...],
-                 max_members: int = 3) -> Profile:
+                 max_members: int = 3) -> tuple[Program, ...]:
     count = rng.randint(1, max_members)
-    return Profile(tuple(_nonempty(cfg, rng, pool) for _ in range(count)))
+    return tuple(_nonempty(cfg, rng, pool) for _ in range(count))
 
 
 def _gen_constraint(cfg: FuzzConfig, rng: random.Random,
@@ -206,7 +206,7 @@ def gen_instance(pid: PostulateId, cfg: FuzzConfig, rng: random.Random,
             strategy,
             programs={"P": constraint,
                       "Q": _equivalent_variant(constraint, cfg, rng, pool_p)},
-            profiles={"profile1": Profile(members), "profile2": Profile(variants)},
+            profiles={"profile1": members, "profile2": variants},
         )
     if pid is PostulateId.FP4:
         def side() -> Program:
@@ -247,7 +247,7 @@ def render_instance(instance: Instance) -> dict:
     return {
         "strategy": instance.strategy.value,
         "programs": {name: str(p) for name, p in sorted(instance.programs.items())},
-        "profiles": {name: str(p) for name, p in sorted(instance.profiles.items())},
+        "profiles": {name: render(p) for name, p in sorted(instance.profiles.items())},
     }
 
 
@@ -391,7 +391,7 @@ def _without(instance: Instance, sites: list[_Site]) -> Instance | None:
         nonempty = tuple(m for m in kept if m.rules)
         if not nonempty:
             return None
-        profiles[name] = Profile(nonempty)
+        profiles[name] = nonempty
     return Instance(instance.strategy, programs=programs, profiles=profiles)
 
 
@@ -404,7 +404,7 @@ def _removals(instance: Instance) -> Iterator[list[_Site]]:
         for rule in instance.programs[name]:
             yield [(name, -1, rule)]
     for name in sorted(instance.profiles):
-        members = instance.profiles[name].members
+        members = instance.profiles[name]
         for i, member in enumerate(members):
             yield [(name, i, rule) for rule in member.rules]
         for i, member in enumerate(members):

@@ -18,6 +18,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
@@ -233,7 +234,7 @@ def _fp1(inst: Instance) -> Verdict:
 def _fp2(inst: Instance) -> Verdict:
     c = inst.programs["constraint"]
     profile = inst.profiles["profile1"]
-    pooled = closure(c | profile.union_program())
+    pooled = closure(reduce(Program.__or__, profile, c))
     if pooled.is_bottom:
         return _vacuous((("cns(constraint + profile)", str(pooled)),))
     m = merge(c, profile, inst.strategy)
@@ -269,7 +270,7 @@ def _fp4(inst: Instance) -> Verdict:
             ("cns(P2)", str(closure(p2))),
             ("cns(constraint)", str(closure(c))),
         ))
-    m = merge(c, Profile((p1, p2)), inst.strategy)
+    m = merge(c, (p1, p2), inst.strategy)
     with_p1 = adjoin_program(m, p1)
     with_p2 = adjoin_program(m, p2)
     witness = (

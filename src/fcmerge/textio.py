@@ -10,9 +10,11 @@ Grammar:
                digits or "_"
 
 "%" starts a comment running to end of line; whitespace is insignificant.
-Profile files separate programs with lines consisting solely of
-core.PROFILE_SEPARATOR ("---"), with optional whitespace around it; core
-owns the separator, and rendering profiles and flocks writes it too.
+A profile, like an eh flock, is a tuple of programs.  Their files
+separate programs with lines consisting solely of core.PROFILE_SEPARATOR
+("---"), with optional whitespace around it, and parse_profile reads
+both; core owns the separator, and rendering a tuple of programs writes
+it too.
 
 One regular expression splits a program (a profile block) into token
 strings, and one loop parses them.  An unexpected character anywhere in
@@ -35,7 +37,6 @@ from typing import Callable, TypeVar, Union
 
 from .core import ATOM, PROFILE_SEPARATOR, ClosedSet, Literal, Program, Rule
 from .errors import EmptyProfile, SourceError
-from .merging import Profile
 
 
 # every token is one match: an arrow, an atom, a comment to end of line, or
@@ -167,40 +168,45 @@ def parse_programs(text: str) -> tuple[Program, ...]:
     return tuple(program for program in programs if program.rules)
 
 
-def parse_profile(text: str) -> Profile:
-    """Parse a profile file; raises EmptyProfile when no program is present."""
+def parse_profile(text: str) -> tuple[Program, ...]:
+    """The programs of a profile or an eh flock; raises EmptyProfile when
+    no program is present."""
     programs = parse_programs(text)
     if not programs:
-        raise EmptyProfile("profile text contains no programs")
-    return Profile(programs)
+        raise EmptyProfile("contains no programs")
+    return programs
 
 
 def parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
-    """parse applied to the UTF-8 text of the file at path; a parse error
-    or an empty profile names the file."""
+    """parse applied to the UTF-8 text of the file at path; text that is
+    not UTF-8, a parse error or an empty profile names the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise UnicodeError(f"{path}: not UTF-8 text "
+                           f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})") from None
     except SourceError as exc:
         raise SourceError(exc.line, exc.column, exc.message, str(path)) from None
     except EmptyProfile as exc:
         raise EmptyProfile(f"{path}: {exc}") from None
 
 
-Renderable = Union[Literal, Rule, Program, Profile, ClosedSet, tuple[Program, ...],
+Renderable = Union[Literal, Rule, Program, ClosedSet, tuple[Program, ...],
                    tuple[frozenset[Literal], ...]]
 
 
 def render(value: Renderable) -> str:
-    """Canonical text form.  A tuple of programs, such as a flock, renders
-    its members in order, separated as a profile's are; a tuple of literal
-    sets, such as stratify's layers, renders them in order, separated by "|".
-    parse_program/parse_profile invert it for programs and profiles."""
+    """Canonical text form.  A tuple of programs, a profile or a flock,
+    renders its members in order, separated by "---" lines; a tuple of
+    literal sets, such as stratify's layers, renders them in order,
+    separated by "|".  parse_program/parse_profile invert it for programs
+    and tuples of nonempty programs."""
     if isinstance(value, tuple) and all(isinstance(m, Program) for m in value):
         return f"\n{PROFILE_SEPARATOR}\n".join(map(str, value))
     if isinstance(value, tuple) and all(isinstance(m, frozenset) for m in value):
         return " | ".join(
             ", ".join(str(l) for l in sorted(layer, key=Literal.sort_key)) for layer in value
         )
-    if isinstance(value, (Literal, Rule, Program, Profile, ClosedSet)):
+    if isinstance(value, (Literal, Rule, Program, ClosedSet)):
         return str(value)
     raise TypeError(f"cannot render {type(value).__name__}")

@@ -199,14 +199,21 @@ def test_empty_profile_names_its_file(files, capsys):
     constraint = files("a.fc", "a.")
     empty = files("empty.fc", "% no programs\n")
     assert run(["check", "FP0", "--constraint", constraint, "--profile1", empty]) == 2
-    assert capsys.readouterr().err == f"fcmerge: {empty}: profile text contains no programs\n"
+    assert capsys.readouterr().err == f"fcmerge: {empty}: contains no programs\n"
 
 
-def test_non_utf8_input_exit_code(tmp_path, capsys):
+def test_non_utf8_input_exit_code(files, tmp_path, capsys):
     path = tmp_path / "p.fc"
     path.write_bytes(b"a\xff.")
     assert run(["cns", str(path)]) == 2
     assert capsys.readouterr().err.startswith("fcmerge: ")
+    # with several inputs, the path says which one is not UTF-8
+    ok = files("ok.fc", "a.")
+    message = f"fcmerge: {path}: not UTF-8 text (byte 0xff at offset 1)\n"
+    assert run(["arbitrate", ok, str(path)]) == 2
+    assert capsys.readouterr().err == message
+    assert run(["check", "FP0", "--constraint", ok, "--profile1", str(path)]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -214,9 +221,11 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 
 def test_empty_profile_flock_exit_code(files, capsys):
-    base = files("base.fc", "---")
+    # an eh BASE is read by the same reader as a profile, with the same message
+    base = files("base.fc", "% no programs\n---\n% none here either\n")
     new = files("new.fc", "a.")
     assert run(["revise", "--op", "eh", base, new]) == 2
+    assert capsys.readouterr().err == f"fcmerge: {base}: contains no programs\n"
 
 
 def test_size_limit_exit_code(files, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmerge import (
     EmptyProfile,
@@ -16,34 +18,20 @@ from fcmerge import (
 from fcmerge.fuzz import FuzzConfig, gen_program
 
 from helpers import closed, prog
+from strategies import dense_programs, programs
 
 ALL = tuple(Strategy)
 
 
 class TestProfile:
-    def test_multiset_sum_keeps_multiplicity(self):
-        p = prog("a.")
-        combined = Profile((p,)) + Profile((p,))
-        assert len(combined) == 2
-        assert combined.members == (p, p)
-
-    def test_equality_is_order_insensitive(self):
-        a, b = prog("a."), prog("b.")
-        assert Profile((a, b)) == Profile((b, a))
-        assert hash(Profile((a, b))) == hash(Profile((b, a)))
-        assert Profile((a, a)) != Profile((a,))
-
+    # a profile is a plain tuple; merge checks it at its entry
     def test_must_be_nonempty(self):
         with pytest.raises(EmptyProfile):
-            Profile(())
+            merge(prog("a."), (), Strategy.RANK)
 
     def test_members_must_be_nonempty(self):
         with pytest.raises(ValueError):
-            Profile((prog("a."), Program()))
-
-    def test_union_program(self):
-        profile = Profile((prog("a."), prog("a -> b.")))
-        assert profile.union_program() == prog("a. a -> b.")
+            merge(prog("a."), (prog("a."), Program()), Strategy.RANK)
 
 
 class TestMerge:
@@ -82,6 +70,16 @@ class TestMerge:
         # members disagree after revision; only shared consequences survive
         profile = Profile((prog("-c. a -> b."), prog("b -> c.")))
         assert merge(prog("a."), profile, strategy) == closed("a")
+
+
+@given(programs, st.lists(dense_programs.filter(lambda p: p.rules), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_merge_ignores_member_order(constraint, members, data):
+    # a profile is a multiset: only how often each member occurs counts
+    permuted = tuple(data.draw(st.permutations(members)))
+    for strategy in ALL:
+        assert merge(constraint, permuted, strategy) == merge(constraint, tuple(members), strategy)
 
 
 class TestMergeProperties:

@@ -134,7 +134,6 @@ class TestFpCheckers:
             programs={"P": prog("a."), "Q": prog("a.")},
             profiles={"profile1": Profile((x, y)), "profile2": Profile((y, x))},
         )
-        assert inst.profiles["profile1"] == inst.profiles["profile2"]
         assert check(PostulateId.FP3, inst).status is Status.HOLDS
 
     @pytest.mark.parametrize("strategy", ALL)

@@ -27,6 +27,15 @@ def test_no_private_name_imported_from_a_sibling():
     assert offenders == []
 
 
+def test_textio_imports_only_core_and_errors():
+    # the text syntax sits below every operator: a profile is a tuple of
+    # programs, so reading and rendering one needs no operator module
+    tree = _tree(Path(fcmerge.__file__).parent / "textio.py")
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert imported == {"core", "errors"}
+
+
 class _EnvironReads(ast.NodeVisitor):
     """Collects module.function for every use of os.environ or os.getenv."""
 

@@ -110,8 +110,7 @@ PROFILE_ERRORS = [
 
 class TestProfileParsing:
     def test_two_programs(self):
-        profile = parse_profile("a -> b.\n---\nb -> c.")
-        assert profile.members == (prog("a -> b."), prog("b -> c."))
+        assert parse_profile("a -> b.\n---\nb -> c.") == (prog("a -> b."), prog("b -> c."))
 
     def test_single_program_without_separator(self):
         assert len(parse_profile("a.")) == 1
@@ -135,8 +134,7 @@ class TestProfileParsing:
         assert out == (prog("b."), prog("a."))
 
     def test_crlf_line_endings(self):
-        profile = parse_profile("a.\r\n---\r\nb.\r\n")
-        assert profile.members == (prog("a."), prog("b."))
+        assert parse_profile("a.\r\n---\r\nb.\r\n") == (prog("a."), prog("b."))
 
     @pytest.mark.parametrize("text, line, col, message", PROFILE_ERRORS,
                              ids=_position_ids(PROFILE_ERRORS))
