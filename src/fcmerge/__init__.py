@@ -44,7 +44,7 @@ from .revision import (
     revise_hull,
     revise_rank,
 )
-from .textio import parse_profile, parse_program, parse_programs, render
+from .textio import parse_profile, parse_program, render
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "merge",
     "parse_profile",
     "parse_program",
-    "parse_programs",
     "rank",
     "render",
     "revise_extended_hull",

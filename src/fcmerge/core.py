@@ -16,9 +16,7 @@ and ``stratify`` report, and answers "is the program plus these literals
 and these switched-on rules consistent?" by propagating only what they
 add on top of that closure and undoing it afterwards.
 
-This module owns the settings other modules share: ``PROFILE_SEPARATOR``,
-the line that profiles and flocks render between members and ``textio``
-splits on, and ``MEMO_SIZE``, the bound of every memo table.
+This module owns ``MEMO_SIZE``, the bound of every memo table.
 
 All values are immutable and all operations are pure, so everything in
 this module is safe to share between threads.  The one mutable object, a
@@ -39,8 +37,6 @@ from .errors import InconsistentProgram
 # the one definition of an atom name; textio scans with it too
 ATOM = r"[A-Za-z_][A-Za-z0-9_]*"
 _ATOM_RE = re.compile(ATOM)
-
-PROFILE_SEPARATOR = "---"
 
 # entries per memo table, chosen by end-to-end time and memory, not by
 # hit ratio.  The memos are reused at short range: replaying the benchmark

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 from .arbitration import Strategy
 from .core import Literal, Program, Rule, closure
 from .errors import ConfigError, PredicateNotHolding, SizeLimitExceeded
-from .postulates import Instance, PostulateId, Status, Verdict, check, guaranteed
+from .postulates import Instance, PostulateId, Status, Verdict, bind, check, guaranteed
 from .textio import render
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -175,67 +175,44 @@ def _grow_entailing(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...],
     return constraint if constraint.rules else _nonempty(cfg, rng, pool)
 
 
-def gen_instance(pid: PostulateId, cfg: FuzzConfig, rng: random.Random,
-                 strategy: Strategy) -> Instance:
-    """Random bindings covering exactly the postulate's free variables."""
+def _draw(pid: PostulateId, cfg: FuzzConfig, rng: random.Random) -> tuple:
+    """Random values for the postulate's free variables, in its row's order."""
     pool_p, pool_q = _pair_pools(cfg, rng)
     if pid is PostulateId.SA5:
         p1 = gen_program(cfg, rng, pool_p)
         q1 = gen_program(cfg, rng, pool_q)
-        return Instance(strategy, programs={
-            "P1": p1,
-            "P2": _equivalent_variant(p1, cfg, rng, pool_p),
-            "Q1": q1,
-            "Q2": _equivalent_variant(q1, cfg, rng, pool_q),
-        })
+        return (p1, _equivalent_variant(p1, cfg, rng, pool_p),
+                q1, _equivalent_variant(q1, cfg, rng, pool_q))
     if pid is PostulateId.SA6:
-        return Instance(strategy, programs={
-            "P": gen_program(cfg, rng, pool_p),
-            "Q1": gen_program(cfg, rng, pool_q),
-            "Q2": gen_program(cfg, rng, pool_q),
-        })
+        return (gen_program(cfg, rng, pool_p), gen_program(cfg, rng, pool_q),
+                gen_program(cfg, rng, pool_q))
     if pid.family == "SA":
-        p, q = gen_program(cfg, rng, pool_p), gen_program(cfg, rng, pool_q)
-        return Instance(strategy, programs={"P": p, "Q": q})
+        return gen_program(cfg, rng, pool_p), gen_program(cfg, rng, pool_q)
 
     constraint = _gen_constraint(cfg, rng, pool_p)
     if pid is PostulateId.FP3:
         members = tuple(_nonempty(cfg, rng, pool_q) for _ in range(rng.randint(1, 2)))
         variants = tuple(_equivalent_variant(m, cfg, rng, pool_q) for m in members)
-        return Instance(
-            strategy,
-            programs={"P": constraint,
-                      "Q": _equivalent_variant(constraint, cfg, rng, pool_p)},
-            profiles={"profile1": members, "profile2": variants},
-        )
+        # the constraint's variant is drawn after the members'
+        return constraint, _equivalent_variant(constraint, cfg, rng, pool_p), members, variants
     if pid is PostulateId.FP4:
         def side() -> Program:
             if rng.random() < 0.7:
                 return _grow_entailing(cfg, rng, pool_q, constraint)
             return _nonempty(cfg, rng, pool_q)
-        return Instance(strategy, programs={
-            "constraint": constraint, "P1": side(), "P2": side(),
-        })
+        return constraint, side(), side()
     if pid in (PostulateId.FP5, PostulateId.FP6):
-        return Instance(
-            strategy,
-            programs={"constraint": constraint},
-            profiles={"profile1": _gen_profile(cfg, rng, pool_q, 2),
-                      "profile2": _gen_profile(cfg, rng, pool_q, 2)},
-        )
+        return (constraint, _gen_profile(cfg, rng, pool_q, 2),
+                _gen_profile(cfg, rng, pool_q, 2))
     if pid in (PostulateId.FP7, PostulateId.FP8):
-        return Instance(
-            strategy,
-            programs={"constraint": constraint,
-                      "Q": gen_program(cfg, rng, pool_q)},
-            profiles={"profile1": _gen_profile(cfg, rng, pool_q)},
-        )
-    # FP0-FP2
-    return Instance(
-        strategy,
-        programs={"constraint": constraint},
-        profiles={"profile1": _gen_profile(cfg, rng, pool_q)},
-    )
+        return constraint, gen_program(cfg, rng, pool_q), _gen_profile(cfg, rng, pool_q)
+    return constraint, _gen_profile(cfg, rng, pool_q)  # FP0-FP2
+
+
+def gen_instance(pid: PostulateId, cfg: FuzzConfig, rng: random.Random,
+                 strategy: Strategy) -> Instance:
+    """Random bindings covering exactly the postulate's free variables."""
+    return bind(pid, strategy, _draw(pid, cfg, rng))
 
 
 def _stream(seed: int, pid: PostulateId, strategy: Strategy, trial: int) -> random.Random:

@@ -1,9 +1,13 @@
 """Executable checkers for the arbitration (SA) and merging (FP) postulates.
 
-Each postulate is encoded as data: the names of its free variables plus
-an evaluation closure over a concrete instance.  The corpus runner and
-the fuzzer share this single evaluator.  A verdict carries the evaluated
-sub-expressions so violations are self-explaining.
+Each postulate is encoded as data: a row of POSTULATES names its free
+variables, programs first and then profiles, and holds its evaluator.
+That row is the one place their order is written.  An evaluator takes
+the strategy and then one value per variable, in row order; check
+unpacks a named Instance into those arguments, and bind builds one from
+values in the same order.  The corpus runner and the fuzzer share this
+single evaluator.  A verdict carries the evaluated sub-expressions so
+violations are self-explaining.
 
 Results of arbitration and merging are literal sets; where a postulate
 combines such a result with a program, the literals are adjoined as
@@ -21,7 +25,7 @@ from enum import Enum
 from functools import reduce
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arbitration import Strategy, arbitrate, conj, disj
 from .core import BOTTOM, ClosedSet, Literal, Program, closure, entails
@@ -130,32 +134,28 @@ def as_program(result: ClosedSet, avoid: frozenset[str]) -> Program:
 # --- SA evaluators ------------------------------------------------------
 
 
-def _sa1(inst: Instance) -> Verdict:
-    p, q = inst.programs["P"], inst.programs["Q"]
-    a = arbitrate(p, q, inst.strategy)
-    b = arbitrate(q, p, inst.strategy)
+def _sa1(strategy: Strategy, p: Program, q: Program) -> Verdict:
+    a = arbitrate(p, q, strategy)
+    b = arbitrate(q, p, strategy)
     return _outcome(a == b, (("arb(P, Q)", str(a)), ("arb(Q, P)", str(b))))
 
 
-def _sa2(inst: Instance) -> Verdict:
-    p, q = inst.programs["P"], inst.programs["Q"]
-    a = arbitrate(p, q, inst.strategy)
+def _sa2(strategy: Strategy, p: Program, q: Program) -> Verdict:
+    a = arbitrate(p, q, strategy)
     c = conj(p, q)
     return _outcome(a.issubset(c), (("arb(P, Q)", str(a)), ("conj(P, Q)", str(c))))
 
 
-def _sa3(inst: Instance) -> Verdict:
-    p, q = inst.programs["P"], inst.programs["Q"]
+def _sa3(strategy: Strategy, p: Program, q: Program) -> Verdict:
     c = conj(p, q)
     if c.is_bottom:
         return _vacuous((("conj(P, Q)", str(c)),))
-    a = arbitrate(p, q, inst.strategy)
+    a = arbitrate(p, q, strategy)
     return _outcome(c.issubset(a), (("conj(P, Q)", str(c)), ("arb(P, Q)", str(a))))
 
 
-def _sa4(inst: Instance) -> Verdict:
-    p, q = inst.programs["P"], inst.programs["Q"]
-    a = arbitrate(p, q, inst.strategy)
+def _sa4(strategy: Strategy, p: Program, q: Program) -> Verdict:
+    a = arbitrate(p, q, strategy)
     both_bottom = closure(p).is_bottom and closure(q).is_bottom
     witness = (
         ("arb(P, Q)", str(a)),
@@ -165,27 +165,23 @@ def _sa4(inst: Instance) -> Verdict:
     return _outcome(a.is_bottom == both_bottom, witness)
 
 
-def _sa5(inst: Instance) -> Verdict:
-    p1, p2 = inst.programs["P1"], inst.programs["P2"]
-    q1, q2 = inst.programs["Q1"], inst.programs["Q2"]
+def _sa5(strategy: Strategy, p1: Program, p2: Program, q1: Program, q2: Program) -> Verdict:
     if closure(p1) != closure(p2) or closure(q1) != closure(q2):
         return _vacuous((
             ("cns(P1)", str(closure(p1))), ("cns(P2)", str(closure(p2))),
             ("cns(Q1)", str(closure(q1))), ("cns(Q2)", str(closure(q2))),
         ))
-    a = arbitrate(p1, q1, inst.strategy)
-    b = arbitrate(p2, q2, inst.strategy)
+    a = arbitrate(p1, q1, strategy)
+    b = arbitrate(p2, q2, strategy)
     return _outcome(a == b, (("arb(P1, Q1)", str(a)), ("arb(P2, Q2)", str(b))))
 
 
-def _sa6(inst: Instance) -> Verdict:
-    p = inst.programs["P"]
-    q1, q2 = inst.programs["Q1"], inst.programs["Q2"]
+def _sa6(strategy: Strategy, p: Program, q1: Program, q2: Program) -> Verdict:
     vocabulary = p.atoms() | q1.atoms() | q2.atoms()
     joint = as_program(disj(q1, q2), vocabulary)
-    lhs = arbitrate(p, joint, inst.strategy)
-    o1 = arbitrate(p, q1, inst.strategy)
-    o2 = arbitrate(p, q2, inst.strategy)
+    lhs = arbitrate(p, joint, strategy)
+    o1 = arbitrate(p, q1, strategy)
+    o2 = arbitrate(p, q2, strategy)
     o3 = o1.meet(o2)
     witness = (
         ("arb(P, disj(Q1, Q2))", str(lhs)),
@@ -196,18 +192,16 @@ def _sa6(inst: Instance) -> Verdict:
     return _outcome(lhs in (o1, o2, o3), witness)
 
 
-def _sa7(inst: Instance) -> Verdict:
-    p, q = inst.programs["P"], inst.programs["Q"]
+def _sa7(strategy: Strategy, p: Program, q: Program) -> Verdict:
     d = disj(p, q)
-    a = arbitrate(p, q, inst.strategy)
+    a = arbitrate(p, q, strategy)
     return _outcome(d.issubset(a), (("disj(P, Q)", str(d)), ("arb(P, Q)", str(a))))
 
 
-def _sa8(inst: Instance) -> Verdict:
-    p, q = inst.programs["P"], inst.programs["Q"]
+def _sa8(strategy: Strategy, p: Program, q: Program) -> Verdict:
     if closure(p).is_bottom:
         return _vacuous((("cns(P)", str(closure(p))),))
-    a = arbitrate(p, q, inst.strategy)
+    a = arbitrate(p, q, strategy)
     combined = adjoin_program(a, p)
     witness = (("arb(P, Q)", str(a)), ("conj(P, arb(P, Q))", str(combined)))
     return _outcome(not combined.is_bottom, witness)
@@ -216,61 +210,55 @@ def _sa8(inst: Instance) -> Verdict:
 # --- FP evaluators ------------------------------------------------------
 
 
-def _fp0(inst: Instance) -> Verdict:
-    c = inst.programs["constraint"]
-    m = merge(c, inst.profiles["profile1"], inst.strategy)
-    witness = (("merge", str(m)), ("cns(constraint)", str(closure(c))))
-    return _outcome(closure(c).issubset(m), witness)
+def _fp0(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
+    m = merge(constraint, profile1, strategy)
+    witness = (("merge", str(m)), ("cns(constraint)", str(closure(constraint))))
+    return _outcome(closure(constraint).issubset(m), witness)
 
 
-def _fp1(inst: Instance) -> Verdict:
-    c = inst.programs["constraint"]
-    if closure(c).is_bottom:
-        return _vacuous((("cns(constraint)", str(closure(c))),))
-    m = merge(c, inst.profiles["profile1"], inst.strategy)
+def _fp1(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
+    if closure(constraint).is_bottom:
+        return _vacuous((("cns(constraint)", str(closure(constraint))),))
+    m = merge(constraint, profile1, strategy)
     return _outcome(not m.is_bottom, (("merge", str(m)),))
 
 
-def _fp2(inst: Instance) -> Verdict:
-    c = inst.programs["constraint"]
-    profile = inst.profiles["profile1"]
-    pooled = closure(reduce(Program.__or__, profile, c))
+def _fp2(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
+    pooled = closure(reduce(Program.__or__, profile1, constraint))
     if pooled.is_bottom:
         return _vacuous((("cns(constraint + profile)", str(pooled)),))
-    m = merge(c, profile, inst.strategy)
+    m = merge(constraint, profile1, strategy)
     witness = (("cns(constraint + profile)", str(pooled)), ("merge", str(m)))
     return _outcome(m == pooled, witness)
 
 
-def _fp3(inst: Instance) -> Verdict:
-    p, q = inst.programs["P"], inst.programs["Q"]
-    ph1, ph2 = inst.profiles["profile1"], inst.profiles["profile2"]
+def _fp3(strategy: Strategy, p: Program, q: Program,
+         profile1: Profile, profile2: Profile) -> Verdict:
     # IC3 pairs the members by a bijection, so compare the multisets of closures
-    paired = closure(p) == closure(q) and Counter(map(closure, ph1)) == Counter(map(closure, ph2))
+    paired = (closure(p) == closure(q)
+              and Counter(map(closure, profile1)) == Counter(map(closure, profile2)))
     if not paired:
         return _vacuous((("cns(P)", str(closure(p))), ("cns(Q)", str(closure(q)))))
-    m1 = merge(p, ph1, inst.strategy)
-    m2 = merge(q, ph2, inst.strategy)
+    m1 = merge(p, profile1, strategy)
+    m2 = merge(q, profile2, strategy)
     witness = (("merge(P, profile1)", str(m1)), ("merge(Q, profile2)", str(m2)))
     return _outcome(m1 == m2, witness)
 
 
-def _fp4(inst: Instance) -> Verdict:
-    c = inst.programs["constraint"]
-    p1, p2 = inst.programs["P1"], inst.programs["P2"]
+def _fp4(strategy: Strategy, constraint: Program, p1: Program, p2: Program) -> Verdict:
     # profiles hold nonempty programs, so an empty side never forms one
     applicable = (
         bool(p1.rules) and bool(p2.rules)
-        and entails(p1, c) and entails(p2, c)
+        and entails(p1, constraint) and entails(p2, constraint)
         and not closure(p1).is_bottom and not closure(p2).is_bottom
     )
     if not applicable:
         return _vacuous((
             ("cns(P1)", str(closure(p1))),
             ("cns(P2)", str(closure(p2))),
-            ("cns(constraint)", str(closure(c))),
+            ("cns(constraint)", str(closure(constraint))),
         ))
-    m = merge(c, (p1, p2), inst.strategy)
+    m = merge(constraint, (p1, p2), strategy)
     with_p1 = adjoin_program(m, p1)
     with_p2 = adjoin_program(m, p2)
     witness = (
@@ -281,12 +269,11 @@ def _fp4(inst: Instance) -> Verdict:
     return _outcome(with_p1.is_bottom or not with_p2.is_bottom, witness)
 
 
-def _fp56_parts(inst: Instance) -> tuple[ClosedSet, ClosedSet, tuple[tuple[str, str], ...]]:
-    c = inst.programs["constraint"]
-    ph1, ph2 = inst.profiles["profile1"], inst.profiles["profile2"]
-    m1 = merge(c, ph1, inst.strategy)
-    m2 = merge(c, ph2, inst.strategy)
-    m12 = merge(c, ph1 + ph2, inst.strategy)
+def _fp56_parts(strategy: Strategy, constraint: Program, profile1: Profile,
+                profile2: Profile) -> tuple[ClosedSet, ClosedSet, tuple[tuple[str, str], ...]]:
+    m1 = merge(constraint, profile1, strategy)
+    m2 = merge(constraint, profile2, strategy)
+    m12 = merge(constraint, profile1 + profile2, strategy)
     union = m1.join(m2)
     witness = (
         ("merge(profile1 + profile2)", str(m12)),
@@ -297,25 +284,25 @@ def _fp56_parts(inst: Instance) -> tuple[ClosedSet, ClosedSet, tuple[tuple[str, 
     return m12, union, witness
 
 
-def _fp5(inst: Instance) -> Verdict:
-    m12, union, witness = _fp56_parts(inst)
+def _fp5(strategy: Strategy, constraint: Program, profile1: Profile,
+         profile2: Profile) -> Verdict:
+    m12, union, witness = _fp56_parts(strategy, constraint, profile1, profile2)
     return _outcome(m12.issubset(union), witness)
 
 
-def _fp6(inst: Instance) -> Verdict:
-    m12, union, witness = _fp56_parts(inst)
+def _fp6(strategy: Strategy, constraint: Program, profile1: Profile,
+         profile2: Profile) -> Verdict:
+    m12, union, witness = _fp56_parts(strategy, constraint, profile1, profile2)
     if union.is_bottom:
         return _vacuous(witness)
     return _outcome(union.issubset(m12), witness)
 
 
-def _fp78_parts(inst: Instance) -> tuple[ClosedSet, ClosedSet, tuple[tuple[str, str], ...]]:
-    c = inst.programs["constraint"]
-    q = inst.programs["Q"]
-    profile = inst.profiles["profile1"]
-    m = merge(c, profile, inst.strategy)
+def _fp78_parts(strategy: Strategy, constraint: Program, q: Program,
+                profile1: Profile) -> tuple[ClosedSet, ClosedSet, tuple[tuple[str, str], ...]]:
+    m = merge(constraint, profile1, strategy)
     lhs = adjoin_program(m, q)
-    rhs = merge(c | q, profile, inst.strategy)
+    rhs = merge(constraint | q, profile1, strategy)
     witness = (
         ("merge(constraint, profile)", str(m)),
         ("merge(constraint, profile) + Q", str(lhs)),
@@ -324,13 +311,13 @@ def _fp78_parts(inst: Instance) -> tuple[ClosedSet, ClosedSet, tuple[tuple[str, 
     return lhs, rhs, witness
 
 
-def _fp7(inst: Instance) -> Verdict:
-    lhs, rhs, witness = _fp78_parts(inst)
+def _fp7(strategy: Strategy, constraint: Program, q: Program, profile1: Profile) -> Verdict:
+    lhs, rhs, witness = _fp78_parts(strategy, constraint, q, profile1)
     return _outcome(rhs.issubset(lhs), witness)
 
 
-def _fp8(inst: Instance) -> Verdict:
-    lhs, rhs, witness = _fp78_parts(inst)
+def _fp8(strategy: Strategy, constraint: Program, q: Program, profile1: Profile) -> Verdict:
+    lhs, rhs, witness = _fp78_parts(strategy, constraint, q, profile1)
     if lhs.is_bottom:
         return _vacuous(witness)
     return _outcome(lhs.issubset(rhs), witness)
@@ -340,7 +327,9 @@ def _fp8(inst: Instance) -> Verdict:
 class PostulateSpec:
     program_vars: tuple[str, ...]
     profile_vars: tuple[str, ...]
-    evaluate: Callable[[Instance], Verdict]
+    # called as evaluate(strategy, *programs, *profiles), each in the
+    # order of program_vars and profile_vars
+    evaluate: Callable[..., Verdict]
     # the strategies the paper guarantees the postulate for
     guaranteed_for: frozenset[Strategy] = frozenset()
 
@@ -396,7 +385,18 @@ def check(pid: PostulateId, instance: Instance) -> Verdict:
                                instance.programs, instance.profiles)
     if problem:
         raise IncompleteBinding(problem)
-    return spec.evaluate(instance)
+    return spec.evaluate(instance.strategy,
+                         *(instance.programs[v] for v in spec.program_vars),
+                         *(instance.profiles[v] for v in spec.profile_vars))
+
+
+def bind(pid: PostulateId, strategy: Strategy, values: Sequence) -> Instance:
+    """The instance binding the postulate's variables to the values, given
+    in its row's order: the programs, then the profiles."""
+    spec = POSTULATES[pid]
+    split = len(spec.program_vars)
+    return Instance(strategy, programs=dict(zip(spec.program_vars, values[:split])),
+                    profiles=dict(zip(spec.profile_vars, values[split:])))
 
 
 def guaranteed(pid: PostulateId, strategy: Strategy) -> bool:
@@ -489,8 +489,6 @@ def _read_entry(entry: Mapping, root: Path) -> _Entry:
         pid, values, label, wanted = None, {}, "arbitration", (("P", "Q"), ())
         expected = tuple((Strategy.from_token(t), str(result))
                          for t, result in entry["expect_results"].items())
-        for var in wanted[0]:  # a missing operand is reported as a missing key
-            entry["programs"][var]
     else:
         raise ValueError(f"unknown corpus entry kind {kind!r}")
     programs, profiles = entry.get("programs", {}), entry.get("profiles", {})
@@ -541,7 +539,7 @@ def run_corpus(location: Path | None = None) -> CorpusReport:
     """
     root = Path(location) if location is not None else _corpus_root()
     path = root / "expectations.json"
-    text = path.read_text(encoding="utf-8")
+    text = parse_file(path, str)  # the decoded text, or UnicodeError naming the file
     entries, where = [], str(path)
     try:
         for i, entry in enumerate(json.loads(text)["entries"], 1):

@@ -11,10 +11,9 @@ Grammar:
 
 "%" starts a comment running to end of line; whitespace is insignificant.
 A profile, like an eh flock, is a tuple of programs.  Their files
-separate programs with lines consisting solely of core.PROFILE_SEPARATOR
+separate programs with lines consisting solely of PROFILE_SEPARATOR
 ("---"), with optional whitespace around it, and parse_profile reads
-both; core owns the separator, and rendering a tuple of programs writes
-it too.
+both; rendering a tuple of programs writes the separator too.
 
 One regular expression splits a program (a profile block) into token
 strings, and one loop parses them.  An unexpected character anywhere in
@@ -22,7 +21,7 @@ a program or block is reported ahead of an earlier grammar error in it;
 blocks are parsed in order.  Positions count lines and code points, and
 a SourceError's line and column are computed only when it is raised,
 from the offset of the token it points at.  Within one parse_program or
-parse_programs call each distinct literal is one shared Literal object.
+parse_profile call each distinct literal is one shared Literal object.
 
 Rendering is canonical: literals sort by (atom, positive first), rules
 sort by their rendered text, and parse(render(x)) == x for programs and
@@ -35,9 +34,11 @@ import re
 from pathlib import Path
 from typing import Callable, TypeVar, Union
 
-from .core import ATOM, PROFILE_SEPARATOR, ClosedSet, Literal, Program, Rule
+from .core import ATOM, ClosedSet, Literal, Program, Rule
 from .errors import EmptyProfile, SourceError
 
+# the line between the programs of a profile or a flock, in text
+PROFILE_SEPARATOR = "---"
 
 # every token is one match: an arrow, an atom, a comment to end of line, or
 # any other single non-whitespace character (punctuation, or a character
@@ -157,21 +158,16 @@ def parse_single_program(text: str) -> Program:
                     "profiles and an eh BASE hold several programs")
 
 
-def parse_programs(text: str) -> tuple[Program, ...]:
-    """Parse a sequence of programs separated by ``---`` lines, dropping
-    blocks that contain no statements.  Used for profiles and flocks."""
+def parse_profile(text: str) -> tuple[Program, ...]:
+    """The programs of a profile or an eh flock, separated by ``---``
+    lines; blocks that contain no statements are dropped, and
+    EmptyProfile is raised when no program is left."""
     separators = [m.span() for m in _SEPARATOR_LINE.finditer(text)]
     starts = [0] + [sep_end for _, sep_end in separators]
     ends = [sep_start for sep_start, _ in separators] + [len(text)]
     interned: _Interned = ({}, {})
-    programs = (_parse_block(text, start, end, interned) for start, end in zip(starts, ends))
-    return tuple(program for program in programs if program.rules)
-
-
-def parse_profile(text: str) -> tuple[Program, ...]:
-    """The programs of a profile or an eh flock; raises EmptyProfile when
-    no program is present."""
-    programs = parse_programs(text)
+    blocks = (_parse_block(text, start, end, interned) for start, end in zip(starts, ends))
+    programs = tuple(program for program in blocks if program.rules)
     if not programs:
         raise EmptyProfile("contains no programs")
     return programs

@@ -24,8 +24,9 @@ from fcmerge import (
     SourceError,
     Strategy,
 )
-from fcmerge.core import ATOM, PROFILE_SEPARATOR
+from fcmerge.core import ATOM
 from fcmerge.fuzz import atom_pool
+from fcmerge.textio import PROFILE_SEPARATOR
 
 
 def naive_closure(program: Program) -> ClosedSet:

@@ -317,7 +317,7 @@ _POSTULATE_ENTRY = {
     (json.dumps({"entries": [{k: v for k, v in _ARBITRATION_ENTRY.items() if k != "name"}]}),
      "entry 1: missing key 'name'"),
     (json.dumps({"entries": [{**_ARBITRATION_ENTRY, "programs": {"P": "p.fc"}}]}),
-     "entry 1 'arb': missing key 'Q'"),
+     "entry 1 'arb': arbitration: missing Q"),
     (json.dumps({"entries": [{**_POSTULATE_ENTRY, "programs": ["p.fc", "q.fc"]}]}),
      "entry 1 'sa1': "),
     (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_POSTULATE_ENTRY,
@@ -343,6 +343,14 @@ def test_corpus_malformed_table_is_input_error(tmp_path, capsys, table, named):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("fcmerge: ") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+def test_corpus_table_not_utf8_names_its_file(tmp_path, capsys):
+    table = tmp_path / "expectations.json"
+    table.write_bytes(b'{"entries": [\xff]}')
+    assert run(["corpus", "--directory", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"fcmerge: {table}: not UTF-8 text (byte 0xff at offset 13)\n")
 
 
 def test_corpus_parse_error_names_its_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from pathlib import Path
@@ -17,7 +18,7 @@ from fcmerge import (
     guaranteed,
     run_corpus,
 )
-from fcmerge.postulates import adjoin_program, as_program
+from fcmerge.postulates import POSTULATES, adjoin_program, as_program, bind
 from fcmerge.core import BOTTOM, closure
 
 from helpers import GAP_P, GAP_Q, closed, prog
@@ -227,6 +228,25 @@ class TestCheckPlumbing:
                         programs={"P": prog("a."), "Q": prog("b."), "R": prog("c.")})
         with pytest.raises(IncompleteBinding, match="unexpected R"):
             check(PostulateId.SA1, inst)
+
+    @pytest.mark.parametrize("pid", tuple(PostulateId))
+    def test_evaluator_takes_the_row_order(self, pid):
+        # check and bind pass values by position, so an evaluator's
+        # parameters must name its row's variables in the row's order
+        spec = POSTULATES[pid]
+        params = list(inspect.signature(spec.evaluate).parameters)
+        assert params[0] == "strategy"
+        assert params[1:] == [v.lower() for v in spec.program_vars + spec.profile_vars]
+
+    def test_bind_follows_the_row_order(self):
+        p1, p2, q1, q2 = prog("a."), prog("b."), prog("c."), prog("d.")
+        inst = bind(PostulateId.SA5, Strategy.HULL, (p1, p2, q1, q2))
+        assert inst == Instance(Strategy.HULL,
+                                programs={"P1": p1, "P2": p2, "Q1": q1, "Q2": q2})
+        profile1, profile2 = (prog("a."),), (prog("b."),)
+        inst = bind(PostulateId.FP3, Strategy.RANK, (p1, q1, profile1, profile2))
+        assert inst == Instance(Strategy.RANK, programs={"P": p1, "Q": q1},
+                                profiles={"profile1": profile1, "profile2": profile2})
 
     def test_violated_verdict_requires_witness(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from fcmerge import (
     SourceError,
     parse_profile,
     parse_program,
-    parse_programs,
     render,
     stratify,
 )
@@ -129,8 +128,8 @@ class TestProfileParsing:
             parse_profile("a.\n---\nb -> .\n")
         assert err.value.line == 3
 
-    def test_parse_programs_keeps_order(self):
-        out = parse_programs("b.\n---\na.")
+    def test_parse_profile_keeps_order(self):
+        out = parse_profile("b.\n---\na.")
         assert out == (prog("b."), prog("a."))
 
     def test_crlf_line_endings(self):
@@ -140,7 +139,7 @@ class TestProfileParsing:
                              ids=_position_ids(PROFILE_ERRORS))
     def test_positions(self, text, line, col, message):
         with pytest.raises(SourceError) as err:
-            parse_programs(text)
+            parse_profile(text)
         assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
 
 
@@ -155,8 +154,8 @@ class TestLiteralSharing:
         found = _literal_objects([parse_program("a. a -> b. -a, b -> -b. b, -b -> a. -a.")])
         assert len({id(l) for l in found}) == len(set(found)) == 4
 
-    def test_parse_programs_shares_across_blocks(self):
-        found = _literal_objects(parse_programs("a -> b. -b.\n---\nb, -a -> a.\n---\n-a -> -b."))
+    def test_parse_profile_shares_across_blocks(self):
+        found = _literal_objects(parse_profile("a -> b. -b.\n---\nb, -a -> a.\n---\n-a -> -b."))
         assert len({id(l) for l in found}) == len(set(found)) == 4
 
 
@@ -263,10 +262,12 @@ def _outcome(parse, text):
         return parse(text)
     except SourceError as err:
         return (err.line, err.column, err.message)
+    except EmptyProfile:
+        return ()  # the reference returns no programs
 
 
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=16).map("".join))
 @settings(max_examples=1000, deadline=None)
 def test_parsers_match_reference(text):
     assert _outcome(parse_program, text) == _outcome(reference_parse_program, text)
-    assert _outcome(parse_programs, text) == _outcome(reference_parse_programs, text)
+    assert _outcome(parse_profile, text) == _outcome(reference_parse_programs, text)
