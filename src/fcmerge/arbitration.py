@@ -4,14 +4,28 @@ conj and disj simulate conjunction and disjunction at the level of
 consequence sets.  Arbitration revises each program by the other under a
 chosen strategy and intersects the resulting consequences, which makes
 it commutative by construction.
+
+Every arbitration and merge rests on revised_closure, whose results are
+memoised in one table keyed by the two programs, the strategy and the
+enumeration cap.  The cap is read here, for h and eh only, so a
+malformed FCMERGE_MAX_ENUM fails them before the lookup and rk never
+reads it; a lowered cap is a new key, so a result cached under a larger
+cap cannot hide its SizeLimitExceeded, which is never cached.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
-from .core import ClosedSet, Program, closure
-from .revision import flock_closure, revise_extended_hull, revise_hull, revise_rank
+from .core import MEMO_SIZE, ClosedSet, Program, closure
+from .revision import (
+    enumeration_cap,
+    flock_closure,
+    revise_extended_hull,
+    revise_hull,
+    revise_rank,
+)
 
 
 class Strategy(Enum):
@@ -41,6 +55,14 @@ def disj(p1: Program, p2: Program) -> ClosedSet:
 
 def revised_closure(p: Program, q: Program, strategy: Strategy) -> ClosedSet:
     """Consequences of revising p by q under the given strategy."""
+    cap = None if strategy is Strategy.RANK else enumeration_cap()
+    return _revised_closure(p, q, strategy, cap)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _revised_closure(p: Program, q: Program, strategy: Strategy,
+                     cap: int | None) -> ClosedSet:
+    # cap only keys the table: h and eh read it again where they enumerate
     if strategy is Strategy.RANK:
         return closure(revise_rank(p, q))
     if strategy is Strategy.HULL:

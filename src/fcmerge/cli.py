@@ -5,9 +5,11 @@ corpus mismatch, or fuzz violations of guaranteed postulates), 2 parse
 or input error (a malformed corpus table among them), 3 usage or
 configuration error, 4 enumeration size limit exceeded.  The
 FCMERGE_MAX_ENUM environment variable (default 24) is the only way to
-set the maximal-subset enumeration cap.  Only h and eh enumeration reads
-it, at each call, so rk revision, arbitration and merging ignore a
-malformed value.  Input files must be UTF-8; an input error names its file.
+set the maximal-subset enumeration cap.  It is read at each h or eh
+revision: by the enumeration, and by arbitration and merging before they
+look a revision up in their memo table, keyed by the cap.  rk never reads
+it, so rk revision, arbitration and merging ignore a malformed value.
+Input files must be UTF-8; an input error names its file.
 """
 
 from __future__ import annotations

@@ -14,9 +14,11 @@ so the base is built only when q is consistent and p | q is not.
 Hull and extended-hull revision enumerate maximal subsets, whose number
 is exponential in the worst case, so the number of candidate rules an
 enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
-variable (default 24) is the only way to set the cap.  Only that
-enumeration reads it, at each call, so rank revision, and arbitration
-and merging built on it, ignore a malformed value.  The search keeps each
+variable (default 24) is the only way to set the cap.  It is read at
+each call by that enumeration, and for h and eh by
+arbitration.revised_closure, whose memo table it keys; never for rank
+revision, so rank revision, and arbitration and merging built on it,
+ignore a malformed value.  The search keeps each
 intolerable minimal transversal as it is: no extension contains it, so
 it meets the complement of every extension found later.
 """

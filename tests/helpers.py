@@ -1,6 +1,7 @@
 """Shared program fixtures and construction shorthands for the tests."""
 
-from fcmerge import ClosedSet, Instance, Literal, Program
+from fcmerge import ClosedSet, Instance, Literal, Program, base, closure
+from fcmerge.arbitration import _revised_closure
 from fcmerge.textio import parse_program
 
 
@@ -25,6 +26,13 @@ def closed(*texts: str) -> ClosedSet:
 def facts(p: Program) -> frozenset[Literal]:
     """The heads of the program's rules with an empty body."""
     return frozenset(r.head for r in p.rules if not r.body)
+
+
+def clear_memos() -> None:
+    """Empty every memo table, so that a count read from cache_info()
+    does not depend on which tests ran before."""
+    for memo in (closure, base, _revised_closure):
+        memo.cache_clear()
 
 
 def total_rules(instance: Instance) -> int:

