@@ -3,13 +3,8 @@
 Exit codes: 0 success (or postulate holds), 1 violation found (check,
 corpus mismatch, or fuzz violations of guaranteed postulates), 2 parse
 or input error (a malformed corpus table among them), 3 usage or
-configuration error, 4 enumeration size limit exceeded.  The
-FCMERGE_MAX_ENUM environment variable (default 24) is the only way to
-set the maximal-subset enumeration cap.  It is read at each h or eh
-revision: by the enumeration, and by arbitration and merging before they
-look a revision up in their memo table, keyed by the cap.  rk never reads
-it, so rk revision, arbitration and merging ignore a malformed value.
-Input files must be UTF-8; an input error names its file.
+configuration error, 4 enumeration size limit exceeded.  Input files
+must be UTF-8; an input error names its file.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .arbitration import Strategy, arbitrate
-from .core import closure
+from .core import ClosedSet, closure
 from .errors import (
     ConfigError,
     CorpusError,
@@ -60,11 +55,16 @@ def _emit(args: argparse.Namespace, plain: str, payload: dict) -> None:
         print(plain)
 
 
-def _cmd_cns(args: argparse.Namespace) -> int:
-    result = closure(parse_file(args.file, parse_single_program))
-    _emit(args, str(result),
-          {"command": "cns", "result": str(result), "is_bottom": result.is_bottom})
+def _emit_closed(args: argparse.Namespace, result: ClosedSet) -> int:
+    payload = {"command": args.command, "result": str(result), "is_bottom": result.is_bottom}
+    if "op" in args:
+        payload["op"] = args.op
+    _emit(args, str(result), payload)
     return 0
+
+
+def _cmd_cns(args: argparse.Namespace) -> int:
+    return _emit_closed(args, closure(parse_file(args.file, parse_single_program)))
 
 
 def _cmd_revise(args: argparse.Namespace) -> int:
@@ -81,17 +81,11 @@ def _cmd_revise(args: argparse.Namespace) -> int:
 
 
 def _cmd_arbitrate(args: argparse.Namespace) -> int:
-    strategy = Strategy.from_token(args.op)
     a, b = (parse_file(path, parse_single_program) for path in (args.a, args.b))
-    result = arbitrate(a, b, strategy)
-    _emit(args, str(result),
-          {"command": "arbitrate", "op": args.op, "result": str(result),
-           "is_bottom": result.is_bottom})
-    return 0
+    return _emit_closed(args, arbitrate(a, b, Strategy.from_token(args.op)))
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    strategy = Strategy.from_token(args.op)
     constraint = parse_file(args.constraint, parse_single_program)
     members = []
     for path in args.programs:
@@ -99,11 +93,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         if not member.rules:
             raise EmptyProfile(f"{path}: an empty program cannot join a profile")
         members.append(member)
-    result = merge(constraint, tuple(members), strategy)
-    _emit(args, str(result),
-          {"command": "merge", "op": args.op, "result": str(result),
-           "is_bottom": result.is_bottom})
-    return 0
+    return _emit_closed(args, merge(constraint, tuple(members), Strategy.from_token(args.op)))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -157,6 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON document")
+    with_op = argparse.ArgumentParser(add_help=False)
+    with_op.add_argument("--op", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
     parser = _Parser(prog="fcmerge",
                      description="belief revision, arbitration, and merging "
                                  "over forward-chaining rule programs")
@@ -167,22 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=_cmd_cns)
 
-    p = sub.add_parser("revise", parents=[common], help="revise BASE by NEW")
-    p.add_argument("--op", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
+    p = sub.add_parser("revise", parents=[common, with_op], help="revise BASE by NEW")
     p.add_argument("base")
     p.add_argument("new")
     p.set_defaults(handler=_cmd_revise)
 
-    p = sub.add_parser("arbitrate", parents=[common],
+    p = sub.add_parser("arbitrate", parents=[common, with_op],
                        help="symmetric merge of two programs")
-    p.add_argument("--op", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(handler=_cmd_arbitrate)
 
-    p = sub.add_parser("merge", parents=[common],
+    p = sub.add_parser("merge", parents=[common, with_op],
                        help="merge programs under an integrity constraint")
-    p.add_argument("--op", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
     p.add_argument("constraint")
     p.add_argument("programs", nargs="+", metavar="PROG")
     p.set_defaults(handler=_cmd_merge)
@@ -192,9 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("postulate", type=str.upper,
                    choices=[pid.value for pid in PostulateId])
     p.add_argument("--strategy", choices=_STRATEGY_TOKENS, default=Strategy.RANK.value)
-    for var in _PROGRAM_VARS:
-        p.add_argument(f"--{var}", metavar="FILE")
-    for var in _PROFILE_VARS:
+    for var in (*_PROGRAM_VARS, *_PROFILE_VARS):
         p.add_argument(f"--{var}", metavar="FILE")
     p.set_defaults(handler=_cmd_check)
 

@@ -449,10 +449,6 @@ class CorpusReport:
         return "\n".join(lines)
 
 
-def _corpus_root() -> Path:
-    return Path(str(resources.files("fcmerge") / "corpus"))
-
-
 def load_bindings(strategy: Strategy, programs: Mapping[str, str | Path],
                   profiles: Mapping[str, str | Path]) -> Instance:
     """An instance binding each name to the program, or the profile, in
@@ -463,31 +459,25 @@ def load_bindings(strategy: Strategy, programs: Mapping[str, str | Path],
                     profiles={name: parse_file(path, parse_profile) for name, path in profiles.items()})
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """One table entry, read and checked before any entry is evaluated."""
-
-    name: str
-    postulate: PostulateId | None  # None for an arbitration entry
-    # per strategy, the expected verdict status or arbitration result
-    expected: tuple[tuple[Strategy, str], ...]
-    values: Mapping[str, str]
-    programs: dict[str, Path]
-    profiles: dict[str, Path]
+def _text(key: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key}: expected a string, got {json.dumps(value)}")
+    return value
 
 
-def _read_entry(entry: Mapping, root: Path) -> _Entry:
+def _read_entry(entry: Mapping, root: Path) -> Iterator[CorpusResult]:
+    """Check one table entry; its evaluation runs only once it is iterated."""
     kind = entry["kind"]
     if kind == "postulate":
         pid = PostulateId.parse(entry["postulate"])
         status = Status(entry["expect"]).value
         expected = tuple((Strategy.from_token(t), status) for t in entry["strategies"])
-        values = dict(entry.get("values", {}))
+        values = {key: _text(key, v) for key, v in dict(entry.get("values", {})).items()}
         label, spec = pid.value, POSTULATES[pid]
         wanted = (spec.program_vars, spec.profile_vars)
     elif kind == "arbitration":
         pid, values, label, wanted = None, {}, "arbitration", (("P", "Q"), ())
-        expected = tuple((Strategy.from_token(t), str(result))
+        expected = tuple((Strategy.from_token(t), _text(t, result))
                          for t, result in entry["expect_results"].items())
     else:
         raise ValueError(f"unknown corpus entry kind {kind!r}")
@@ -495,36 +485,40 @@ def _read_entry(entry: Mapping, root: Path) -> _Entry:
     problem = _binding_problem(label, wanted, programs, profiles)
     if problem:
         raise ValueError(problem)
-    return _Entry(entry["name"], pid, expected, values,
-                  {name: root / rel for name, rel in programs.items()},
-                  {name: root / rel for name, rel in profiles.items()})
+    return _evaluate(entry["name"], pid, expected, values,
+                     {name: root / rel for name, rel in programs.items()},
+                     {name: root / rel for name, rel in profiles.items()})
 
 
-def _evaluate(entry: _Entry) -> Iterator[CorpusResult]:
-    if not entry.expected:
+def _evaluate(name: str, pid: PostulateId | None, expected: tuple[tuple[Strategy, str], ...],
+              values: Mapping[str, str], programs: dict[str, Path],
+              profiles: dict[str, Path]) -> Iterator[CorpusResult]:
+    # pid is None for an arbitration entry; expected holds, per strategy,
+    # the verdict status or arbitration result
+    if not expected:
         return
     # the files are read and parsed once; each strategy shares the bindings
-    loaded = load_bindings(entry.expected[0][0], entry.programs, entry.profiles)
-    for strategy, expected in entry.expected:
+    loaded = load_bindings(expected[0][0], programs, profiles)
+    for strategy, want in expected:
         instance = replace(loaded, strategy=strategy)
         notes = []
-        if entry.postulate is None:
+        if pid is None:
             actual = str(arbitrate(instance.programs["P"], instance.programs["Q"], strategy))
         else:
-            verdict = check(entry.postulate, instance)
+            verdict = check(pid, instance)
             actual, got = verdict.status.value, verdict.witness_dict
-            for key, want in entry.values.items():
+            for key, value in values.items():
                 if key not in got:
                     notes.append(f"missing witness value {key!r}")
-                elif got[key] != want:
-                    notes.append(f"{key}: expected {want!r}, got {got[key]!r}")
+                elif got[key] != value:
+                    notes.append(f"{key}: expected {value!r}, got {got[key]!r}")
         yield CorpusResult(
-            name=entry.name,
-            detail=entry.postulate.value if entry.postulate else "arbitration",
+            name=name,
+            detail=pid.value if pid else "arbitration",
             strategy=strategy.value,
-            expected=expected,
+            expected=want,
             actual=actual,
-            matched=actual == expected and not notes,
+            matched=actual == want and not notes,
             notes=tuple(notes),
         )
 
@@ -537,16 +531,16 @@ def run_corpus(location: Path | None = None) -> CorpusReport:
     raises CorpusError, naming the entry at fault, before any entry is
     evaluated.
     """
-    root = Path(location) if location is not None else _corpus_root()
+    root = Path(str(resources.files("fcmerge") / "corpus") if location is None else location)
     path = root / "expectations.json"
     text = parse_file(path, str)  # the decoded text, or UnicodeError naming the file
-    entries, where = [], str(path)
+    evaluations, where = [], str(path)
     try:
         for i, entry in enumerate(json.loads(text)["entries"], 1):
             where = f"{path}: entry {i}"  # by position until its name is read
             where += f" {entry['name']!r}"
-            entries.append(_read_entry(entry, root))
+            evaluations.append(_read_entry(entry, root))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise CorpusError(f"{where}: {problem}") from None
-    return CorpusReport(tuple(r for entry in entries for r in _evaluate(entry)))
+    return CorpusReport(tuple(r for results in evaluations for r in results))

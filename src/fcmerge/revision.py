@@ -14,13 +14,10 @@ so the base is built only when q is consistent and p | q is not.
 Hull and extended-hull revision enumerate maximal subsets, whose number
 is exponential in the worst case, so the number of candidate rules an
 enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
-variable (default 24) is the only way to set the cap.  It is read at
-each call by that enumeration, and for h and eh by
-arbitration.revised_closure, whose memo table it keys; never for rank
-revision, so rank revision, and arbitration and merging built on it,
-ignore a malformed value.  The search keeps each
-intolerable minimal transversal as it is: no extension contains it, so
-it meets the complement of every extension found later.
+variable (default 24) is the only way to set the cap, and each
+enumeration reads it anew.  The search keeps each intolerable minimal
+transversal as it is: no extension contains it, so it meets the
+complement of every extension found later.
 """
 
 from __future__ import annotations

@@ -174,10 +174,12 @@ def parse_profile(text: str) -> tuple[Program, ...]:
 
 
 def parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
-    """parse applied to the UTF-8 text of the file at path; text that is
-    not UTF-8, a parse error or an empty profile names the file."""
+    """parse applied to the UTF-8 text of the file at path, less one leading
+    byte-order mark.  The mark is dropped after decoding, so the offset a
+    decode error reports counts the file's own bytes.  Text that is not
+    UTF-8, a parse error or an empty profile names the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
     except UnicodeDecodeError as exc:
         raise UnicodeError(f"{path}: not UTF-8 text "
                            f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})") from None

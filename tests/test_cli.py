@@ -45,6 +45,33 @@ def test_cns_json_payload(files, capsys):
     assert payload == {"command": "cns", "result": "a, b", "is_bottom": False}
 
 
+def test_arbitrate_json_payload(files, capsys):
+    a = files("p.fc", GAP_P)
+    b = files("q.fc", GAP_Q)
+    assert run(["arbitrate", "--op", "eh", "--json", a, b]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "arbitrate", "op": "eh", "result": "d, e", "is_bottom": False}
+
+
+def test_merge_json_payload(files, capsys):
+    constraint = files("c.fc", "a. -b.")
+    member = files("m.fc", "a -> b.")
+    assert run(["merge", "--json", constraint, member]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "merge", "op": "rk", "result": "a, -b", "is_bottom": False}
+    bottom = files("bottom.fc", "a. -a.")
+    assert run(["merge", "--op", "h", "--json", bottom, member]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "merge", "op": "h", "result": "#bottom", "is_bottom": True}
+
+
+def test_cns_accepts_a_leading_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.fc"
+    path.write_bytes(b"\xef\xbb\xbfa. a -> b.")
+    assert run(["cns", str(path)]) == 0
+    assert capsys.readouterr().out == "a, b\n"
+
+
 def test_arbitrate_strategies(files, capsys):
     a = files("p.fc", GAP_P)
     b = files("q.fc", GAP_Q)
@@ -329,10 +356,16 @@ _POSTULATE_ENTRY = {
     (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_ARBITRATION_ENTRY, "name": "arb2",
                                                   "profiles": {"profile1": "zz.fc"}}]}),
      "entry 2 'arb2': arbitration: unexpected profile1"),
+    (json.dumps({"entries": [{**_ARBITRATION_ENTRY, "expect_results": {"rk": None}}]}),
+     "entry 1 'arb': rk: expected a string, got null"),
+    (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_POSTULATE_ENTRY,
+                                                  "values": {"arb(P, Q)": 3}}]}),
+     "entry 2 'sa1': arb(P, Q): expected a string, got 3"),
 ], ids=["invalid-json", "no-entries", "unknown-kind", "unknown-postulate",
         "unknown-strategy", "unknown-expect", "missing-expect", "missing-name",
         "arbitration-without-q", "programs-not-a-map", "wrong-binding-names",
-        "arbitration-extra-program", "arbitration-with-profiles"])
+        "arbitration-extra-program", "arbitration-with-profiles",
+        "arbitration-result-not-a-string", "witness-value-not-a-string"])
 def test_corpus_malformed_table_is_input_error(tmp_path, capsys, table, named):
     (tmp_path / "p.fc").write_text("a.\n")
     (tmp_path / "q.fc").write_text("b.\n")
@@ -351,6 +384,16 @@ def test_corpus_table_not_utf8_names_its_file(tmp_path, capsys):
     assert run(["corpus", "--directory", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         f"fcmerge: {table}: not UTF-8 text (byte 0xff at offset 13)\n")
+
+
+def test_corpus_table_with_a_byte_order_mark_runs(tmp_path, capsys):
+    (tmp_path / "p.fc").write_text("a.\n")
+    (tmp_path / "q.fc").write_text("b.\n")
+    arbitration = {**_ARBITRATION_ENTRY, "expect_results": {"rk": "a, b"}}
+    table = json.dumps({"entries": [arbitration, _POSTULATE_ENTRY]})
+    (tmp_path / "expectations.json").write_bytes(b"\xef\xbb\xbf" + table.encode())
+    assert run(["corpus", "--directory", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith("2 evaluations: all entries match\n")
 
 
 def test_corpus_parse_error_names_its_file(tmp_path, capsys):
