@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -35,6 +36,8 @@ _STRATEGY_TOKENS = [s.value for s in Strategy]
 # the binding flags of check, in the order the postulates first name them
 _PROGRAM_VARS = tuple(dict.fromkeys(v for s in POSTULATES.values() for v in s.program_vars))
 _PROFILE_VARS = tuple(dict.fromkeys(v for s in POSTULATES.values() for v in s.profile_vars))
+# the numeric fuzz flags, one per FuzzConfig field with a number for default
+_FUZZ_NUMBERS = tuple(f.name for f in fields(FuzzConfig) if not isinstance(f.default, tuple))
 
 _T = TypeVar("_T")
 
@@ -122,16 +125,9 @@ def _parse_list(raw: str, parse: Callable[[str], _T]) -> tuple[_T, ...]:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    cfg = FuzzConfig(
-        seed=args.seed,
-        trials=args.trials,
-        atoms=args.atoms,
-        rules=args.rules,
-        body_len=args.body_len,
-        neg_prob=args.neg_prob,
-        strategies=_parse_list(args.strategies, Strategy.from_token),
-        postulates=_parse_list(args.postulates, PostulateId.parse),
-    )
+    cfg = FuzzConfig(**{name: getattr(args, name) for name in _FUZZ_NUMBERS},
+                     strategies=_parse_list(args.strategies, Strategy.from_token),
+                     postulates=_parse_list(args.postulates, PostulateId.parse))
     report = search(cfg)
     _emit(args, report.to_text(), report.to_dict())
     return 1 if report.guaranteed_violations else 0
@@ -187,12 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", parents=[common],
                        help="random search for postulate violations")
-    p.add_argument("--seed", type=int, default=FuzzConfig.seed)
-    p.add_argument("--trials", type=int, default=FuzzConfig.trials)
-    p.add_argument("--atoms", type=int, default=FuzzConfig.atoms)
-    p.add_argument("--rules", type=int, default=FuzzConfig.rules)
-    p.add_argument("--body-len", dest="body_len", type=int, default=FuzzConfig.body_len)
-    p.add_argument("--neg-prob", dest="neg_prob", type=float, default=FuzzConfig.neg_prob)
+    for name in _FUZZ_NUMBERS:
+        default = getattr(FuzzConfig, name)
+        p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
     p.add_argument("--strategies", default=Strategy.RANK.value)
     p.add_argument("--postulates",
                    default=",".join(pid.value for pid in PostulateId))

@@ -125,9 +125,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def __contains__(self, rule: Rule) -> bool:
-        return rule in self.rules
-
     def __iter__(self) -> Iterator[Rule]:
         # canonical text order, so iteration is deterministic everywhere
         return iter(sorted(self.rules, key=str))

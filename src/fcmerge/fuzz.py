@@ -114,7 +114,7 @@ def gen_program(cfg: FuzzConfig, rng: random.Random,
 def _nonempty(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Program:
     p = gen_program(cfg, rng, pool)
     if not p.rules:
-        p = Program(frozenset({Rule.fact(_literal(cfg, rng, pool))}))
+        p = Program.from_facts([_literal(cfg, rng, pool)])
     return p
 
 
@@ -136,16 +136,16 @@ def _equivalent_variant(p: Program, cfg: FuzzConfig, rng: random.Random,
     c = closure(p)
     if c.is_bottom:
         return p | Program(frozenset({_rule(cfg, rng, pool)}))
-    derived = sorted(c.literals, key=Literal.sort_key)
+    derived = list(c)
     if derived and rng.random() < 0.5:
         body_size = rng.randint(1, max(1, min(cfg.body_len, len(derived))))
         body = frozenset(rng.choice(derived) for _ in range(body_size))
         return p | Program(frozenset({Rule(body, rng.choice(derived))}))
-    table = cfg._literals  # pool is one of _pair_pools', all in the table
+    # pool is one of _pair_pools', all in the table and never empty, and c
+    # holds at most one literal per atom: blocked is never empty
+    table = cfg._literals
     blocked = [lit for atom in pool for lit in (table[atom, True], table[atom, False])
                if lit not in c]
-    if not blocked:
-        return p
     body = frozenset({rng.choice(blocked)})
     return p | Program(frozenset({Rule(body, _literal(cfg, rng, pool))}))
 
@@ -191,7 +191,7 @@ def _draw(pid: PostulateId, cfg: FuzzConfig, rng: random.Random) -> tuple:
 
     constraint = _gen_constraint(cfg, rng, pool_p)
     if pid is PostulateId.FP3:
-        members = tuple(_nonempty(cfg, rng, pool_q) for _ in range(rng.randint(1, 2)))
+        members = _gen_profile(cfg, rng, pool_q, 2)
         variants = tuple(_equivalent_variant(m, cfg, rng, pool_q) for m in members)
         # the constraint's variant is drawn after the members'
         return constraint, _equivalent_variant(constraint, cfg, rng, pool_p), members, variants

@@ -481,6 +481,8 @@ def _read_entry(entry: Mapping, root: Path) -> Iterator[CorpusResult]:
                          for t, result in entry["expect_results"].items())
     else:
         raise ValueError(f"unknown corpus entry kind {kind!r}")
+    if not expected:
+        raise ValueError("no strategies to evaluate")
     programs, profiles = entry.get("programs", {}), entry.get("profiles", {})
     problem = _binding_problem(label, wanted, programs, profiles)
     if problem:
@@ -494,9 +496,7 @@ def _evaluate(name: str, pid: PostulateId | None, expected: tuple[tuple[Strategy
               values: Mapping[str, str], programs: dict[str, Path],
               profiles: dict[str, Path]) -> Iterator[CorpusResult]:
     # pid is None for an arbitration entry; expected holds, per strategy,
-    # the verdict status or arbitration result
-    if not expected:
-        return
+    # the verdict status or arbitration result, for one strategy at least
     # the files are read and parsed once; each strategy shares the bindings
     loaded = load_bindings(expected[0][0], programs, profiles)
     for strategy, want in expected:

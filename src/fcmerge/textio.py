@@ -196,15 +196,13 @@ Renderable = Union[Literal, Rule, Program, ClosedSet, tuple[Program, ...],
 def render(value: Renderable) -> str:
     """Canonical text form.  A tuple of programs, a profile or a flock,
     renders its members in order, separated by "---" lines; a tuple of
-    literal sets, such as stratify's layers, renders them in order,
-    separated by "|".  parse_program/parse_profile invert it for programs
-    and tuples of nonempty programs."""
+    consistent literal sets, such as stratify's layers, renders each as a
+    ClosedSet, in order, separated by "|".  parse_program/parse_profile
+    invert it for programs and tuples of nonempty programs."""
     if isinstance(value, tuple) and all(isinstance(m, Program) for m in value):
         return f"\n{PROFILE_SEPARATOR}\n".join(map(str, value))
     if isinstance(value, tuple) and all(isinstance(m, frozenset) for m in value):
-        return " | ".join(
-            ", ".join(str(l) for l in sorted(layer, key=Literal.sort_key)) for layer in value
-        )
+        return " | ".join(str(ClosedSet(layer)) for layer in value)
     if isinstance(value, (Literal, Rule, Program, ClosedSet)):
         return str(value)
     raise TypeError(f"cannot render {type(value).__name__}")

@@ -144,10 +144,11 @@ def test_malformed_cap_after_cached_revisions(monkeypatch):
     monkeypatch.delenv("FCMERGE_MAX_ENUM", raising=False)
     arbitrate(p, q, Strategy.HULL)
     rank = arbitrate(p, q, Strategy.RANK)
-    monkeypatch.setenv("FCMERGE_MAX_ENUM", "abc")
-    with pytest.raises(ConfigError):
-        arbitrate(p, q, Strategy.HULL)
-    assert arbitrate(p, q, Strategy.RANK) == rank
+    for raw in ("abc", "-1"):
+        monkeypatch.setenv("FCMERGE_MAX_ENUM", raw)
+        with pytest.raises(ConfigError):
+            arbitrate(p, q, Strategy.HULL)
+        assert arbitrate(p, q, Strategy.RANK) == rank
 
 
 def test_lowered_cap_campaign_after_a_default_cap_campaign(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fcmerge import FuzzConfig, PostulateId, Strategy
 from fcmerge.cli import run
 
 from helpers import GAP_P, GAP_Q
@@ -263,28 +264,36 @@ def test_size_limit_exit_code(files, capsys, monkeypatch):
     assert "cap" in capsys.readouterr().err
 
 
+# each malformed cap, with the complaint enumeration_cap raises about it
+_MALFORMED_CAPS = (("abc", "an integer, got 'abc'"), ("-1", "nonnegative, got -1"))
+
+
 def test_malformed_cap_ignored_by_rank_arbitration(files, capsys, monkeypatch):
-    monkeypatch.setenv("FCMERGE_MAX_ENUM", "abc")
     a = files("a.fc", GAP_P)
     b = files("b.fc", GAP_Q)
-    assert run(["arbitrate", "--op", "rk", a, b]) == 0
+    for raw, _ in _MALFORMED_CAPS:
+        monkeypatch.setenv("FCMERGE_MAX_ENUM", raw)
+        assert run(["arbitrate", "--op", "rk", a, b]) == 0
+        assert capsys.readouterr().out == "\n"  # rk keeps nothing of the gap pair
 
 
 def test_malformed_cap_ignored_by_rank_merge(files, capsys, monkeypatch):
-    monkeypatch.setenv("FCMERGE_MAX_ENUM", "abc")
     constraint = files("c.fc", "-c.")
     m1 = files("m1.fc", "a. a -> c.")
     m2 = files("m2.fc", "b. b -> c.")
-    assert run(["merge", "--op", "rk", constraint, m1, m2]) == 0
-    assert capsys.readouterr().out.strip() == "-c"
+    for raw, _ in _MALFORMED_CAPS:
+        monkeypatch.setenv("FCMERGE_MAX_ENUM", raw)
+        assert run(["merge", "--op", "rk", constraint, m1, m2]) == 0
+        assert capsys.readouterr().out.strip() == "-c"
 
 
 def test_malformed_cap_fails_hull_arbitration(files, capsys, monkeypatch):
-    monkeypatch.setenv("FCMERGE_MAX_ENUM", "abc")
     a = files("a.fc", GAP_P)
     b = files("b.fc", GAP_Q)
-    assert run(["arbitrate", "--op", "h", a, b]) == 3
-    assert "FCMERGE_MAX_ENUM" in capsys.readouterr().err
+    for raw, problem in _MALFORMED_CAPS:
+        monkeypatch.setenv("FCMERGE_MAX_ENUM", raw)
+        assert run(["arbitrate", "--op", "h", a, b]) == 3
+        assert capsys.readouterr().err == f"fcmerge: FCMERGE_MAX_ENUM must be {problem}\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -361,11 +370,16 @@ _POSTULATE_ENTRY = {
     (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_POSTULATE_ENTRY,
                                                   "values": {"arb(P, Q)": 3}}]}),
      "entry 2 'sa1': arb(P, Q): expected a string, got 3"),
+    (json.dumps({"entries": [_ARBITRATION_ENTRY, {**_POSTULATE_ENTRY, "strategies": []}]}),
+     "entry 2 'sa1': no strategies to evaluate"),
+    (json.dumps({"entries": [_POSTULATE_ENTRY, {**_ARBITRATION_ENTRY, "expect_results": {}}]}),
+     "entry 2 'arb': no strategies to evaluate"),
 ], ids=["invalid-json", "no-entries", "unknown-kind", "unknown-postulate",
         "unknown-strategy", "unknown-expect", "missing-expect", "missing-name",
         "arbitration-without-q", "programs-not-a-map", "wrong-binding-names",
         "arbitration-extra-program", "arbitration-with-profiles",
-        "arbitration-result-not-a-string", "witness-value-not-a-string"])
+        "arbitration-result-not-a-string", "witness-value-not-a-string",
+        "postulate-without-strategies", "arbitration-without-results"])
 def test_corpus_malformed_table_is_input_error(tmp_path, capsys, table, named):
     (tmp_path / "p.fc").write_text("a.\n")
     (tmp_path / "q.fc").write_text("b.\n")
@@ -376,6 +390,23 @@ def test_corpus_malformed_table_is_input_error(tmp_path, capsys, table, named):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("fcmerge: ") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+def test_corpus_witness_value_notes(tmp_path, capsys):
+    (tmp_path / "p.fc").write_text("a.\n")
+    (tmp_path / "q.fc").write_text("b.\n")
+    entry = {**_POSTULATE_ENTRY, "name": "wit", "values": {"nope": "x", "arb(P, Q)": "b"}}
+    (tmp_path / "expectations.json").write_text(json.dumps({"entries": [entry]}))
+    notes = ["missing witness value 'nope'", "arb(P, Q): expected 'b', got 'a, b'"]
+    assert run(["corpus", "--directory", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "\n".join([
+        "FAIL  wit [rk] SA1: expected holds, got holds",
+        *(f"      {note}" for note in notes),
+        "1 evaluations: MISMATCHES FOUND\n"])
+    assert run(["corpus", "--directory", str(tmp_path), "--json"]) == 1
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert result["notes"] == notes
+    assert (result["expected"], result["actual"], result["matched"]) == ("holds", "holds", False)
 
 
 def test_corpus_table_not_utf8_names_its_file(tmp_path, capsys):
@@ -434,6 +465,20 @@ def test_fuzz_default_strategy_is_rank(capsys):
     assert run(["fuzz", "--trials", "5", "--postulates", "SA1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert {c["strategy"] for c in payload["cells"]} == {"rk"}
+
+
+def test_fuzz_numeric_flags_reach_the_config(capsys):
+    flags = ["--seed", "3", "--trials", "2", "--atoms", "4", "--rules", "5",
+             "--body-len", "2", "--neg-prob", "0.4"]
+    numeric = {"seed": 3, "trials": 2, "atoms": 4, "rules": 5, "body_len": 2, "neg_prob": 0.4}
+    for argv, values in ((flags, numeric), ([], {})):  # given, then FuzzConfig's defaults
+        assert run(["fuzz", *argv, "--postulates", "SA1", "--json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        expected = FuzzConfig(**values, strategies=(Strategy.RANK,),
+                              postulates=(PostulateId.SA1,)).to_dict()
+        assert config == expected
+        # == takes 4 for 4.0, so the types are compared too
+        assert {k: type(v) for k, v in config.items()} == {k: type(v) for k, v in expected.items()}
 
 
 def test_fuzz_config_error_exit_code(capsys):
