@@ -112,7 +112,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     _emit(args, "\n".join(lines),
           {"command": "check", "postulate": pid.value, "strategy": args.strategy,
            "status": verdict.status.value, "witness": verdict.witness_dict,
-           "reason": verdict.reason})
+           "reason": None})
     return 1 if verdict.status is Status.VIOLATED else 0
 
 
@@ -225,7 +225,3 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

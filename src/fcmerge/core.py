@@ -61,6 +61,8 @@ class Literal:
     def __post_init__(self) -> None:
         if not _ATOM_RE.fullmatch(self.atom):
             raise ValueError(f"invalid atom name: {self.atom!r}")
+        if not isinstance(self.positive, bool):
+            raise ValueError(f"invalid literal sign: {self.positive!r}")
 
     def sort_key(self) -> tuple[str, bool]:
         # atom ascending, positive before negative

@@ -327,8 +327,8 @@ def search(cfg: FuzzConfig) -> FuzzReport:
                 instance = gen_instance(pid, cfg, rng, strategy)
                 try:
                     verdict = check(pid, instance)
-                except SizeLimitExceeded as exc:
-                    verdict = Verdict(Status.SKIPPED, reason=str(exc))
+                except SizeLimitExceeded:
+                    verdict = Verdict(Status.SKIPPED)
                 evaluations.append(EvalRecord(pid.value, strategy.value, trial,
                                               verdict.status.value))
                 if verdict.status is Status.VIOLATED:

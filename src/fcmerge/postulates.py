@@ -76,7 +76,6 @@ class Status(Enum):
 class Verdict:
     status: Status
     witness: tuple[tuple[str, str], ...] = ()
-    reason: str | None = None
 
     def __post_init__(self) -> None:
         if self.status is Status.VIOLATED and not self.witness:
@@ -156,21 +155,16 @@ def _sa3(strategy: Strategy, p: Program, q: Program) -> Verdict:
 
 def _sa4(strategy: Strategy, p: Program, q: Program) -> Verdict:
     a = arbitrate(p, q, strategy)
-    both_bottom = closure(p).is_bottom and closure(q).is_bottom
-    witness = (
-        ("arb(P, Q)", str(a)),
-        ("cns(P)", str(closure(p))),
-        ("cns(Q)", str(closure(q))),
-    )
-    return _outcome(a.is_bottom == both_bottom, witness)
+    cp, cq = closure(p), closure(q)
+    witness = (("arb(P, Q)", str(a)), ("cns(P)", str(cp)), ("cns(Q)", str(cq)))
+    return _outcome(a.is_bottom == (cp.is_bottom and cq.is_bottom), witness)
 
 
 def _sa5(strategy: Strategy, p1: Program, p2: Program, q1: Program, q2: Program) -> Verdict:
-    if closure(p1) != closure(p2) or closure(q1) != closure(q2):
-        return _vacuous((
-            ("cns(P1)", str(closure(p1))), ("cns(P2)", str(closure(p2))),
-            ("cns(Q1)", str(closure(q1))), ("cns(Q2)", str(closure(q2))),
-        ))
+    cp1, cp2, cq1, cq2 = map(closure, (p1, p2, q1, q2))
+    if cp1 != cp2 or cq1 != cq2:
+        return _vacuous((("cns(P1)", str(cp1)), ("cns(P2)", str(cp2)),
+                         ("cns(Q1)", str(cq1)), ("cns(Q2)", str(cq2))))
     a = arbitrate(p1, q1, strategy)
     b = arbitrate(p2, q2, strategy)
     return _outcome(a == b, (("arb(P1, Q1)", str(a)), ("arb(P2, Q2)", str(b))))
@@ -199,8 +193,9 @@ def _sa7(strategy: Strategy, p: Program, q: Program) -> Verdict:
 
 
 def _sa8(strategy: Strategy, p: Program, q: Program) -> Verdict:
-    if closure(p).is_bottom:
-        return _vacuous((("cns(P)", str(closure(p))),))
+    cp = closure(p)
+    if cp.is_bottom:
+        return _vacuous((("cns(P)", str(cp)),))
     a = arbitrate(p, q, strategy)
     combined = adjoin_program(a, p)
     witness = (("arb(P, Q)", str(a)), ("conj(P, arb(P, Q))", str(combined)))
@@ -212,13 +207,14 @@ def _sa8(strategy: Strategy, p: Program, q: Program) -> Verdict:
 
 def _fp0(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
     m = merge(constraint, profile1, strategy)
-    witness = (("merge", str(m)), ("cns(constraint)", str(closure(constraint))))
-    return _outcome(closure(constraint).issubset(m), witness)
+    c = closure(constraint)
+    return _outcome(c.issubset(m), (("merge", str(m)), ("cns(constraint)", str(c))))
 
 
 def _fp1(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
-    if closure(constraint).is_bottom:
-        return _vacuous((("cns(constraint)", str(closure(constraint))),))
+    c = closure(constraint)
+    if c.is_bottom:
+        return _vacuous((("cns(constraint)", str(c)),))
     m = merge(constraint, profile1, strategy)
     return _outcome(not m.is_bottom, (("merge", str(m)),))
 
@@ -235,10 +231,9 @@ def _fp2(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
 def _fp3(strategy: Strategy, p: Program, q: Program,
          profile1: Profile, profile2: Profile) -> Verdict:
     # IC3 pairs the members by a bijection, so compare the multisets of closures
-    paired = (closure(p) == closure(q)
-              and Counter(map(closure, profile1)) == Counter(map(closure, profile2)))
-    if not paired:
-        return _vacuous((("cns(P)", str(closure(p))), ("cns(Q)", str(closure(q)))))
+    cp, cq = closure(p), closure(q)
+    if cp != cq or Counter(map(closure, profile1)) != Counter(map(closure, profile2)):
+        return _vacuous((("cns(P)", str(cp)), ("cns(Q)", str(cq))))
     m1 = merge(p, profile1, strategy)
     m2 = merge(q, profile2, strategy)
     witness = (("merge(P, profile1)", str(m1)), ("merge(Q, profile2)", str(m2)))
@@ -247,17 +242,15 @@ def _fp3(strategy: Strategy, p: Program, q: Program,
 
 def _fp4(strategy: Strategy, constraint: Program, p1: Program, p2: Program) -> Verdict:
     # profiles hold nonempty programs, so an empty side never forms one
+    cp1, cp2 = closure(p1), closure(p2)
     applicable = (
         bool(p1.rules) and bool(p2.rules)
         and entails(p1, constraint) and entails(p2, constraint)
-        and not closure(p1).is_bottom and not closure(p2).is_bottom
+        and not cp1.is_bottom and not cp2.is_bottom
     )
     if not applicable:
-        return _vacuous((
-            ("cns(P1)", str(closure(p1))),
-            ("cns(P2)", str(closure(p2))),
-            ("cns(constraint)", str(closure(constraint))),
-        ))
+        return _vacuous((("cns(P1)", str(cp1)), ("cns(P2)", str(cp2)),
+                         ("cns(constraint)", str(closure(constraint)))))
     m = merge(constraint, (p1, p2), strategy)
     with_p1 = adjoin_program(m, p1)
     with_p2 = adjoin_program(m, p2)
@@ -418,9 +411,6 @@ class CorpusResult:
     matched: bool
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class CorpusReport:
@@ -433,7 +423,7 @@ class CorpusReport:
     def to_dict(self) -> dict:
         return {
             "all_match": self.all_match,
-            "results": [r.to_dict() for r in self.results],
+            "results": [asdict(r) for r in self.results],
         }
 
     def to_text(self) -> str:
@@ -475,10 +465,22 @@ def _read_entry(entry: Mapping, root: Path) -> Iterator[CorpusResult]:
         values = {key: _text(key, v) for key, v in dict(entry.get("values", {})).items()}
         label, spec = pid.value, POSTULATES[pid]
         wanted = (spec.program_vars, spec.profile_vars)
+
+        def evaluate(instance: Instance) -> tuple[str, tuple[str, ...]]:
+            verdict = check(pid, instance)
+            got = verdict.witness_dict
+            return verdict.status.value, tuple(
+                f"missing witness value {key!r}" if key not in got
+                else f"{key}: expected {value!r}, got {got[key]!r}"
+                for key, value in values.items() if got.get(key) != value)
     elif kind == "arbitration":
-        pid, values, label, wanted = None, {}, "arbitration", (("P", "Q"), ())
+        label, wanted = "arbitration", (("P", "Q"), ())
         expected = tuple((Strategy.from_token(t), _text(t, result))
                          for t, result in entry["expect_results"].items())
+
+        def evaluate(instance: Instance) -> tuple[str, tuple[str, ...]]:
+            return str(arbitrate(instance.programs["P"], instance.programs["Q"],
+                                 instance.strategy)), ()
     else:
         raise ValueError(f"unknown corpus entry kind {kind!r}")
     if not expected:
@@ -487,40 +489,23 @@ def _read_entry(entry: Mapping, root: Path) -> Iterator[CorpusResult]:
     problem = _binding_problem(label, wanted, programs, profiles)
     if problem:
         raise ValueError(problem)
-    return _evaluate(entry["name"], pid, expected, values,
+    return _evaluate(entry["name"], label, expected, evaluate,
                      {name: root / rel for name, rel in programs.items()},
                      {name: root / rel for name, rel in profiles.items()})
 
 
-def _evaluate(name: str, pid: PostulateId | None, expected: tuple[tuple[Strategy, str], ...],
-              values: Mapping[str, str], programs: dict[str, Path],
-              profiles: dict[str, Path]) -> Iterator[CorpusResult]:
-    # pid is None for an arbitration entry; expected holds, per strategy,
-    # the verdict status or arbitration result, for one strategy at least
-    # the files are read and parsed once; each strategy shares the bindings
+def _evaluate(name: str, label: str, expected: tuple[tuple[Strategy, str], ...],
+              evaluate: Callable[[Instance], tuple[str, tuple[str, ...]]],
+              programs: dict[str, Path], profiles: dict[str, Path]) -> Iterator[CorpusResult]:
+    # expected holds, per strategy, the verdict status or arbitration
+    # result, for one strategy at least; evaluate gives the actual one and
+    # any witness notes.  The files are read and parsed once; each strategy
+    # shares the bindings
     loaded = load_bindings(expected[0][0], programs, profiles)
     for strategy, want in expected:
-        instance = replace(loaded, strategy=strategy)
-        notes = []
-        if pid is None:
-            actual = str(arbitrate(instance.programs["P"], instance.programs["Q"], strategy))
-        else:
-            verdict = check(pid, instance)
-            actual, got = verdict.status.value, verdict.witness_dict
-            for key, value in values.items():
-                if key not in got:
-                    notes.append(f"missing witness value {key!r}")
-                elif got[key] != value:
-                    notes.append(f"{key}: expected {value!r}, got {got[key]!r}")
-        yield CorpusResult(
-            name=name,
-            detail=pid.value if pid else "arbitration",
-            strategy=strategy.value,
-            expected=want,
-            actual=actual,
-            matched=actual == want and not notes,
-            notes=tuple(notes),
-        )
+        actual, notes = evaluate(replace(loaded, strategy=strategy))
+        yield CorpusResult(name=name, detail=label, strategy=strategy.value, expected=want,
+                           actual=actual, matched=actual == want and not notes, notes=notes)
 
 
 def run_corpus(location: Path | None = None) -> CorpusReport:

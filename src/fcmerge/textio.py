@@ -189,8 +189,7 @@ def parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
         raise EmptyProfile(f"{path}: {exc}") from None
 
 
-Renderable = Union[Literal, Rule, Program, ClosedSet, tuple[Program, ...],
-                   tuple[frozenset[Literal], ...]]
+Renderable = Union[Program, ClosedSet, tuple[Program, ...], tuple[frozenset[Literal], ...]]
 
 
 def render(value: Renderable) -> str:
@@ -203,6 +202,6 @@ def render(value: Renderable) -> str:
         return f"\n{PROFILE_SEPARATOR}\n".join(map(str, value))
     if isinstance(value, tuple) and all(isinstance(m, frozenset) for m in value):
         return " | ".join(str(ClosedSet(layer)) for layer in value)
-    if isinstance(value, (Literal, Rule, Program, ClosedSet)):
+    if isinstance(value, (Program, ClosedSet)):
         return str(value)
     raise TypeError(f"cannot render {type(value).__name__}")

@@ -141,10 +141,23 @@ def test_check_holds_and_json(files, capsys):
     p = files("p.fc", "a.")
     q = files("q.fc", "b.")
     assert run(["check", "sa1", "--P", p, "--Q", q, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["status"] == "holds"
-    assert payload["postulate"] == "SA1"
-    assert payload["witness"]["arb(P, Q)"] == "a, b"
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "check", "postulate": "SA1", "reason": None, "status": "holds",
+        "strategy": "rk", "witness": {"arb(P, Q)": "a, b", "arb(Q, P)": "a, b"}}
+
+
+def test_check_violated_json(files, capsys):
+    constraint = files("c.fc", "c.")
+    q = files("q.fc", "a.")
+    profile = files("profile.fc", "a -> b.")
+    assert run(["check", "FP7", "--constraint", constraint, "--Q", q,
+                "--profile1", profile, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "check", "postulate": "FP7", "reason": None, "status": "violated",
+        "strategy": "rk", "witness": {
+            "merge(constraint, profile)": "c",
+            "merge(constraint, profile) + Q": "a, c",
+            "merge(constraint + Q, profile)": "a, b, c"}}
 
 
 def test_check_incomplete_binding_is_usage_error(files, capsys):

@@ -30,10 +30,11 @@ class TestLiteral:
         flipped = Literal(l.atom, not l.positive)
         assert flipped == lit("a") and Literal(flipped.atom, not flipped.positive) == l
 
-    @pytest.mark.parametrize("bad", ["", "1a", "a-b", "a b", "ä"])
+    # a string is a bad atom name; anything else is a bad sign for atom "a"
+    @pytest.mark.parametrize("bad", ["", "1a", "a-b", "a b", "ä", 2, 1, None])
     def test_invalid_atoms_rejected(self, bad):
         with pytest.raises(ValueError):
-            Literal(bad)
+            Literal(bad) if isinstance(bad, str) else Literal("a", bad)
 
     def test_sort_order_puts_positive_first(self):
         ordered = sorted(lits("-a", "b", "a"), key=Literal.sort_key)

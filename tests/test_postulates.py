@@ -316,7 +316,8 @@ class TestCorpus:
         }))
         report = run_corpus(tmp_path)
         assert not report.all_match
-        assert "FAIL" in report.to_text()
+        assert report.to_text() == ("FAIL  bogus [rk] arbitration: expected zzz, got a, b\n"
+                                    "1 evaluations: MISMATCHES FOUND")
 
     def test_separator_in_a_corpus_program_is_named(self, tmp_path: Path):
         # entry programs load as check's bindings do, one program a file
