@@ -14,7 +14,10 @@ found by its atom and sign) together with the state of its closure, and
 rules that start switched off.  The same propagation loop yields the firing rounds that ``closure``
 and ``stratify`` report, and answers "is the program plus these literals
 and these switched-on rules consistent?" by propagating only what they
-add on top of that closure and undoing it afterwards.
+add on top of that closure and undoing it afterwards.  Listing the rules
+whose bodies it does not tolerate asks only about rules that have not
+fired: chaining is monotone, so a rule that fired in the closure or in a
+consistent answer has its body inside a consistent closure.
 
 This module owns ``MEMO_SIZE``, the bound of every memo table.
 
@@ -59,7 +62,7 @@ class Literal:
     positive: bool = True
 
     def __post_init__(self) -> None:
-        if not _ATOM_RE.fullmatch(self.atom):
+        if not (isinstance(self.atom, str) and _ATOM_RE.fullmatch(self.atom)):
             raise ValueError(f"invalid atom name: {self.atom!r}")
         if not isinstance(self.positive, bool):
             raise ValueError(f"invalid literal sign: {self.positive!r}")
@@ -223,9 +226,9 @@ class CompiledProgram:
     the rules whose body holds its negative literal and those whose body
     holds its positive one, indexed by ``Literal.positive``.  Keying by
     the atom string, whose hash is cached, keeps Literal's generated
-    ``__hash__`` and ``__eq__`` out of chaining.  The rules of ``off``
-    come first, at their positions in ``off``, each with one extra
-    missing count: switched off.
+    ``__hash__`` and ``__eq__`` out of chaining.  ``rules`` holds the
+    rules by position, those of ``off`` first, at their positions in
+    ``off``, each with one extra missing count: switched off.
     Construction fires the rules with nothing missing; ``rounds`` then
     holds the firing rounds (round 0 the facts, round i+1 the new heads of
     the rules whose last missing body literal was derived in round i), or
@@ -236,10 +239,10 @@ class CompiledProgram:
     not cache or share it.
     """
 
-    __slots__ = ("_heads", "_missing", "_watchers", "_signs", "rounds")
+    __slots__ = ("rules", "_heads", "_missing", "_watchers", "_signs", "rounds")
 
     def __init__(self, program: Program, off: Sequence[Rule] = ()) -> None:
-        rules = (*off, *program.rules)
+        self.rules = rules = (*off, *program.rules)
         self._heads = [r.head for r in rules]
         self._missing = [len(r.body) + 1 for r in off] + [len(r.body) for r in program.rules]
         watchers: dict[str, tuple[list[int], list[int]]] = {}
@@ -262,7 +265,7 @@ class CompiledProgram:
         Returns False as soon as an atom and its negation are both
         derived.  Each literal in ``rounds`` has had its sign recorded and
         its watchers' counts decremented, also on that early return, so
-        ``rounds`` is the trail that ``consistent_with`` unwinds.
+        ``rounds`` is the trail that ``_ask`` unwinds.
         """
         signs, watchers, missing, heads = self._signs, self._watchers, self._missing, self._heads
         while True:
@@ -300,20 +303,42 @@ class CompiledProgram:
         if self.rounds is None:
             return False
         missing = self._missing
-        if on:  # skipped on exceptional_rules' literals-only path, asked once per rule
-            for idx in on:
-                missing[idx] -= 1
-            literals = chain(literals, [self._heads[idx] for idx in on if not missing[idx]])
+        for idx in on:
+            missing[idx] -= 1
+        consistent = self._ask(chain(literals, [self._heads[idx] for idx in on if not missing[idx]]))
+        for idx in on:
+            missing[idx] += 1
+        return consistent
+
+    def intolerable(self) -> list[int]:
+        """The positions of the rules whose bodies cannot be consistently
+        added to the switched-on rules, in ``rules`` order.
+
+        Only unsettled rules are asked about.  A rule is settled once it
+        has fired in a consistent state, at construction or in a question
+        answered consistent: its body then adds nothing to that state.
+        """
+        if self.rounds is None:
+            return list(range(len(self.rules)))
+        settled = [not m for m in self._missing]
+        return [idx for idx, rule in enumerate(self.rules)
+                if not settled[idx] and not self._ask(rule.body, settled)]
+
+    def _ask(self, literals: Iterable[Literal], settled: list[bool] | None = None) -> bool:
+        # propagate the literals on top of the closure and undo them; when
+        # they stay consistent, mark in settled every rule they fired
         trail: list[list[Literal]] = []
         consistent = self._propagate(literals, trail)
-        signs, watchers = self._signs, self._watchers
+        if not consistent:
+            settled = None
+        signs, watchers, missing = self._signs, self._watchers, self._missing
         for layer in trail:
             for lit in layer:
                 del signs[lit.atom]
                 for idx in watchers.get(lit.atom, _UNWATCHED)[lit.positive]:
+                    if settled is not None and not missing[idx]:
+                        settled[idx] = True
                     missing[idx] += 1
-        for idx in on:
-            missing[idx] += 1
         return consistent
 
 

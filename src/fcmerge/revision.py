@@ -61,14 +61,15 @@ def exceptional_rules(program: Program) -> Program:
     is the closure of the program plus what the body newly derives on top
     of it.  So the program is compiled once per call and each body is
     propagated on top of its closure and then undone, instead of closing
-    the program afresh for every rule.  A call costs one compiled index,
-    linear in the program size, plus work per rule proportional to what
-    its body newly derives.
+    the program afresh for every rule.  Monotonicity also settles rules
+    without a question of their own: a rule that fires in the closure, or
+    while a body is propagated without collapse, has its body inside a
+    consistent closure, so it is tolerated.  A call costs one compiled
+    index, linear in the program size, plus work per rule still unsettled
+    when its turn comes, proportional to what its body newly derives.
     """
     compiled = CompiledProgram(program)
-    return Program(frozenset(
-        r for r in program.rules if not compiled.consistent_with(r.body)
-    ))
+    return Program(frozenset(compiled.rules[idx] for idx in compiled.intolerable()))
 
 
 @lru_cache(maxsize=MEMO_SIZE)

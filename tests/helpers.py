@@ -1,5 +1,8 @@
 """Shared program fixtures and construction shorthands for the tests."""
 
+import importlib.util
+from pathlib import Path
+
 from fcmerge import ClosedSet, Instance, Literal, Program, base, closure
 from fcmerge.arbitration import _revised_closure
 from fcmerge.textio import parse_program
@@ -7,6 +10,24 @@ from fcmerge.textio import parse_program
 
 def prog(text: str) -> Program:
     return parse_program(text)
+
+
+def _load_workloads():
+    # the benchmark's generators, imported from perfbench/ rather than copied
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_workloads = _load_workloads()
+
+
+def rank_large_pair(size: int, seed: int) -> tuple[Program, Program]:
+    """P1 and P2 of the rank-large benchmark's triple of that size and seed."""
+    p1, p2, _ = _workloads.gen_rank_triple(size, seed)
+    return prog(_workloads.render_rules(p1)), prog(_workloads.render_rules(p2))
 
 
 def lit(text: str) -> Literal:

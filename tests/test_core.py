@@ -30,11 +30,15 @@ class TestLiteral:
         flipped = Literal(l.atom, not l.positive)
         assert flipped == lit("a") and Literal(flipped.atom, not flipped.positive) == l
 
-    # a string is a bad atom name; anything else is a bad sign for atom "a"
-    @pytest.mark.parametrize("bad", ["", "1a", "a-b", "a b", "ä", 2, 1, None])
-    def test_invalid_atoms_rejected(self, bad):
-        with pytest.raises(ValueError):
-            Literal(bad) if isinstance(bad, str) else Literal("a", bad)
+    # bad atom names, then bad signs for atom "a", then atoms that are not strings
+    @pytest.mark.parametrize("args", [
+        *(pytest.param((atom,), id=atom) for atom in ["", "1a", "a-b", "a b", "ä"]),
+        *(pytest.param(("a", sign), id=str(sign)) for sign in [2, 1, None]),
+        *(pytest.param((atom,), id=f"atom {atom!r}") for atom in [5, None, b"a"]),
+    ])
+    def test_invalid_atoms_rejected(self, args):
+        with pytest.raises(ValueError, match="^invalid "):
+            Literal(*args)
 
     def test_sort_order_puts_positive_first(self):
         ordered = sorted(lits("-a", "b", "a"), key=Literal.sort_key)
@@ -185,6 +189,19 @@ def test_switched_on_rules_match_closure(p, q, subsets):
         on = [i for i in sorted(subset) if i < len(off)]
         switched_on = Program(frozenset(off[i] for i in on))
         assert compiled.consistent_with((), on) == (not closure(switched_on | q).is_bottom)
+
+
+@given(programs, programs)
+@settings(max_examples=300, deadline=None)
+def test_intolerable_positions_match_consistent_with(p, q):
+    # a position is intolerable exactly when its rule's body, asked alone,
+    # collapses the switched-on rules: with none switched off, and with p's
+    # rules switched off.  The questions come after intolerable, so they
+    # also check that it left the index in its closure state
+    for compiled in (CompiledProgram(p | q), CompiledProgram(q, sorted(p.rules, key=str))):
+        positions = compiled.intolerable()
+        assert positions == [i for i, rule in enumerate(compiled.rules)
+                             if not compiled.consistent_with(rule.body)]
 
 
 @given(programs, programs)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from helpers import (
     closed,
     facts,
     prog,
+    rank_large_pair,
 )
 from oracles import brute_maximal_extensions, naive_base, naive_exceptional, naive_rank
 from strategies import dense_programs, programs, rules
@@ -431,6 +433,34 @@ programs_up_to_16 = st.builds(Program, st.frozensets(rules, max_size=16))
 def test_exceptional_rules_and_base_match_naive_oracles(p):
     assert exceptional_rules(p) == naive_exceptional(p)
     assert base(p) == naive_base(p)
+
+
+@pytest.mark.parametrize("size", [128, 256])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exceptional_rules_and_base_match_naive_oracles_at_rank_large_sizes(size, seed):
+    # Hypothesis programs rarely let one question settle another rule;
+    # on the benchmark's programs a consistent question settles many
+    for p in rank_large_pair(size, seed):
+        assert exceptional_rules(p) == naive_exceptional(p)
+        assert base(p) == naive_base(p)
+
+
+def test_base_questions_on_rank_large_programs(monkeypatch):
+    # pinned work: the questions asked while building the bases of the six
+    # 128-rule programs, counted as propagations less index builds.  One
+    # question per rule per level asked 918; a consistent question settles
+    # every rule it fires, and 401-412 are left, depending on set order
+    pool = [p for seed in (1, 2, 3) for p in rank_large_pair(128, seed)]
+    calls = Counter()
+    for name in ("__init__", "_propagate"):
+        def counting(self, *args, name=name, method=getattr(CompiledProgram, name)):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(CompiledProgram, name, counting)
+    clear_memos()
+    for p in pool:
+        base(p)
+    assert calls["_propagate"] - calls["__init__"] <= 459
 
 
 def _assert_rank_revision_matches_oracles(p, q):
