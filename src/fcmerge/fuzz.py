@@ -17,7 +17,8 @@ gen_program accepts, builds a literal per draw.
 A witness shrinks one removal at a time: one program rule, then per
 profile one member or one member rule, then every rule that mentions
 one atom.  Members left without rules are dropped; a removal that would
-empty a profile is not tried.
+empty a profile is not tried, nor one naming the same rules as a removal
+already refused on the same instance.
 """
 
 from __future__ import annotations
@@ -398,12 +399,21 @@ def _removals(instance: Instance) -> Iterator[list[_Site]]:
 def shrink(instance: Instance, predicate: Callable[[Instance], bool]) -> Instance:
     """Greedily remove rules, profile members, and atoms while the
     predicate keeps holding.  The result is locally minimal: no single
-    removal preserves the predicate."""
+    removal preserves the predicate.  The predicate must depend on the
+    instance alone: it is asked once per distinct removal from each
+    instance kept."""
     if not predicate(instance):
         raise PredicateNotHolding("predicate does not hold on the input instance")
     current = instance
     while True:
+        # _removals can name the same rules twice (a one-rule member, an
+        # atom in one rule); the predicate would refuse the repeat again
+        tried: set[frozenset[_Site]] = set()
         for sites in _removals(current):
+            key = frozenset(sites)
+            if key in tried:
+                continue
+            tried.add(key)
             candidate = _without(current, sites)
             if candidate is not None and predicate(candidate):
                 current = candidate

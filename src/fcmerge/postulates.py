@@ -7,7 +7,8 @@ the strategy and then one value per variable, in row order; check
 unpacks a named Instance into those arguments, and bind builds one from
 values in the same order.  The corpus runner and the fuzzer share this
 single evaluator.  A verdict carries the evaluated sub-expressions so
-violations are self-explaining.
+violations are self-explaining; their text is rendered when the witness
+is read, so a verdict whose witness nobody reads renders nothing.
 
 Results of arbitration and merging are literal sets; where a postulate
 combines such a result with a program, the literals are adjoined as
@@ -72,14 +73,24 @@ class Status(Enum):
     SKIPPED = "skipped"
 
 
+# (label, value) pairs of the sub-expressions an evaluator computed
+_Values = tuple[tuple[str, ClosedSet], ...]
+
+
 @dataclass(frozen=True)
 class Verdict:
     status: Status
-    witness: tuple[tuple[str, str], ...] = ()
+    values: _Values = ()
 
     def __post_init__(self) -> None:
-        if self.status is Status.VIOLATED and not self.witness:
+        if self.status is Status.VIOLATED and not self.values:
             raise ValueError("a violation verdict needs a witness")
+
+    @property
+    def witness(self) -> tuple[tuple[str, str], ...]:
+        """The values as (label, text) pairs, rendered on each read: most
+        verdicts are never read, so they render nothing."""
+        return tuple((label, str(value)) for label, value in self.values)
 
     @property
     def witness_dict(self) -> dict[str, str]:
@@ -95,11 +106,11 @@ class Instance:
     profiles: dict[str, Profile] = field(default_factory=dict)
 
 
-def _outcome(condition: bool, witness: tuple[tuple[str, str], ...]) -> Verdict:
+def _outcome(condition: bool, witness: _Values) -> Verdict:
     return Verdict(Status.HOLDS if condition else Status.VIOLATED, witness)
 
 
-def _vacuous(witness: tuple[tuple[str, str], ...]) -> Verdict:
+def _vacuous(witness: _Values) -> Verdict:
     return Verdict(Status.VACUOUS, witness)
 
 
@@ -136,38 +147,38 @@ def as_program(result: ClosedSet, avoid: frozenset[str]) -> Program:
 def _sa1(strategy: Strategy, p: Program, q: Program) -> Verdict:
     a = arbitrate(p, q, strategy)
     b = arbitrate(q, p, strategy)
-    return _outcome(a == b, (("arb(P, Q)", str(a)), ("arb(Q, P)", str(b))))
+    return _outcome(a == b, (("arb(P, Q)", a), ("arb(Q, P)", b)))
 
 
 def _sa2(strategy: Strategy, p: Program, q: Program) -> Verdict:
     a = arbitrate(p, q, strategy)
     c = conj(p, q)
-    return _outcome(a.issubset(c), (("arb(P, Q)", str(a)), ("conj(P, Q)", str(c))))
+    return _outcome(a.issubset(c), (("arb(P, Q)", a), ("conj(P, Q)", c)))
 
 
 def _sa3(strategy: Strategy, p: Program, q: Program) -> Verdict:
     c = conj(p, q)
     if c.is_bottom:
-        return _vacuous((("conj(P, Q)", str(c)),))
+        return _vacuous((("conj(P, Q)", c),))
     a = arbitrate(p, q, strategy)
-    return _outcome(c.issubset(a), (("conj(P, Q)", str(c)), ("arb(P, Q)", str(a))))
+    return _outcome(c.issubset(a), (("conj(P, Q)", c), ("arb(P, Q)", a)))
 
 
 def _sa4(strategy: Strategy, p: Program, q: Program) -> Verdict:
     a = arbitrate(p, q, strategy)
     cp, cq = closure(p), closure(q)
-    witness = (("arb(P, Q)", str(a)), ("cns(P)", str(cp)), ("cns(Q)", str(cq)))
+    witness = (("arb(P, Q)", a), ("cns(P)", cp), ("cns(Q)", cq))
     return _outcome(a.is_bottom == (cp.is_bottom and cq.is_bottom), witness)
 
 
 def _sa5(strategy: Strategy, p1: Program, p2: Program, q1: Program, q2: Program) -> Verdict:
     cp1, cp2, cq1, cq2 = map(closure, (p1, p2, q1, q2))
     if cp1 != cp2 or cq1 != cq2:
-        return _vacuous((("cns(P1)", str(cp1)), ("cns(P2)", str(cp2)),
-                         ("cns(Q1)", str(cq1)), ("cns(Q2)", str(cq2))))
+        return _vacuous((("cns(P1)", cp1), ("cns(P2)", cp2),
+                         ("cns(Q1)", cq1), ("cns(Q2)", cq2)))
     a = arbitrate(p1, q1, strategy)
     b = arbitrate(p2, q2, strategy)
-    return _outcome(a == b, (("arb(P1, Q1)", str(a)), ("arb(P2, Q2)", str(b))))
+    return _outcome(a == b, (("arb(P1, Q1)", a), ("arb(P2, Q2)", b)))
 
 
 def _sa6(strategy: Strategy, p: Program, q1: Program, q2: Program) -> Verdict:
@@ -178,10 +189,10 @@ def _sa6(strategy: Strategy, p: Program, q1: Program, q2: Program) -> Verdict:
     o2 = arbitrate(p, q2, strategy)
     o3 = o1.meet(o2)
     witness = (
-        ("arb(P, disj(Q1, Q2))", str(lhs)),
-        ("arb(P, Q1)", str(o1)),
-        ("arb(P, Q2)", str(o2)),
-        ("disj(arb(P, Q1), arb(P, Q2))", str(o3)),
+        ("arb(P, disj(Q1, Q2))", lhs),
+        ("arb(P, Q1)", o1),
+        ("arb(P, Q2)", o2),
+        ("disj(arb(P, Q1), arb(P, Q2))", o3),
     )
     return _outcome(lhs in (o1, o2, o3), witness)
 
@@ -189,16 +200,16 @@ def _sa6(strategy: Strategy, p: Program, q1: Program, q2: Program) -> Verdict:
 def _sa7(strategy: Strategy, p: Program, q: Program) -> Verdict:
     d = disj(p, q)
     a = arbitrate(p, q, strategy)
-    return _outcome(d.issubset(a), (("disj(P, Q)", str(d)), ("arb(P, Q)", str(a))))
+    return _outcome(d.issubset(a), (("disj(P, Q)", d), ("arb(P, Q)", a)))
 
 
 def _sa8(strategy: Strategy, p: Program, q: Program) -> Verdict:
     cp = closure(p)
     if cp.is_bottom:
-        return _vacuous((("cns(P)", str(cp)),))
+        return _vacuous((("cns(P)", cp),))
     a = arbitrate(p, q, strategy)
     combined = adjoin_program(a, p)
-    witness = (("arb(P, Q)", str(a)), ("conj(P, arb(P, Q))", str(combined)))
+    witness = (("arb(P, Q)", a), ("conj(P, arb(P, Q))", combined))
     return _outcome(not combined.is_bottom, witness)
 
 
@@ -208,23 +219,23 @@ def _sa8(strategy: Strategy, p: Program, q: Program) -> Verdict:
 def _fp0(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
     m = merge(constraint, profile1, strategy)
     c = closure(constraint)
-    return _outcome(c.issubset(m), (("merge", str(m)), ("cns(constraint)", str(c))))
+    return _outcome(c.issubset(m), (("merge", m), ("cns(constraint)", c)))
 
 
 def _fp1(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
     c = closure(constraint)
     if c.is_bottom:
-        return _vacuous((("cns(constraint)", str(c)),))
+        return _vacuous((("cns(constraint)", c),))
     m = merge(constraint, profile1, strategy)
-    return _outcome(not m.is_bottom, (("merge", str(m)),))
+    return _outcome(not m.is_bottom, (("merge", m),))
 
 
 def _fp2(strategy: Strategy, constraint: Program, profile1: Profile) -> Verdict:
     pooled = closure(reduce(Program.__or__, profile1, constraint))
     if pooled.is_bottom:
-        return _vacuous((("cns(constraint + profile)", str(pooled)),))
+        return _vacuous((("cns(constraint + profile)", pooled),))
     m = merge(constraint, profile1, strategy)
-    witness = (("cns(constraint + profile)", str(pooled)), ("merge", str(m)))
+    witness = (("cns(constraint + profile)", pooled), ("merge", m))
     return _outcome(m == pooled, witness)
 
 
@@ -233,10 +244,10 @@ def _fp3(strategy: Strategy, p: Program, q: Program,
     # IC3 pairs the members by a bijection, so compare the multisets of closures
     cp, cq = closure(p), closure(q)
     if cp != cq or Counter(map(closure, profile1)) != Counter(map(closure, profile2)):
-        return _vacuous((("cns(P)", str(cp)), ("cns(Q)", str(cq))))
+        return _vacuous((("cns(P)", cp), ("cns(Q)", cq)))
     m1 = merge(p, profile1, strategy)
     m2 = merge(q, profile2, strategy)
-    witness = (("merge(P, profile1)", str(m1)), ("merge(Q, profile2)", str(m2)))
+    witness = (("merge(P, profile1)", m1), ("merge(Q, profile2)", m2))
     return _outcome(m1 == m2, witness)
 
 
@@ -249,30 +260,30 @@ def _fp4(strategy: Strategy, constraint: Program, p1: Program, p2: Program) -> V
         and not cp1.is_bottom and not cp2.is_bottom
     )
     if not applicable:
-        return _vacuous((("cns(P1)", str(cp1)), ("cns(P2)", str(cp2)),
-                         ("cns(constraint)", str(closure(constraint)))))
+        return _vacuous((("cns(P1)", cp1), ("cns(P2)", cp2),
+                         ("cns(constraint)", closure(constraint))))
     m = merge(constraint, (p1, p2), strategy)
     with_p1 = adjoin_program(m, p1)
     with_p2 = adjoin_program(m, p2)
     witness = (
-        ("merge", str(m)),
-        ("cns(merge + P1)", str(with_p1)),
-        ("cns(merge + P2)", str(with_p2)),
+        ("merge", m),
+        ("cns(merge + P1)", with_p1),
+        ("cns(merge + P2)", with_p2),
     )
     return _outcome(with_p1.is_bottom or not with_p2.is_bottom, witness)
 
 
 def _fp56_parts(strategy: Strategy, constraint: Program, profile1: Profile,
-                profile2: Profile) -> tuple[ClosedSet, ClosedSet, tuple[tuple[str, str], ...]]:
+                profile2: Profile) -> tuple[ClosedSet, ClosedSet, _Values]:
     m1 = merge(constraint, profile1, strategy)
     m2 = merge(constraint, profile2, strategy)
     m12 = merge(constraint, profile1 + profile2, strategy)
     union = m1.join(m2)
     witness = (
-        ("merge(profile1 + profile2)", str(m12)),
-        ("merge(profile1)", str(m1)),
-        ("merge(profile2)", str(m2)),
-        ("union", str(union)),
+        ("merge(profile1 + profile2)", m12),
+        ("merge(profile1)", m1),
+        ("merge(profile2)", m2),
+        ("union", union),
     )
     return m12, union, witness
 
@@ -292,14 +303,14 @@ def _fp6(strategy: Strategy, constraint: Program, profile1: Profile,
 
 
 def _fp78_parts(strategy: Strategy, constraint: Program, q: Program,
-                profile1: Profile) -> tuple[ClosedSet, ClosedSet, tuple[tuple[str, str], ...]]:
+                profile1: Profile) -> tuple[ClosedSet, ClosedSet, _Values]:
     m = merge(constraint, profile1, strategy)
     lhs = adjoin_program(m, q)
     rhs = merge(constraint | q, profile1, strategy)
     witness = (
-        ("merge(constraint, profile)", str(m)),
-        ("merge(constraint, profile) + Q", str(lhs)),
-        ("merge(constraint + Q, profile)", str(rhs)),
+        ("merge(constraint, profile)", m),
+        ("merge(constraint, profile) + Q", lhs),
+        ("merge(constraint + Q, profile)", rhs),
     )
     return lhs, rhs, witness
 
@@ -357,6 +368,8 @@ def _binding_problem(label: str, wanted: tuple[Iterable[str], Iterable[str]],
     wanted ones are expected, or None when they are exactly those."""
     programs, profiles = set(programs), set(profiles)
     wanted_programs, wanted_profiles = map(set, wanted)
+    if (programs, profiles) == (wanted_programs, wanted_profiles):
+        return None
     missing = sorted((wanted_programs - programs) | (wanted_profiles - profiles))
     extra = sorted((programs - wanted_programs) | (profiles - wanted_profiles))
     parts = []
@@ -364,7 +377,7 @@ def _binding_problem(label: str, wanted: tuple[Iterable[str], Iterable[str]],
         parts.append("missing " + ", ".join(missing))
     if extra:
         parts.append("unexpected " + ", ".join(extra))
-    return f"{label}: " + "; ".join(parts) if parts else None
+    return f"{label}: " + "; ".join(parts)
 
 
 def check(pid: PostulateId, instance: Instance) -> Verdict:

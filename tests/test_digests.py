@@ -1,7 +1,8 @@
 """Byte-identical output guard: the JSON reports of a fixed fuzz run and
 of the bundled corpus, and the shrunk witnesses of that fuzz run, are
 pinned by their SHA-256 digests, so any change to what the library
-computes or prints shows up here."""
+computes or prints shows up here.  The number of questions shrinking
+asks is pinned beside them."""
 
 import hashlib
 import json
@@ -39,10 +40,12 @@ def test_json_report_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_shrunk_witness_digest():
+@pytest.fixture(scope="module")
+def fixed_run_shrinks():
     # every violation of the fixed run, re-read from its rendered text and
-    # shrunk while check keeps it violated, one JSON line per witness
-    lines = []
+    # shrunk while check keeps it violated: one JSON line per witness, and
+    # the number of times shrinking asked check
+    lines, asked = [], 0
     for v in search(FuzzConfig(seed=7, trials=40)).violations:
         pid = PostulateId.parse(v.postulate)
         instance = Instance(
@@ -50,8 +53,25 @@ def test_shrunk_witness_digest():
             programs={k: parse_program(t) for k, t in v.instance["programs"].items()},
             profiles={k: parse_profile(t) for k, t in v.instance["profiles"].items()},
         )
-        shrunk = shrink(instance, lambda i, pid=pid: check(pid, i).status is Status.VIOLATED)
-        lines.append(json.dumps(render_instance(shrunk), sort_keys=True))
+
+        def violated(i, pid=pid):
+            nonlocal asked
+            asked += 1
+            return check(pid, i).status is Status.VIOLATED
+
+        lines.append(json.dumps(render_instance(shrink(instance, violated)), sort_keys=True))
+    return lines, asked
+
+
+def test_shrunk_witness_digest(fixed_run_shrinks):
+    lines, _ = fixed_run_shrinks
     assert len(lines) == 69
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == SHRUNK_SHA256
+
+
+def test_shrink_predicate_calls(fixed_run_shrinks):
+    # pinned work: may only fall.  2,963 while a pass asked again about a
+    # removal naming the same rules as one it had refused
+    _, asked = fixed_run_shrinks
+    assert asked == 2758

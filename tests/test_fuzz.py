@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 from dataclasses import fields
@@ -249,6 +250,36 @@ class TestShrink:
             {("P", -1, "a -> b."), ("profile1", 1, "b -> c.")},
             {("P", -1, "c."), ("profile1", 1, "b -> c.")},
         ]
+
+    def test_each_distinct_removal_is_asked_once_per_pass(self):
+        # the member c. has one rule, and atoms a, c and e occur in one rule
+        # each, so _removals names those rules twice; a pass ends when the
+        # predicate keeps a candidate
+        inst = Instance(Strategy.RANK, programs={"constraint": prog("a. a -> b.")},
+                        profiles={"profile1": Profile((prog("c."), prog("d. d -> e.")))})
+        a, c, d_e = (prog(t).rules for t in ("a.", "c.", "d -> e."))
+        passes = [[]]
+
+        def pred(i):
+            passes[-1].append(json.dumps(render_instance(i), sort_keys=True))
+            members = i.profiles["profile1"]
+            kept = (a <= i.programs["constraint"].rules
+                    and any(c <= m.rules for m in members)
+                    and any(d_e <= m.rules for m in members))
+            if kept:
+                passes.append([])
+            return kept
+
+        result = shrink(inst, pred)
+        assert render_instance(result) == {
+            "strategy": "rk", "programs": {"constraint": "a."},
+            "profiles": {"profile1": "c.\n---\nd -> e."},
+        }
+        for asked in passes:
+            assert len(asked) == len(set(asked))
+        # the input, then 1, 5 and 3 candidates; with the repeats asked
+        # again, the last two passes would ask 6 and 9
+        assert [len(asked) for asked in passes] == [1, 1, 5, 3]
 
     def test_already_minimal_unchanged(self):
         inst = Instance(Strategy.RANK, programs={"P": prog("a."), "Q": prog("")})

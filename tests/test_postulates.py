@@ -19,7 +19,7 @@ from fcmerge import (
     run_corpus,
 )
 from fcmerge.postulates import POSTULATES, adjoin_program, as_program, bind
-from fcmerge.core import BOTTOM, closure
+from fcmerge.core import BOTTOM, ClosedSet, closure
 
 from helpers import GAP_P, GAP_Q, closed, prog
 
@@ -251,6 +251,27 @@ class TestCheckPlumbing:
     def test_violated_verdict_requires_witness(self):
         with pytest.raises(ValueError):
             Verdict(Status.VIOLATED)
+
+    @pytest.mark.parametrize("pid, programs, status, witness", [
+        (PostulateId.SA1, {"P": "a. a -> b.", "Q": "c."}, Status.HOLDS,
+         (("arb(P, Q)", "a, b, c"), ("arb(Q, P)", "a, b, c"))),
+        (PostulateId.FP4, {"constraint": "a. a -> c.", "P1": "b.", "P2": "a. -a."},
+         Status.VACUOUS,
+         (("cns(P1)", "b"), ("cns(P2)", "#bottom"), ("cns(constraint)", "a, c"))),
+    ], ids=["SA1-holds", "FP4-vacuous"])
+    def test_witness_is_rendered_when_read(self, pid, programs, status, witness,
+                                           monkeypatch):
+        renders = []
+        render = ClosedSet.__str__
+        monkeypatch.setattr(ClosedSet, "__str__",
+                            lambda c: renders.append(c) or render(c))
+        inst = Instance(Strategy.RANK,
+                        programs={k: prog(t) for k, t in programs.items()})
+        verdict = check(pid, inst)
+        assert verdict.status is status
+        assert renders == []
+        assert verdict.witness == witness
+        assert len(renders) == len(witness)
 
     def test_postulate_id_parsing(self):
         assert PostulateId.parse("sa5") is PostulateId.SA5
