@@ -36,7 +36,6 @@ from .postulates import (
 from .revision import (
     base,
     exceptional_rules,
-    flock_closure,
     hull,
     maximal_extensions,
     rank,
@@ -78,7 +77,6 @@ __all__ = [
     "disj",
     "entails",
     "exceptional_rules",
-    "flock_closure",
     "gen_instance",
     "gen_program",
     "guaranteed",

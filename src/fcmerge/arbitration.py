@@ -10,22 +10,20 @@ memoised in one table keyed by the two programs, the strategy and the
 enumeration cap.  The cap is read here, for h and eh only, so a
 malformed FCMERGE_MAX_ENUM fails them before the lookup and rk never
 reads it; a lowered cap is a new key, so a result cached under a larger
-cap cannot hide its SizeLimitExceeded, which is never cached.
+cap cannot hide its SizeLimitExceeded, which is never cached.  h and eh
+pass that cap to the enumeration, so a revision reads it once, and read
+their closures off the enumeration's own index instead of closing the
+revised programs again.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
-from .core import MEMO_SIZE, ClosedSet, Program, closure
-from .revision import (
-    enumeration_cap,
-    flock_closure,
-    revise_extended_hull,
-    revise_hull,
-    revise_rank,
-)
+from .core import BOTTOM, MEMO_SIZE, ClosedSet, Program, closure
+from .revision import enumeration_cap, revise_rank, search_extensions
 
 
 class Strategy(Enum):
@@ -62,12 +60,17 @@ def revised_closure(p: Program, q: Program, strategy: Strategy) -> ClosedSet:
 @lru_cache(maxsize=MEMO_SIZE)
 def _revised_closure(p: Program, q: Program, strategy: Strategy,
                      cap: int | None) -> ClosedSet:
-    # cap only keys the table: h and eh read it again where they enumerate
     if strategy is Strategy.RANK:
         return closure(revise_rank(p, q))
-    if strategy is Strategy.HULL:
-        return closure(revise_hull(p, q))
-    return flock_closure(revise_extended_hull((p,), q))
+    # the closure of hull | q, or the meet of each extension | q's closure,
+    # read off the search's index with those candidates switched on
+    level, _, compiled, found = search_extensions(p, q, cap)
+    if compiled is None:  # no extension, or the rank level the only one
+        return closure(level | q) if found else BOTTOM
+    chosen = found if strategy is Strategy.EXTENDED_HULL else [reduce(and_, found)]
+    return reduce(ClosedSet.meet, (
+        compiled.closure_with([i for i in range(s.bit_length()) if s >> i & 1])
+        for s in chosen), BOTTOM)
 
 
 def arbitrate(p1: Program, p2: Program, strategy: Strategy) -> ClosedSet:

@@ -13,8 +13,9 @@ index (rule heads, missing-body counts, the rules watching each literal,
 found by its atom and sign) together with the state of its closure, and
 rules that start switched off.  The same propagation loop yields the firing rounds that ``closure``
 and ``stratify`` report, and answers "is the program plus these literals
-and these switched-on rules consistent?" by propagating only what they
-add on top of that closure and undoing it afterwards.  Listing the rules
+and these switched-on rules consistent?", or what their closure is, by
+propagating only what they add on top of that closure and undoing it
+afterwards.  Listing the rules
 whose bodies it does not tolerate asks only about rules that have not
 fired: chaining is monotone, so a rule that fired in the closure or in a
 consistent answer has its body inside a consistent closure.
@@ -291,10 +292,12 @@ class CompiledProgram:
                 return True
             frontier = fired
 
-    def consistent_with(self, literals: Iterable[Literal], on: Sequence[int] = ()) -> bool:
+    def consistent_with(self, literals: Iterable[Literal], on: Sequence[int] = (),
+                        derived: list[Literal] | None = None) -> bool:
         """Whether the literals can be added to the program as facts, with
         the distinct switched-off positions ``on`` switched on, without
-        collapsing its consequences.
+        collapsing its consequences.  If they can, what they newly derive
+        is appended to ``derived`` when it is given.
 
         Forward chaining is monotone, so only what the literals and rules
         newly derive on top of the program's closure is propagated, and
@@ -305,10 +308,29 @@ class CompiledProgram:
         missing = self._missing
         for idx in on:
             missing[idx] -= 1
-        consistent = self._ask(chain(literals, [self._heads[idx] for idx in on if not missing[idx]]))
+        consistent = self._ask(chain(literals, [self._heads[idx] for idx in on if not missing[idx]]),
+                               derived=derived)
         for idx in on:
             missing[idx] += 1
         return consistent
+
+    def closure_with(self, on: Sequence[int]) -> ClosedSet:
+        """The closure of the program with the distinct switched-off
+        positions ``on`` switched on, propagated on top of its own
+        closure as a ``consistent_with`` question is, and then undone."""
+        derived: list[Literal] = []
+        if not self.consistent_with((), on, derived):
+            return BOTTOM
+        return ClosedSet(frozenset(chain(chain.from_iterable(self.rounds), derived)))
+
+    def inert(self, idx: int) -> bool:
+        """Whether the rule at a position changes nothing when switched on
+        in any consistent state holding the closure: its head is derived
+        in the closure, so firing adds nothing, or a body literal is
+        opposed to a derived one, so it never fires."""
+        signs, rule = self._signs, self.rules[idx]
+        return (signs.get(rule.head.atom) == rule.head.positive
+                or any(signs.get(l.atom) == (not l.positive) for l in rule.body))
 
     def intolerable(self) -> list[int]:
         """The positions of the rules whose bodies cannot be consistently
@@ -324,13 +346,17 @@ class CompiledProgram:
         return [idx for idx, rule in enumerate(self.rules)
                 if not settled[idx] and not self._ask(rule.body, settled)]
 
-    def _ask(self, literals: Iterable[Literal], settled: list[bool] | None = None) -> bool:
+    def _ask(self, literals: Iterable[Literal], settled: list[bool] | None = None,
+             derived: list[Literal] | None = None) -> bool:
         # propagate the literals on top of the closure and undo them; when
-        # they stay consistent, mark in settled every rule they fired
+        # they stay consistent, mark in settled every rule they fired and
+        # append to derived every literal they derived
         trail: list[list[Literal]] = []
         consistent = self._propagate(literals, trail)
         if not consistent:
             settled = None
+        elif derived is not None:
+            derived += chain.from_iterable(trail)
         signs, watchers, missing = self._signs, self._watchers, self._missing
         for layer in trail:
             for lit in layer:

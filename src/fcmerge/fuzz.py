@@ -28,6 +28,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Callable, Iterator
 
 from .arbitration import Strategy
@@ -373,20 +374,21 @@ def _without(instance: Instance, sites: list[_Site]) -> Instance | None:
     return Instance(instance.strategy, programs=programs, profiles=profiles)
 
 
-def _removals(instance: Instance) -> Iterator[list[_Site]]:
-    # each program rule; per profile, each member, then each member rule;
-    # then each atom, that is every rule mentioning it.  Each list names
-    # rules of the instance, so every removal shrinks it.  Lazy, because
-    # shrink restarts from the first candidate it keeps
+def _removals(instance: Instance, text: Callable[[Rule], str]) -> Iterator[list[_Site]]:
+    # each program rule; per profile, each member, then each member rule,
+    # rules in canonical order, which sorts by text; then each atom,
+    # that is every rule mentioning it.  Each list names rules of the
+    # instance, so every removal shrinks it.  Lazy, because shrink
+    # restarts from the first candidate it keeps
     for name in sorted(instance.programs):
-        for rule in instance.programs[name]:
+        for rule in sorted(instance.programs[name].rules, key=text):
             yield [(name, -1, rule)]
     for name in sorted(instance.profiles):
         members = instance.profiles[name]
         for i, member in enumerate(members):
             yield [(name, i, rule) for rule in member.rules]
         for i, member in enumerate(members):
-            for rule in member:
+            for rule in sorted(member.rules, key=text):
                 yield [(name, i, rule)]
     sites = [(name, -1, rule) for name, p in instance.programs.items() for rule in p.rules]
     sites += [(name, i, rule) for name, profile in instance.profiles.items()
@@ -405,11 +407,14 @@ def shrink(instance: Instance, predicate: Callable[[Instance], bool]) -> Instanc
     if not predicate(instance):
         raise PredicateNotHolding("predicate does not hold on the input instance")
     current = instance
+    # removals only drop rules, so each rule is rendered once, here
+    programs = chain(instance.programs.values(), *instance.profiles.values())
+    text = {rule: str(rule) for program in programs for rule in program.rules}
     while True:
         # _removals can name the same rules twice (a one-rule member, an
         # atom in one rule); the predicate would refuse the repeat again
         tried: set[frozenset[_Site]] = set()
-        for sites in _removals(current):
+        for sites in _removals(current, text.__getitem__):
             key = frozenset(sites)
             if key in tried:
                 continue

@@ -15,17 +15,22 @@ Hull and extended-hull revision enumerate maximal subsets, whose number
 is exponential in the worst case, so the number of candidate rules an
 enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
 variable (default 24) is the only way to set the cap, and each
-enumeration reads it anew.  The search keeps each intolerable minimal
-transversal as it is: no extension contains it, so it meets the
-complement of every extension found later.
+enumeration reads it anew, unless the revision table, which is keyed by
+the cap, passes the one it read.  One search serves maximal_extensions,
+hull and the revision table, each reading only what it needs.  It asks
+nothing about a candidate that the closure of the rank level and q makes
+inert, and keeps each intolerable minimal transversal as it is: no
+extension contains it, so it meets the complement of every extension
+found later.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache, reduce
+from operator import and_
 
-from .core import BOTTOM, MEMO_SIZE, ClosedSet, CompiledProgram, Program, closure
+from .core import MEMO_SIZE, CompiledProgram, Program, Rule, closure
 from .errors import ConfigError, SizeLimitExceeded
 
 DEFAULT_ENUM_CAP = 24
@@ -115,39 +120,43 @@ def revise_rank(p: Program, q: Program) -> Program:
     return q if closure(q).is_bottom else _rank_level(p, q) | q
 
 
-def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
-    """All maximal subsets of p that contain the rank level and stay
-    consistent with q, in canonical text order.
+def search_extensions(p: Program, q: Program, cap: int | None = None
+                      ) -> tuple[Program, tuple[Rule, ...], CompiledProgram | None, list[int]]:
+    """The search behind maximal_extensions, hull and the h and eh
+    revision closures, each of which reads what it needs: the rank level,
+    the candidate rules outside it in canonical text order, the index the
+    search asked (None when it asked nothing), and each maximal extension
+    as a bitmask over the candidates, in the order found.
 
-    Empty exactly when q is inconsistent; the rank level alone, without
-    a search, when no rule lies outside it, as when p | q is consistent
-    (the base of p is built only when it is not).  More candidate rules than
-    enumeration_cap() raise SizeLimitExceeded.  The search is output
-    sensitive: it asks at most one tolerability question per candidate
-    to grow each extension, and one per minimal transversal of the found
-    extensions' complements.  Its work follows the number of extensions
-    and of those transversals, not of subsets; both can be exponential.
+    No extension when q is inconsistent; the rank level alone, without a
+    search, when no rule lies outside it.  The cap is enumeration_cap()
+    unless given: the revision table passes the one it is keyed by.
     """
     if closure(q).is_bottom:
-        return ()
+        return Program(), (), None, []
     level = _rank_level(p, q)
     candidates = tuple(sorted(p.rules - level.rules, key=str))
-    cap = enumeration_cap()
+    if cap is None:
+        cap = enumeration_cap()
     if len(candidates) > cap:
         raise SizeLimitExceeded(
             f"{len(candidates)} candidate rules exceed the enumeration cap of {cap}"
         )
     if not candidates:
-        return (level,)
+        return level, candidates, None, [0]
     # one index of level | q, candidates switched off: a question switches a
     # set of them (a bitmask over positions) on, paying for what it derives.
-    # Dualize and advance (Gunopulos et al., 1997): a tolerable set in no
-    # found extension meets every found extension's complement, so it
-    # holds a minimal transversal of them, tolerable too, as dropping rules
-    # never makes forward chaining inconsistent.  Once every minimal
-    # transversal is intolerable, every extension is found
+    # A candidate inert in the index's closure state changes nothing when
+    # switched on, so it lies in every extension and is never asked about.
+    # Dualize and advance (Gunopulos et al., 1997) over the others: a
+    # tolerable set in no found extension meets every found extension's
+    # complement, so it holds a minimal transversal of them, tolerable too,
+    # as dropping rules never makes forward chaining inconsistent.  Once
+    # every minimal transversal is intolerable, every extension is found
     compiled = CompiledProgram(level | q, candidates)
-    positions = range(len(candidates))
+    inert = sum(1 << i for i in range(len(candidates)) if compiled.inert(i))
+    positions = [i for i in range(len(candidates)) if not inert >> i & 1]
+    live = sum(1 << i for i in positions)
     found: list[int] = []
     # the minimal transversals, unasked and intolerable.  Refuted ones are
     # only appended to; what they grow into is never asked
@@ -162,12 +171,32 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
             if not s >> i & 1 and compiled.consistent_with((), chosen + [i]):
                 chosen.append(i)
                 s |= 1 << i
-        found.append(s)
-        edge = ~s & ((1 << len(candidates)) - 1)
-        pending = _add_edge([*pending, t], edge, refuted)
-    extensions = (Program(level.rules | {candidates[i] for i in positions if s >> i & 1})
-                  for s in found)
-    return tuple(sorted(extensions, key=str))
+        found.append(s | inert)
+        pending = _add_edge([*pending, t], ~s & live, refuted)
+    return level, candidates, compiled, found
+
+
+def _extension(level: Program, candidates: tuple[Rule, ...], s: int) -> Program:
+    return Program(level.rules | {r for i, r in enumerate(candidates) if s >> i & 1})
+
+
+def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
+    """All maximal subsets of p that contain the rank level and stay
+    consistent with q, in canonical text order.
+
+    Empty exactly when q is inconsistent; the rank level alone, without
+    a search, when no rule lies outside it, as when p | q is consistent
+    (the base of p is built only when it is not).  More candidate rules than
+    enumeration_cap() raise SizeLimitExceeded.  A candidate whose head
+    closure(level | q) holds, or with a body literal opposed there, lies in
+    every extension without a question.  The search is output sensitive:
+    it asks at most one tolerability question per other candidate to grow
+    each extension, and one per minimal transversal of the found
+    extensions' complements.  Its work follows the number of extensions
+    and of those transversals, not of subsets; both can be exponential.
+    """
+    level, candidates, _, found = search_extensions(p, q)
+    return tuple(sorted((_extension(level, candidates, s) for s in found), key=str))
 
 
 def _add_edge(transversals: list[int], edge: int, refuted: list[int]) -> list[int]:
@@ -191,10 +220,8 @@ def _add_edge(transversals: list[int], edge: int, refuted: list[int]) -> list[in
 def hull(p: Program, q: Program) -> Program:
     """Intersection of all maximal extensions; the empty program when
     there are none.  Always contains the rank level of p."""
-    extensions = maximal_extensions(p, q)
-    if not extensions:
-        return Program()
-    return Program(frozenset.intersection(*(e.rules for e in extensions)))
+    level, candidates, _, found = search_extensions(p, q)
+    return _extension(level, candidates, reduce(and_, found)) if found else Program()
 
 
 def revise_hull(p: Program, q: Program) -> Program:
@@ -210,9 +237,3 @@ def revise_extended_hull(flock: tuple[Program, ...], q: Program) -> tuple[Progra
     for m in flock:
         members += [ext | q for ext in maximal_extensions(m, q)] or [q]
     return tuple(members)
-
-
-def flock_closure(flock: tuple[Program, ...]) -> ClosedSet:
-    """Intersection of the member closures, the inconsistent value acting
-    as top element, so the empty flock's closure is BOTTOM."""
-    return reduce(ClosedSet.meet, map(closure, flock), BOTTOM)

@@ -1,9 +1,10 @@
 """Shared program fixtures and construction shorthands for the tests."""
 
 import importlib.util
+from functools import reduce
 from pathlib import Path
 
-from fcmerge import ClosedSet, Instance, Literal, Program, base, closure
+from fcmerge import BOTTOM, ClosedSet, Instance, Literal, Program, base, closure
 from fcmerge.arbitration import _revised_closure
 from fcmerge.textio import parse_program
 
@@ -42,6 +43,12 @@ def lits(*texts: str) -> frozenset[Literal]:
 
 def closed(*texts: str) -> ClosedSet:
     return ClosedSet(lits(*texts))
+
+
+def flock_meet(flock: tuple[Program, ...]) -> ClosedSet:
+    """The consequences of a flock: the meet of its members' closures, the
+    inconsistent value acting as top element, so an empty flock's is BOTTOM."""
+    return reduce(ClosedSet.meet, map(closure, flock), BOTTOM)
 
 
 def facts(p: Program) -> frozenset[Literal]:

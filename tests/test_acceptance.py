@@ -16,7 +16,6 @@ from fcmerge import (
     base,
     closure,
     entails,
-    flock_closure,
     hull,
     maximal_extensions,
     merge,
@@ -39,6 +38,7 @@ from helpers import (
     TAXONOMY_LEVEL1,
     TAXONOMY_LEVEL2,
     closed,
+    flock_meet,
     lits,
     prog,
 )
@@ -178,7 +178,7 @@ def test_criterion_08_revision_chain_properties():
         # conservative-extension chain
         rk = closure(revise_rank(p, q))
         h = closure(revise_hull(p, q))
-        eh = flock_closure(revise_extended_hull((p,), q))
+        eh = flock_meet(revise_extended_hull((p,), q))
         assert rk.issubset(h) and h.issubset(eh)
 
         # the hull sits below every maximal extension

@@ -191,6 +191,22 @@ def test_switched_on_rules_match_closure(p, q, subsets):
         assert compiled.consistent_with((), on) == (not closure(switched_on | q).is_bottom)
 
 
+@given(programs, programs, st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_closure_with_matches_closure(p, q, subsets):
+    # the closure read off the index with a subset of p's rules switched on
+    # is that program's closure.  An inert rule switched on as well changes
+    # nothing: a consistent closure holds its head or opposes its body
+    off = sorted(p.rules, key=str)
+    compiled = CompiledProgram(q, off)
+    inert = {i for i in range(len(off)) if compiled.inert(i)}
+    for subset in subsets:
+        on = [i for i in sorted(subset) if i < len(off)]
+        expected = closure(Program(frozenset(off[i] for i in on)) | q)
+        assert compiled.closure_with(on) == expected
+        assert compiled.closure_with(sorted(inert.union(on))) == expected
+
+
 @given(programs, programs)
 @settings(max_examples=300, deadline=None)
 def test_intolerable_positions_match_consistent_with(p, q):

@@ -241,7 +241,7 @@ class TestShrink:
         inst = Instance(Strategy.RANK, programs={"P": prog("a -> b. c.")},
                         profiles={"profile1": Profile((prog("a."), prog("b -> c.")))})
         removals = [{(name, i, str(rule)) for name, i, rule in sites}
-                    for sites in _removals(inst)]
+                    for sites in _removals(inst, str)]
         assert removals == [
             {("P", -1, "a -> b.")}, {("P", -1, "c.")},
             {("profile1", 0, "a.")}, {("profile1", 1, "b -> c.")},

@@ -12,7 +12,6 @@ from fcmerge import (
     base,
     closure,
     exceptional_rules,
-    flock_closure,
     hull,
     maximal_extensions,
     rank,
@@ -20,7 +19,7 @@ from fcmerge import (
     revise_hull,
     revise_rank,
 )
-from fcmerge.arbitration import _revised_closure
+from fcmerge.arbitration import Strategy, _revised_closure, revised_closure
 from fcmerge.core import CompiledProgram
 from fcmerge.revision import _add_edge, _rank_level
 from fcmerge.fuzz import FuzzConfig, atom_pool, gen_program, search
@@ -35,6 +34,7 @@ from helpers import (
     clear_memos,
     closed,
     facts,
+    flock_meet,
     prog,
     rank_large_pair,
 )
@@ -287,6 +287,28 @@ class TestMaximalExtensions:
         monkeypatch.setenv("FCMERGE_MAX_ENUM", "12")
         assert maximal_extensions(p, q)
 
+    def test_inert_candidates_get_no_question(self, monkeypatch):
+        # p's rules are all tolerated, so q joins the empty level and
+        # closure(level | q) is s, -t.  x -> s adds nothing to it and
+        # t -> u never fires consistently: neither is asked about, and both
+        # lie in every extension.  s -> m and m -> t collide together
+        p, q = prog("s -> m. m -> t. x -> s. t -> u."), prog("s. -t.")
+        inert = prog("x -> s. t -> u.").rules
+        asked = []
+        consistent_with = CompiledProgram.consistent_with
+
+        def recording(self, literals, on=(), derived=None):
+            asked.extend(self.rules[i] for i in on)
+            return consistent_with(self, literals, on, derived)
+
+        monkeypatch.setattr(CompiledProgram, "consistent_with", recording)
+        extensions = maximal_extensions(p, q)
+        assert asked and inert.isdisjoint(asked)
+        assert extensions == (prog("m -> t. t -> u. x -> s."),
+                              prog("s -> m. t -> u. x -> s."))
+        assert all(inert <= e.rules for e in extensions)
+        assert extensions == brute_maximal_extensions(p, q)
+
 
 class TestHull:
     def test_gap_pair_hulls(self):
@@ -335,7 +357,7 @@ class TestExtendedHull:
             prog("a. b. a -> c."),
             prog("a. b. b -> -c."),
         )
-        assert flock_closure(result) == closed("a", "b")
+        assert flock_meet(result) == closed("a", "b")
 
     def test_consistent_union_single_member(self):
         result = revise_extended_hull((prog("a."),), prog("b."))
@@ -343,8 +365,8 @@ class TestExtendedHull:
 
     def test_gap_pair_flock_closures(self):
         p, q = prog(GAP_P), prog(GAP_Q)
-        assert flock_closure(revise_extended_hull((p,), q)) == closed("b", "d", "e")
-        assert flock_closure(revise_extended_hull((q,), p)) == closed("a", "d", "e", "f")
+        assert flock_meet(revise_extended_hull((p,), q)) == closed("b", "d", "e")
+        assert flock_meet(revise_extended_hull((q,), p)) == closed("a", "d", "e", "f")
 
     def test_inconsistent_new_information_keeps_it_alone(self):
         result = revise_extended_hull((prog("a."),), prog("x. -x."))
@@ -368,23 +390,23 @@ class TestExtendedHull:
 class TestFlockClosure:
     def test_singleton_is_program_closure(self):
         p = prog("a. a -> b.")
-        assert flock_closure((p,)) == closure(p)
+        assert flock_meet((p,)) == closure(p)
 
     def test_gap_extensions_intersection(self):
         p, q = prog(GAP_P), prog(GAP_Q)
         members = tuple(t | p for t in maximal_extensions(q, p))
-        assert flock_closure(members) == closed("a", "d", "e", "f")
+        assert flock_meet(members) == closed("a", "d", "e", "f")
 
     def test_all_bottom_members(self):
         bad = prog("a. -a.")
-        assert flock_closure((bad, bad)).is_bottom
+        assert flock_meet((bad, bad)).is_bottom
 
     def test_bottom_member_is_absorbed(self):
-        assert flock_closure((prog("a. -a."), prog("b."))) == closed("b")
+        assert flock_meet((prog("a. -a."), prog("b."))) == closed("b")
 
     def test_empty_flock_is_top(self):
         # the meet of no closures is the top element
-        assert flock_closure(()) is BOTTOM
+        assert flock_meet(()) is BOTTOM
 
 
 class TestRevisionProperties:
@@ -395,7 +417,7 @@ class TestRevisionProperties:
             p, q = gen_program(cfg, rng), gen_program(cfg, rng)
             rk = closure(revise_rank(p, q))
             h = closure(revise_hull(p, q))
-            eh = flock_closure(revise_extended_hull((p,), q))
+            eh = flock_meet(revise_extended_hull((p,), q))
             assert rk.issubset(h)
             assert h.issubset(eh)
 
@@ -507,16 +529,19 @@ def test_rank_level_needs_no_base(p_text, q_text):
 def test_fixed_fuzz_run_memo_misses():
     # pinned work: base misses may only fall.  The base is built only when
     # q is consistent and p | q is not (2,834 misses when every rank
-    # request built it); closure misses are unchanged by that
+    # request built it); closure misses were unchanged by that.  They were
+    # 8,257 while the revision table closed h and eh revisions afresh
+    # instead of reading them off the enumeration's index
     clear_memos()
     search(FuzzConfig(seed=7, trials=40))
     assert base.cache_info().misses == 489
-    assert closure.cache_info().misses == 8257
+    assert closure.cache_info().misses == 7801
     # hits may only fall too: 18,054 when revise_rank asked closure(q)
     # twice and maximal_extensions three times, and rank asked the base's
     # last, empty level; 11,224 before a repeated revision was looked up;
-    # 9,567 while the postulate evaluators asked again for closures they held
-    assert closure.cache_info().hits == 9296
+    # 9,567 while the postulate evaluators asked again for closures they
+    # held; 9,296 while h and eh revisions were closed afresh
+    assert closure.cache_info().hits == 9005
     # the revisions the campaign's arbitrations and merges compute; the
     # other 554 of their 4,311 are looked up
     assert _revised_closure.cache_info().misses == 3757
@@ -557,6 +582,30 @@ def test_maximal_extensions_and_hull_match_brute_force(p, q):
 @settings(max_examples=300, deadline=None)
 def test_maximal_extensions_and_hull_match_brute_force_under_dense_negation(p, q):
     _assert_enumeration_matches_brute_force(p, q)
+
+
+def _assert_search_readers_agree(p, q):
+    # the revision table reads h and eh closures off the enumeration's own
+    # index, and hull intersects the found bitmasks: each must equal what
+    # the public revisions and maximal_extensions give
+    extensions = maximal_extensions(p, q)
+    common = frozenset.intersection(*(e.rules for e in extensions)) if extensions else ()
+    assert hull(p, q) == Program(common)
+    assert revised_closure(p, q, Strategy.HULL) == closure(revise_hull(p, q))
+    assert (revised_closure(p, q, Strategy.EXTENDED_HULL)
+            == flock_meet(revise_extended_hull((p,), q)))
+
+
+@given(programs, programs)
+@settings(max_examples=300, deadline=None)
+def test_search_readers_match_the_revisions(p, q):
+    _assert_search_readers_agree(p, q)
+
+
+@given(dense_programs, dense_programs)
+@settings(max_examples=300, deadline=None)
+def test_search_readers_match_the_revisions_under_dense_negation(p, q):
+    _assert_search_readers_agree(p, q)
 
 
 @given(st.lists(st.integers(0, (1 << 8) - 1), max_size=8))
