@@ -188,12 +188,8 @@ def _sa6(strategy: Strategy, p: Program, q1: Program, q2: Program) -> Verdict:
     o1 = arbitrate(p, q1, strategy)
     o2 = arbitrate(p, q2, strategy)
     o3 = o1.meet(o2)
-    witness = (
-        ("arb(P, disj(Q1, Q2))", lhs),
-        ("arb(P, Q1)", o1),
-        ("arb(P, Q2)", o2),
-        ("disj(arb(P, Q1), arb(P, Q2))", o3),
-    )
+    witness = (("arb(P, disj(Q1, Q2))", lhs), ("arb(P, Q1)", o1), ("arb(P, Q2)", o2),
+               ("disj(arb(P, Q1), arb(P, Q2))", o3))
     return _outcome(lhs in (o1, o2, o3), witness)
 
 
@@ -265,11 +261,7 @@ def _fp4(strategy: Strategy, constraint: Program, p1: Program, p2: Program) -> V
     m = merge(constraint, (p1, p2), strategy)
     with_p1 = adjoin_program(m, p1)
     with_p2 = adjoin_program(m, p2)
-    witness = (
-        ("merge", m),
-        ("cns(merge + P1)", with_p1),
-        ("cns(merge + P2)", with_p2),
-    )
+    witness = (("merge", m), ("cns(merge + P1)", with_p1), ("cns(merge + P2)", with_p2))
     return _outcome(with_p1.is_bottom or not with_p2.is_bottom, witness)
 
 
@@ -279,12 +271,8 @@ def _fp56_parts(strategy: Strategy, constraint: Program, profile1: Profile,
     m2 = merge(constraint, profile2, strategy)
     m12 = merge(constraint, profile1 + profile2, strategy)
     union = m1.join(m2)
-    witness = (
-        ("merge(profile1 + profile2)", m12),
-        ("merge(profile1)", m1),
-        ("merge(profile2)", m2),
-        ("union", union),
-    )
+    witness = (("merge(profile1 + profile2)", m12), ("merge(profile1)", m1),
+               ("merge(profile2)", m2), ("union", union))
     return m12, union, witness
 
 
@@ -307,11 +295,8 @@ def _fp78_parts(strategy: Strategy, constraint: Program, q: Program,
     m = merge(constraint, profile1, strategy)
     lhs = adjoin_program(m, q)
     rhs = merge(constraint | q, profile1, strategy)
-    witness = (
-        ("merge(constraint, profile)", m),
-        ("merge(constraint, profile) + Q", lhs),
-        ("merge(constraint + Q, profile)", rhs),
-    )
+    witness = (("merge(constraint, profile)", m), ("merge(constraint, profile) + Q", lhs),
+               ("merge(constraint + Q, profile)", rhs))
     return lhs, rhs, witness
 
 

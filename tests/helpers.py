@@ -6,6 +6,7 @@ from pathlib import Path
 
 from fcmerge import BOTTOM, ClosedSet, Instance, Literal, Program, base, closure
 from fcmerge.arbitration import _revised_closure
+from fcmerge.core import CompiledProgram
 from fcmerge.textio import parse_program
 
 
@@ -61,6 +62,21 @@ def clear_memos() -> None:
     does not depend on which tests ran before."""
     for memo in (closure, base, _revised_closure):
         memo.cache_clear()
+
+
+def count_index_builds(monkeypatch):
+    """Count every CompiledProgram built from now on, through the
+    constructor; the returned function reads the count so far."""
+    built = 0
+    init = CompiledProgram.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(CompiledProgram, "__init__", counting)
+    return lambda: built
 
 
 def total_rules(instance: Instance) -> int:

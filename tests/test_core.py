@@ -1,5 +1,6 @@
 import copy
 import pickle
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from fcmerge import (
 )
 from fcmerge.core import CompiledProgram
 
-from helpers import GAP_P, GAP_Q, LAYERED, TAXONOMY, closed, facts, lit, lits, prog
+from helpers import (GAP_P, GAP_Q, LAYERED, TAXONOMY, closed, count_index_builds, facts, lit,
+                     lits, prog)
 from oracles import naive_closure, naive_layers
-from strategies import programs
+from strategies import dense_programs, programs
 
 
 class TestLiteral:
@@ -171,11 +173,44 @@ class TestEntails:
         assert not entails(q, p)
 
 
-@given(programs, programs)
+@given(programs, programs, dense_programs, dense_programs)
 @settings(max_examples=200, deadline=None)
-def test_closure_matches_naive_oracle(p, q):
-    assert closure(p) == naive_closure(p)
-    assert closure(p | q) == naive_closure(p | q)
+def test_closure_matches_naive_oracle(p, q, dense_p, dense_q):
+    # dense programs over three atoms collapse often, and often only late
+    for a, b in ((p, q), (dense_p, dense_q)):
+        assert closure(a) == naive_closure(a)
+        assert closure(a | b) == naive_closure(a | b)
+
+
+@given(st.one_of(programs, dense_programs), st.one_of(programs, dense_programs))
+@settings(max_examples=300, deadline=None)
+def test_index_rounds_match_closure(p, q):
+    # closure sweeps the rules and compiles only programs too deep to
+    # sweep, so the index's own consequences get an oracle here: the union
+    # of its firing rounds, or None when they collapse
+    for program in (p, p | q):
+        rounds = CompiledProgram(program).rounds
+        indexed = BOTTOM if rounds is None else ClosedSet(frozenset(chain.from_iterable(rounds)))
+        assert indexed == closure(program) == naive_closure(program)
+
+
+@pytest.mark.parametrize("text, builds", [
+    # depth 1: whatever the set order, the second sweep fires the last rule
+    ("c0. " + " ".join(f"c0 -> d{i}." for i in range(300)), 0),
+    # depth 300: a sweep advances the chain only while each next rule is
+    # listed after its predecessor, so in set order it takes about 150
+    # sweeps, far more than SWEEP_VISITS visits per rule allow
+    ("c0. " + " ".join(f"c{i} -> c{i + 1}." for i in range(300)), 1),
+    ("c0. -c300. " + " ".join(f"c{i} -> c{i + 1}." for i in range(300)), 1),
+    (LAYERED, 0),
+], ids=["fan", "chain", "chain-to-conflict", "layered"])
+def test_deep_programs_close_on_one_index(monkeypatch, text, builds):
+    # work counted, not timed: shallow programs are swept without an
+    # index, and a chain gives way to one index after a bounded sweep
+    p = prog(text)
+    built = count_index_builds(monkeypatch)
+    assert closure.__wrapped__(p) == naive_closure(p)
+    assert built() == builds
 
 
 @given(programs, programs, st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=6))

@@ -33,6 +33,7 @@ from helpers import (
     TAXONOMY_LEVEL2,
     clear_memos,
     closed,
+    count_index_builds,
     facts,
     flock_meet,
     prog,
@@ -545,6 +546,17 @@ def test_fixed_fuzz_run_memo_misses():
     # the revisions the campaign's arbitrations and merges compute; the
     # other 554 of their 4,311 are looked up
     assert _revised_closure.cache_info().misses == 3757
+
+
+def test_fixed_fuzz_run_index_builds(monkeypatch):
+    # pinned work, may only fall: every CompiledProgram the fixed run
+    # builds, for stratify, exceptional_rules and the enumeration.  9,112
+    # while every closure miss compiled its program; the sweeps close them
+    # all without one
+    clear_memos()
+    built = count_index_builds(monkeypatch)
+    search(FuzzConfig(seed=7, trials=40))
+    assert built() == 1311
 
 
 @pytest.mark.parametrize("p_text, q_text, lookups", [
