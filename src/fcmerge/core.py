@@ -15,12 +15,12 @@ watcher index (rule heads, missing-body counts, the rules watching each
 literal, found by its atom and sign) together with the state of its
 closure, and rules that start switched off.  Its propagation loop, linear
 in the program size, yields the rounds that ``stratify`` reports, and
-answers "is the program plus these literals and these switched-on rules
-consistent?", or what their closure is, by propagating only what they
-add on top of that closure and undoing it afterwards.  Listing the rules
-whose bodies it does not tolerate asks only about rules that have not
-fired: chaining is monotone, so a rule that fired in the closure or in a
-consistent answer has its body inside a consistent closure.
+answers "is the program with these rules switched on consistent?", or
+what its closure is, by propagating only what they add on top of that
+closure and undoing it afterwards.  Listing the rules whose bodies it
+does not tolerate asks only about rules that have not fired: chaining is
+monotone, so a rule that fired in the closure or in a consistent answer
+has its body inside a consistent closure.
 
 This module owns ``MEMO_SIZE``, the bound of every memo table.
 
@@ -299,24 +299,19 @@ class CompiledProgram:
                 return True
             frontier = fired
 
-    def consistent_with(self, literals: Iterable[Literal], on: Sequence[int] = (),
-                        derived: list[Literal] | None = None) -> bool:
-        """Whether the literals can be added to the program as facts, with
-        the distinct switched-off positions ``on`` switched on, without
-        collapsing its consequences.  If they can, what they newly derive
-        is appended to ``derived`` when it is given.
-
-        Forward chaining is monotone, so only what the literals and rules
-        newly derive on top of the program's closure is propagated, and
-        then undone: the index is back in its closure state on return.
-        """
+    def consistent_with(self, on: Sequence[int], derived: list[Literal] | None = None) -> bool:
+        """Whether switching on the distinct switched-off positions ``on``
+        keeps the program's consequences consistent; if it does, what they
+        newly derive is appended to ``derived`` when it is given.  Forward
+        chaining is monotone, so only that is propagated, on top of the
+        program's closure, and then undone: the index is back in its
+        closure state on return."""
         if self.rounds is None:
             return False
         missing = self._missing
         for idx in on:
             missing[idx] -= 1
-        consistent = self._ask(chain(literals, [self._heads[idx] for idx in on if not missing[idx]]),
-                               derived=derived)
+        consistent = self._ask([self._heads[idx] for idx in on if not missing[idx]], derived=derived)
         for idx in on:
             missing[idx] += 1
         return consistent
@@ -326,7 +321,7 @@ class CompiledProgram:
         positions ``on`` switched on, propagated on top of its own
         closure as a ``consistent_with`` question is, and then undone."""
         derived: list[Literal] = []
-        if not self.consistent_with((), on, derived):
+        if not self.consistent_with(on, derived):
             return BOTTOM
         return ClosedSet(frozenset(chain(chain.from_iterable(self.rounds), derived)))
 

@@ -17,11 +17,8 @@ enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
 variable (default 24) is the only way to set the cap, and each
 enumeration reads it anew, unless the revision table, which is keyed by
 the cap, passes the one it read.  One search serves maximal_extensions,
-hull and the revision table, each reading only what it needs.  It asks
-nothing about a candidate that the closure of the rank level and q makes
-inert, and keeps each intolerable minimal transversal as it is: no
-extension contains it, so it meets the complement of every extension
-found later.
+hull and the revision table, each reading only what it needs; dualize,
+which knows nothing of programs, finds the extensions.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache, reduce
 from operator import and_
+from typing import Callable, Sequence
 
 from .core import MEMO_SIZE, CompiledProgram, Program, Rule, closure
 from .errors import ConfigError, SizeLimitExceeded
@@ -144,36 +142,14 @@ def search_extensions(p: Program, q: Program, cap: int | None = None
         )
     if not candidates:
         return level, candidates, None, [0]
-    # one index of level | q, candidates switched off: a question switches a
-    # set of them (a bitmask over positions) on, paying for what it derives.
-    # A candidate inert in the index's closure state changes nothing when
-    # switched on, so it lies in every extension and is never asked about.
-    # Dualize and advance (Gunopulos et al., 1997) over the others: a
-    # tolerable set in no found extension meets every found extension's
-    # complement, so it holds a minimal transversal of them, tolerable too,
-    # as dropping rules never makes forward chaining inconsistent.  Once
-    # every minimal transversal is intolerable, every extension is found
+    # one index of level | q, candidates switched off; a question switches
+    # some on, paying for what they derive.  An inert candidate changes
+    # nothing when switched on: it lies in every extension, never asked about
     compiled = CompiledProgram(level | q, candidates)
     inert = sum(1 << i for i in range(len(candidates)) if compiled.inert(i))
-    positions = [i for i in range(len(candidates)) if not inert >> i & 1]
-    live = sum(1 << i for i in positions)
-    found: list[int] = []
-    # the minimal transversals, unasked and intolerable.  Refuted ones are
-    # only appended to; what they grow into is never asked
-    pending, refuted = [0], []
-    while pending:
-        t = s = pending.pop()
-        chosen = [i for i in positions if t >> i & 1]
-        if not compiled.consistent_with((), chosen):
-            refuted.append(t)
-            continue
-        for i in positions:  # grow greedily, in canonical order, to a maximal set
-            if not s >> i & 1 and compiled.consistent_with((), chosen + [i]):
-                chosen.append(i)
-                s |= 1 << i
-        found.append(s | inert)
-        pending = _add_edge([*pending, t], ~s & live, refuted)
-    return level, candidates, compiled, found
+    found, _ = dualize(compiled.consistent_with,
+                       [i for i in range(len(candidates)) if not inert >> i & 1])
+    return level, candidates, compiled, [s | inert for s in found]
 
 
 def _extension(level: Program, candidates: tuple[Rule, ...], s: int) -> Program:
@@ -189,24 +165,53 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     (the base of p is built only when it is not).  More candidate rules than
     enumeration_cap() raise SizeLimitExceeded.  A candidate whose head
     closure(level | q) holds, or with a body literal opposed there, lies in
-    every extension without a question.  The search is output sensitive:
-    it asks at most one tolerability question per other candidate to grow
-    each extension, and one per minimal transversal of the found
-    extensions' complements.  Its work follows the number of extensions
-    and of those transversals, not of subsets; both can be exponential.
+    every extension without a question; dualize searches the others.
     """
     level, candidates, _, found = search_extensions(p, q)
     return tuple(sorted((_extension(level, candidates, s) for s in found), key=str))
 
 
+def dualize(tolerable: Callable[[list[int]], bool], positions: Sequence[int]
+            ) -> tuple[list[int], list[int]]:
+    """The maximal tolerable sets of the positions, in the order found, and
+    the intolerable minimal transversals, as bitmasks over the positions.
+
+    tolerable is asked about lists of distinct positions and must be
+    downward closed: dropping positions never makes a set intolerable.
+    Dualize and advance (Gunopulos et al., 1997): a tolerable set in no
+    found set meets every found set's complement, so it holds a minimal
+    transversal of them, tolerable too, which grows greedily, in the order
+    of positions, to the next one found.  An intolerable transversal meets
+    every later complement as well, so it is kept as it is and never asked
+    again.  Once all are intolerable, every maximal set is found and they
+    are exactly the minimal intolerable sets.  Each found set costs at most
+    one question per position, each minimal transversal one: the work is
+    output sensitive, though both counts can be exponential.
+    """
+    live = sum(1 << i for i in positions)
+    found: list[int] = []
+    pending, refuted = [0], []
+    while pending:
+        t = s = pending.pop()
+        chosen = [i for i in positions if t >> i & 1]
+        if not tolerable(chosen):
+            refuted.append(t)
+            continue
+        for i in positions:
+            if not s >> i & 1 and tolerable(chosen + [i]):
+                chosen.append(i)
+                s |= 1 << i
+        found.append(s)
+        pending = _add_edge([*pending, t], ~s & live, refuted)
+    return found, refuted
+
+
 def _add_edge(transversals: list[int], edge: int, refuted: list[int]) -> list[int]:
     # one Berge step: what the pending minimal transversals become once the
-    # hypergraph gains the edge, a found extension's complement.  A refuted
-    # one is intolerable, so it lies in no extension and meets the edge: it
-    # stays as it is, and joins the pending ones that meet the edge in
-    # hitting.  One, x, that misses the edge gains an element b of it, and
-    # stays minimal unless a hitting one lies in x | b.  Such a one must
-    # hold b, so it lies in x | b exactly when what it holds outside x is b
+    # hypergraph gains the edge, a found set's complement.  The refuted ones
+    # meet it (see dualize) and join the pending ones that do in hitting.
+    # One, x, that misses the edge gains an element b of it and stays
+    # minimal unless a hitting h lies in x | b, that is h & ~x == b
     grown = [x for x in transversals if x & edge]
     hitting = grown + refuted
     bits = [b for b in (1 << i for i in range(edge.bit_length())) if edge & b]

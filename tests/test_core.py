@@ -129,9 +129,11 @@ class TestClosure:
         assert not closure(prog("a -> b. b -> -c. -c -> -a. -c -> b. -a -> -b. -a -> -c.")).is_bottom
 
     def test_consistent_with(self):
-        assert not CompiledProgram(prog(TAXONOMY)).consistent_with(lits("n"))
-        assert CompiledProgram(prog(LAYERED)).consistent_with(lits())
-        assert CompiledProgram(prog("n -> c. n -> s.")).consistent_with(lits("n"))
+        # the fact n, switched off at position 0, is asked about by switching it on
+        n = [Rule.fact(lit("n"))]
+        assert not CompiledProgram(prog(TAXONOMY), n).consistent_with([0])
+        assert CompiledProgram(prog(LAYERED)).consistent_with([])
+        assert CompiledProgram(prog("n -> c. n -> s."), n).consistent_with([0])
 
 
 class TestStratify:
@@ -223,7 +225,7 @@ def test_switched_on_rules_match_closure(p, q, subsets):
     for subset in subsets:
         on = [i for i in sorted(subset) if i < len(off)]
         switched_on = Program(frozenset(off[i] for i in on))
-        assert compiled.consistent_with((), on) == (not closure(switched_on | q).is_bottom)
+        assert compiled.consistent_with(on) == (not closure(switched_on | q).is_bottom)
 
 
 @given(programs, programs, st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=6))
@@ -245,14 +247,19 @@ def test_closure_with_matches_closure(p, q, subsets):
 @given(programs, programs)
 @settings(max_examples=300, deadline=None)
 def test_intolerable_positions_match_consistent_with(p, q):
-    # a position is intolerable exactly when its rule's body, asked alone,
-    # collapses the switched-on rules: with none switched off, and with p's
-    # rules switched off.  The questions come after intolerable, so they
-    # also check that it left the index in its closure state
-    for compiled in (CompiledProgram(p | q), CompiledProgram(q, sorted(p.rules, key=str))):
+    # a position is intolerable exactly when its rule's body, added as facts,
+    # collapses the closure of the switched-on rules: with none switched
+    # off, and with p's rules switched off.  The index must be back in its
+    # closure state afterwards: asking again, and switching p's rules on,
+    # read the derived signs and missing counts that intolerable undid
+    off = sorted(p.rules, key=str)
+    switched_off = CompiledProgram(q, off)
+    for switched_on, compiled in ((p | q, CompiledProgram(p | q)), (q, switched_off)):
         positions = compiled.intolerable()
         assert positions == [i for i, rule in enumerate(compiled.rules)
-                             if not compiled.consistent_with(rule.body)]
+                             if closure(switched_on | Program.from_facts(rule.body)).is_bottom]
+        assert compiled.intolerable() == positions
+    assert switched_off.closure_with(range(len(off))) == closure(p | q)
 
 
 @given(programs, programs)

@@ -21,7 +21,7 @@ from fcmerge import (
 )
 from fcmerge.arbitration import Strategy, _revised_closure, revised_closure
 from fcmerge.core import CompiledProgram
-from fcmerge.revision import _add_edge, _rank_level
+from fcmerge.revision import _add_edge, _rank_level, dualize
 from fcmerge.fuzz import FuzzConfig, atom_pool, gen_program, search
 
 from helpers import (
@@ -261,10 +261,10 @@ class TestMaximalExtensions:
         asked = 0
         consistent_with = CompiledProgram.consistent_with
 
-        def counting(self, literals, on=()):
+        def counting(self, on, derived=None):
             nonlocal asked
             asked += 1
-            return consistent_with(self, literals, on)
+            return consistent_with(self, on, derived)
 
         monkeypatch.setattr(CompiledProgram, "consistent_with", counting)
         assert len(maximal_extensions(p, q)) == extensions
@@ -298,9 +298,9 @@ class TestMaximalExtensions:
         asked = []
         consistent_with = CompiledProgram.consistent_with
 
-        def recording(self, literals, on=(), derived=None):
+        def recording(self, on, derived=None):
             asked.extend(self.rules[i] for i in on)
-            return consistent_with(self, literals, on, derived)
+            return consistent_with(self, on, derived)
 
         monkeypatch.setattr(CompiledProgram, "consistent_with", recording)
         extensions = maximal_extensions(p, q)
@@ -631,3 +631,65 @@ def test_berge_steps_give_the_minimal_transversals(edges):
     hitting = [t for t in range(1 << 8) if all(t & e for e in edges)]
     minimal = [t for t in hitting if not any(h != t and h & t == h for h in hitting)]
     assert sorted(transversals) == minimal
+
+
+def _conflict_oracle(positions, conflicts, asked=None):
+    # tolerable iff the set holds no listed conflict set, a bitmask; every
+    # question must list distinct positions, and is recorded when asked is given
+    def tolerable(chosen):
+        assert len(set(chosen)) == len(chosen) and set(chosen) <= set(positions)
+        if asked is not None:
+            asked.append(chosen)
+        mask = sum(1 << i for i in chosen)
+        return not any(c & ~mask == 0 for c in conflicts)
+    return tolerable
+
+
+@pytest.mark.parametrize("positions", [list(range(16)), [i for i in range(24) if i % 3 != 2]],
+                         ids=["contiguous", "gaps"])
+def test_dualize_on_disjoint_conflicting_pairs(positions):
+    # k = 8 disjoint pairs, each of two neighbouring positions: the pinned
+    # question count of the independent-conflicts program, with no program.
+    # Positions left out, as inert candidates are, change no question
+    pairs = [1 << positions[2 * j] | 1 << positions[2 * j + 1] for j in range(8)]
+    asked = []
+    found, refuted = dualize(_conflict_oracle(positions, pairs, asked), positions)
+    assert len(found) == len(set(found)) == 2 ** 8
+    assert all(bin(s).count("1") == 8 and all(s & pair != pair for pair in pairs) for s in found)
+    assert sorted(refuted) == sorted(pairs)
+    assert len(asked) == 3336
+
+
+def test_dualize_with_nothing_tolerable():
+    # the empty set is the one minimal intolerable set, and nothing is found
+    assert dualize(lambda chosen: False, [0, 2]) == ([], [0])
+
+
+@st.composite
+def conflict_families(draw):
+    # up to 12 positions out of 16, so with gaps, and up to 8 nonempty
+    # conflict sets over them, each a bitmask
+    positions = sorted(draw(st.sets(st.integers(0, 15), max_size=12)))
+    if not positions:
+        return positions, []
+    conflict = st.sets(st.sampled_from(positions), min_size=1, max_size=4)
+    return positions, draw(st.lists(conflict.map(lambda c: sum(1 << i for i in c)), max_size=8))
+
+
+@given(conflict_families())
+@settings(max_examples=300, deadline=None)
+def test_dualize_finds_the_maximal_independent_sets_and_the_minimal_conflicts(family):
+    # against brute force over every subset of the positions: found is the
+    # maximal sets holding no conflict, and refuted is the conflicts that
+    # hold no other one, the minimal intolerable sets
+    positions, conflicts = family
+    found, refuted = dualize(_conflict_oracle(positions, conflicts), positions)
+    subsets = [sum(1 << i for j, i in enumerate(positions) if m >> j & 1)
+               for m in range(1 << len(positions))]
+    independent = {s for s in subsets if not any(c & ~s == 0 for c in conflicts)}
+    maximal = [s for s in independent
+               if not any(s | 1 << i in independent for i in positions if not s >> i & 1)]
+    assert sorted(found) == sorted(maximal)
+    distinct = set(conflicts)
+    assert sorted(refuted) == sorted(c for c in distinct
+                                     if not any(d != c and d & c == d for d in distinct))

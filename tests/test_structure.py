@@ -97,6 +97,28 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_dualize_names_nothing_from_core():
+    # the enumeration's kernel sees the search only through its oracle, so
+    # it can be tested on conflict families without a program.  The module
+    # functions it calls, such as its Berge step, are held to the same rule
+    tree = _tree(Path(fcmerge.__file__).parent / "revision.py")
+    from_core = {alias.asname or alias.name for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.module == "core"
+                 for alias in node.names}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"CompiledProgram", "Program", "Rule", "closure"} <= from_core
+    seen, todo, named = set(), ["dualize"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                named.add(node.id if isinstance(node, ast.Name) else node.attr)
+        todo += [n for n in named if n in functions and n not in seen]
+    assert "_add_edge" in seen
+    assert named & from_core == set()
+
+
 def _memos() -> tuple[list[tuple[str, str]], list[str]]:
     """(module.function, decorator) for every cached function, and the
     modules that assign MEMO_SIZE."""
