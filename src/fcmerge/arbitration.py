@@ -7,23 +7,20 @@ it commutative by construction.
 
 Every arbitration and merge rests on revised_closure, whose results are
 memoised in one table keyed by the two programs, the strategy and the
-enumeration cap.  The cap is read here, for h and eh only, so a
-malformed FCMERGE_MAX_ENUM fails them before the lookup and rk never
+enumeration cap.  revised_closure reads the cap, for h and eh only, so
+a malformed FCMERGE_MAX_ENUM fails them before the lookup and rk never
 reads it; a lowered cap is a new key, so a result cached under a larger
 cap cannot hide its SizeLimitExceeded, which is never cached.  h and eh
-pass that cap to the enumeration, so a revision reads it once, and read
-their closures off the enumeration's own index instead of closing the
-revised programs again.
+pass that cap to revision.hull_closure, so a revision reads it once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache
 
-from .core import BOTTOM, MEMO_SIZE, ClosedSet, Program, closure
-from .revision import enumeration_cap, revise_rank, search_extensions
+from .core import MEMO_SIZE, ClosedSet, Program, closure
+from .revision import enumeration_cap, hull_closure, revise_rank
 
 
 class Strategy(Enum):
@@ -62,15 +59,7 @@ def _revised_closure(p: Program, q: Program, strategy: Strategy,
                      cap: int | None) -> ClosedSet:
     if strategy is Strategy.RANK:
         return closure(revise_rank(p, q))
-    # the closure of hull | q, or the meet of each extension | q's closure,
-    # read off the search's index with those candidates switched on
-    level, _, compiled, found = search_extensions(p, q, cap)
-    if compiled is None:  # no extension, or the rank level the only one
-        return closure(level | q) if found else BOTTOM
-    chosen = found if strategy is Strategy.EXTENDED_HULL else [reduce(and_, found)]
-    return reduce(ClosedSet.meet, (
-        compiled.closure_with([i for i in range(s.bit_length()) if s >> i & 1])
-        for s in chosen), BOTTOM)
+    return hull_closure(p, q, cap, strategy is Strategy.EXTENDED_HULL)
 
 
 def arbitrate(p1: Program, p2: Program, strategy: Strategy) -> ClosedSet:

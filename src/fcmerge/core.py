@@ -26,8 +26,8 @@ This module owns ``MEMO_SIZE``, the bound of every memo table.
 
 All values are immutable and all operations are pure, so everything in
 this module is safe to share between threads.  The one mutable object, a
-``CompiledProgram``, is built inside the call that uses it and never
-cached or returned, so its state lives within that call.
+``CompiledProgram``, is never cached, and only ``revision``'s search hands
+one on, to its readers there, so its state lives within one public call.
 """
 
 from __future__ import annotations
@@ -243,8 +243,8 @@ class CompiledProgram:
     None when they derive an atom and its negation.  Chaining runs in time
     linear in the total body size (Dowling and Gallier, 1984).
 
-    The index is mutable: build one inside the call that uses it and do
-    not cache or share it.
+    The index is mutable: it is never cached, and only ``revision``'s
+    search returns one, to its readers in that module.
     """
 
     __slots__ = ("rules", "_heads", "_missing", "_watchers", "_signs", "rounds")

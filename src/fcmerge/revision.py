@@ -12,13 +12,12 @@ p itself when p | q is consistent and the empty program when q is not,
 so the base is built only when q is consistent and p | q is not.
 
 Hull and extended-hull revision enumerate maximal subsets, whose number
-is exponential in the worst case, so the number of candidate rules an
-enumeration may search is capped.  The FCMERGE_MAX_ENUM environment
-variable (default 24) is the only way to set the cap, and each
-enumeration reads it anew, unless the revision table, which is keyed by
-the cap, passes the one it read.  One search serves maximal_extensions,
-hull and the revision table, each reading only what it needs; dualize,
-which knows nothing of programs, finds the extensions.
+is exponential in the worst case, so FCMERGE_MAX_ENUM (default 24), its
+only setting, caps the candidate rules an enumeration may search.  The
+search reads it after the q check and the rank level, unless hull_closure
+passes the cap the revision table is keyed by.  One search serves
+maximal_extensions, hull and hull_closure, the only readers of its index
+and bitmasks; dualize, which knows nothing of programs, finds extensions.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import lru_cache, reduce
 from operator import and_
 from typing import Callable, Sequence
 
-from .core import MEMO_SIZE, CompiledProgram, Program, Rule, closure
+from .core import BOTTOM, MEMO_SIZE, ClosedSet, CompiledProgram, Program, Rule, closure
 from .errors import ConfigError, SizeLimitExceeded
 
 DEFAULT_ENUM_CAP = 24
@@ -120,15 +119,14 @@ def revise_rank(p: Program, q: Program) -> Program:
 
 def search_extensions(p: Program, q: Program, cap: int | None = None
                       ) -> tuple[Program, tuple[Rule, ...], CompiledProgram | None, list[int]]:
-    """The search behind maximal_extensions, hull and the h and eh
-    revision closures, each of which reads what it needs: the rank level,
-    the candidate rules outside it in canonical text order, the index the
-    search asked (None when it asked nothing), and each maximal extension
-    as a bitmask over the candidates, in the order found.
+    """The search behind maximal_extensions, hull and hull_closure, each
+    of which reads what it needs: the rank level, the candidate rules
+    outside it in canonical text order, the index the search asked (None
+    when it asked nothing), and each maximal extension as a bitmask over
+    the candidates, in the order found.
 
     No extension when q is inconsistent; the rank level alone, without a
-    search, when no rule lies outside it.  The cap is enumeration_cap()
-    unless given: the revision table passes the one it is keyed by.
+    search, when no rule lies outside it; cap None reads enumeration_cap().
     """
     if closure(q).is_bottom:
         return Program(), (), None, []
@@ -227,6 +225,19 @@ def hull(p: Program, q: Program) -> Program:
     there are none.  Always contains the rank level of p."""
     level, candidates, _, found = search_extensions(p, q)
     return _extension(level, candidates, reduce(and_, found)) if found else Program()
+
+
+def hull_closure(p: Program, q: Program, cap: int | None, extended: bool) -> ClosedSet:
+    """The closure of revise_hull(p, q), or with extended the meet of those
+    of revise_extended_hull((p,), q)'s members, read off the search's index
+    with the hull's, or each extension's, candidates switched on."""
+    level, _, compiled, found = search_extensions(p, q, cap)
+    if compiled is None:  # no extension, or the rank level the only one
+        return closure(level | q) if found else BOTTOM
+    chosen = found if extended else [reduce(and_, found)]
+    return reduce(ClosedSet.meet, (
+        compiled.closure_with([i for i in range(s.bit_length()) if s >> i & 1])
+        for s in chosen), BOTTOM)
 
 
 def revise_hull(p: Program, q: Program) -> Program:

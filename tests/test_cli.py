@@ -303,10 +303,15 @@ def test_malformed_cap_ignored_by_rank_merge(files, capsys, monkeypatch):
 def test_malformed_cap_fails_hull_arbitration(files, capsys, monkeypatch):
     a = files("a.fc", GAP_P)
     b = files("b.fc", GAP_Q)
+    # revising by an inconsistent q searches nothing: the cap goes unread
+    inconsistent = files("q.fc", "x. -x.")
     for raw, problem in _MALFORMED_CAPS:
         monkeypatch.setenv("FCMERGE_MAX_ENUM", raw)
         assert run(["arbitrate", "--op", "h", a, b]) == 3
         assert capsys.readouterr().err == f"fcmerge: FCMERGE_MAX_ENUM must be {problem}\n"
+        for op in ("h", "eh"):
+            assert run(["revise", "--op", op, a, inconsistent]) == 0
+            assert capsys.readouterr().out == "-x.\nx.\n"
 
 
 def test_usage_error_exit_code(capsys):

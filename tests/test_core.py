@@ -5,6 +5,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from fcmerge import (
     BOTTOM,
@@ -260,6 +261,67 @@ def test_intolerable_positions_match_consistent_with(p, q):
                              if closure(switched_on | Program.from_facts(rule.body)).is_bottom]
         assert compiled.intolerable() == positions
     assert switched_off.closure_with(range(len(off))) == closure(p | q)
+
+
+def _on_sets(n: int) -> st.SearchStrategy[list[int]]:
+    # distinct switched-off positions, in any order
+    return st.lists(st.integers(0, n - 1), unique=True) if n else st.just([])
+
+
+class IndexQuestions(RuleBasedStateMachine):
+    """One index of q with p's rules switched off, asked questions in any
+    order.  Each answer must equal closure of the matching program, and
+    each question must leave the derived signs and missing counts as a
+    freshly built index holds them."""
+
+    @initialize(pair=st.one_of(st.tuples(programs, programs),
+                               st.tuples(dense_programs, dense_programs)))
+    def build(self, pair):
+        p, self.q = pair
+        self.off = sorted(p.rules, key=str)
+        self.compiled = CompiledProgram(self.q, self.off)
+
+    def _closure_with(self, on):
+        return closure(Program(frozenset(self.off[i] for i in on)) | self.q)
+
+    @rule(data=st.data())
+    def consistent_with(self, data):
+        on = data.draw(_on_sets(len(self.off)))
+        derived = []
+        expected = self._closure_with(on)
+        assert self.compiled.consistent_with(on, derived) == (not expected.is_bottom)
+        if not expected.is_bottom:
+            assert expected.literals == closure(self.q).literals.union(derived)
+
+    @rule(data=st.data())
+    def closure_with(self, data):
+        on = data.draw(_on_sets(len(self.off)))
+        assert self.compiled.closure_with(on) == self._closure_with(on)
+
+    @precondition(lambda self: self.compiled.rules and not closure(self.q).is_bottom)
+    @rule(data=st.data())
+    def inert(self, data):
+        # inert: the closure holds the head, or opposes a body literal
+        idx = data.draw(st.integers(0, len(self.compiled.rules) - 1))
+        r, closed = self.compiled.rules[idx], closure(self.q)
+        assert self.compiled.inert(idx) == (
+            r.head in closed or any(Literal(l.atom, not l.positive) in closed for l in r.body))
+
+    @rule()
+    def intolerable(self):
+        assert self.compiled.intolerable() == [
+            idx for idx, r in enumerate(self.compiled.rules)
+            if closure(self.q | Program.from_facts(r.body)).is_bottom]
+
+    @invariant()
+    def back_in_its_closure_state(self):
+        fresh = CompiledProgram(self.q, self.off)
+        assert self.compiled._signs == fresh._signs
+        assert self.compiled._missing == fresh._missing
+
+
+TestIndexQuestions = IndexQuestions.TestCase
+TestIndexQuestions.settings = settings(max_examples=100, stateful_step_count=10, deadline=None)
 
 
 @given(programs, programs)

@@ -288,9 +288,10 @@ class TestHelpers:
         assert adjoin_program(closed("a"), prog("a -> b.")) == closed("a", "b")
 
     def test_as_program_uses_fresh_atom(self):
-        p = as_program(BOTTOM, frozenset({"bot", "bot0"}))
-        assert closure(p).is_bottom
-        assert "bot1" in p.atoms()
+        for avoid, atom in (({"a"}, "bot"), ({"bot"}, "bot0"), ({"bot", "bot0"}, "bot1")):
+            p = as_program(BOTTOM, frozenset(avoid))
+            assert closure(p).is_bottom
+            assert p.atoms() == {atom}
 
     def test_as_program_consistent_roundtrip(self):
         assert closure(as_program(closed("a", "-b"), frozenset())) == closed("a", "-b")

@@ -179,8 +179,13 @@ class TestMaximalExtensions:
             prog("a, b -> -c. b -> d. b -> -c. -c -> e. a, -c -> f."),
         }
 
-    def test_inconsistent_new_information_gives_empty(self):
+    def test_inconsistent_new_information_gives_empty(self, monkeypatch):
         assert maximal_extensions(prog("a."), prog("x. -x.")) == ()
+        # the search reads the cap only after the q check, so a malformed
+        # one fails no revision by an inconsistent q
+        for raw in ("abc", "-1"):
+            monkeypatch.setenv("FCMERGE_MAX_ENUM", raw)
+            assert maximal_extensions(prog("a."), prog("x. -x.")) == ()
 
     def test_canonical_order_is_sorted_text(self):
         exts = maximal_extensions(prog(GAP_Q), prog(GAP_P))
@@ -321,8 +326,11 @@ class TestHull:
         p = prog("a. a -> b.")
         assert hull(p, prog("c.")) == p
 
-    def test_empty_on_inconsistent_new_information(self):
+    def test_empty_on_inconsistent_new_information(self, monkeypatch):
         assert hull(prog("a."), prog("x. -x.")) == Program()
+        for raw in ("abc", "-1"):  # nor does hull read a malformed cap
+            monkeypatch.setenv("FCMERGE_MAX_ENUM", raw)
+            assert hull(prog("a."), prog("x. -x.")) == Program()
 
     def test_contains_rank_level_and_below_every_extension(self):
         rng = random.Random(31)
