@@ -5,13 +5,9 @@ consequence sets.  Arbitration revises each program by the other under a
 chosen strategy and intersects the resulting consequences, which makes
 it commutative by construction.
 
-Every arbitration and merge rests on revised_closure, whose results are
-memoised in one table keyed by the two programs, the strategy and the
-enumeration cap.  revised_closure reads the cap, for h and eh only, so
-a malformed FCMERGE_MAX_ENUM fails them before the lookup and rk never
-reads it; a lowered cap is a new key, so a result cached under a larger
-cap cannot hide its SizeLimitExceeded, which is never cached.  h and eh
-pass that cap to revision.hull_closure, so a revision reads it once.
+Every arbitration and merge rests on revised_closure, memoised by p, q,
+the strategy and the cap, read for h and eh only, before the lookup: a
+result cached under a larger cap never hides a lowered cap's error.
 """
 
 from __future__ import annotations

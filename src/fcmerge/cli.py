@@ -18,14 +18,8 @@ from typing import Callable, Sequence, TypeVar
 
 from .arbitration import Strategy, arbitrate
 from .core import ClosedSet, closure
-from .errors import (
-    ConfigError,
-    CorpusError,
-    EmptyProfile,
-    IncompleteBinding,
-    SizeLimitExceeded,
-    SourceError,
-)
+from .errors import (ConfigError, CorpusError, EmptyProfile, IncompleteBinding,
+                     SizeLimitExceeded, SourceError)
 from .fuzz import FuzzConfig, search
 from .merging import merge
 from .postulates import POSTULATES, PostulateId, Status, check, load_bindings, run_corpus

@@ -8,34 +8,29 @@ to the inconsistent value, represented here by the ``BOTTOM`` sentinel
 rather than by materializing the set of all literals (which would depend
 on an unbounded vocabulary).
 
-``closure`` sweeps the rules that have not fired, firing each whose body
-is derived, until a sweep fires nothing.  Past ``SWEEP_VISITS`` rule
-visits per rule it compiles a ``CompiledProgram`` instead: the program's
-watcher index (rule heads, missing-body counts, the rules watching each
-literal, found by its atom and sign) together with the state of its
-closure, and rules that start switched off.  Its propagation loop, linear
-in the program size, yields the rounds that ``stratify`` reports, and
-answers "is the program with these rules switched on consistent?", or
-what its closure is, by propagating only what they add on top of that
-closure and undoing it afterwards.  Listing the rules whose bodies it
-does not tolerate asks only about rules that have not fired: chaining is
-monotone, so a rule that fired in the closure or in a consistent answer
-has its body inside a consistent closure.
+``closure`` sweeps the rules that have not fired until a sweep fires
+nothing.  Past ``SWEEP_VISITS`` rule visits per rule it compiles a
+``CompiledProgram``, the watcher index that also yields ``stratify``'s
+rounds and answers ``revision``'s questions, each propagating only what
+switched-on rules add on top of the program's closure, then undone.
 
-This module owns ``MEMO_SIZE``, the bound of every memo table.
+This module owns the memo bounds: ``MEMO_SIZE`` entries per table and,
+for ``memo``, which ``base`` uses, ``MEMO_RULES`` rules beyond the newest.
 
 All values are immutable and all operations are pure, so everything in
-this module is safe to share between threads.  The one mutable object, a
-``CompiledProgram``, is never cached, and only ``revision``'s search hands
-one on, to its readers there, so its state lives within one public call.
+this module is safe to share between threads; a ``memo`` table has a lock.
+The one mutable object, a ``CompiledProgram``, is never cached; only
+``revision``'s search hands one on, to its readers there.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain
+from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentProgram
@@ -44,17 +39,51 @@ from .errors import InconsistentProgram
 ATOM = r"[A-Za-z_][A-Za-z0-9_]*"
 _ATOM_RE = re.compile(ATOM)
 
-# entries per memo table, chosen by end-to-end time and memory, not by
-# hit ratio.  The memos are reused at short range: replaying the benchmark
-# requests (seed 3101), rank-large gets the same hits from 16 entries as
-# from 65,536, and on fuzz-grid 64 entries lower the closure hit ratio
-# from 0.773 to 0.759 and base's from 0.811 to 0.794 against 1,024.  Those
-# extra misses cost less than the collector's passes over a thousand
-# programs that are never asked for again: with 64 entries the cyclic GC
-# share of fuzz-grid time fell from 8.2% to 1.3%, and both throughput and
-# peak RSS improved.  128 entries matched 64 on fuzz-grid and held 4 MiB
-# more on rank-large.
+# memo bounds, chosen by end-to-end time and memory, not by hit ratio: every
+# rank-large hit falls within one request.  64 entries, not 1,024, cut the GC's
+# share of fuzz-grid time from 8.2% to 1.3%.  Bounding base by rules too cut
+# peak RSS on rank-large from 26.2 to 24.1 MiB, and over 40 requests of 1,024
+# rules from 46.6 to 35.0 MiB; on the busier revision table it cost fuzz-grid 5%
 MEMO_SIZE = 1 << 6
+MEMO_RULES = 1 << 11
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def memo(fn):
+    """fn memoised like lru_cache(maxsize=MEMO_SIZE), whose least recently
+    used entries also leave while those beyond the newest hold more than
+    MEMO_RULES rules of Program arguments.  Exceptions are not cached."""
+    table, lock = {}, Lock()  # arguments -> (result, rules)
+    hits = misses = held = 0
+
+    @wraps(fn)
+    def wrapper(*args):
+        nonlocal hits, misses, held
+        with lock:
+            entry = table.pop(args, None)
+            if entry is not None:
+                hits += 1
+                table[args] = entry
+                return entry[0]
+            misses += 1
+        entry = fn(*args), sum([len(a.rules) for a in args if isinstance(a, Program)])
+        with lock:  # unless a concurrent miss has stored args meanwhile
+            if table.setdefault(args, entry) is entry:
+                held += entry[1]
+                while len(table) > MEMO_SIZE or held - entry[1] > MEMO_RULES:
+                    held -= table.pop(next(iter(table)))[1]
+        return entry[0]
+
+    def cache_clear() -> None:
+        nonlocal hits, misses, held
+        with lock:
+            table.clear()
+            hits = misses = held = 0
+
+    wrapper.cache_info = lambda: CacheInfo(hits, misses, MEMO_SIZE, len(table))
+    wrapper.cache_clear = cache_clear
+    return wrapper
+
 
 # rule visits per rule that closure's sweeps may make before it compiles
 # the program.  On the benchmark requests (seed 3101), rank-large closures

@@ -7,9 +7,7 @@ adjoins it to the least exceptional level that tolerates it (rank
 revision), to the intersection of all maximal tolerant subsets (hull
 revision), or to each maximal tolerant subset separately, producing a
 flock (extended hull revision).  Consequence-wise the three operators
-form a chain: rank below hull below extended hull.  The level q joins is
-p itself when p | q is consistent and the empty program when q is not,
-so the base is built only when q is consistent and p | q is not.
+form a chain: rank below hull below extended hull.
 
 Hull and extended-hull revision enumerate maximal subsets, whose number
 is exponential in the worst case, so FCMERGE_MAX_ENUM (default 24), its
@@ -23,11 +21,11 @@ and bitmasks; dualize, which knows nothing of programs, finds extensions.
 from __future__ import annotations
 
 import os
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_
 from typing import Callable, Sequence
 
-from .core import BOTTOM, MEMO_SIZE, ClosedSet, CompiledProgram, Program, Rule, closure
+from .core import BOTTOM, ClosedSet, CompiledProgram, Program, Rule, closure, memo
 from .errors import ConfigError, SizeLimitExceeded
 
 DEFAULT_ENUM_CAP = 24
@@ -57,24 +55,16 @@ def exceptional_rules(program: Program) -> Program:
     """The rules whose bodies cannot be consistently added to the program.
 
     Every rule of an inconsistent program is exceptional; facts of a
-    consistent program never are (their body is empty).
-
-    Forward chaining is monotone: the closure of the program plus a body
-    is the closure of the program plus what the body newly derives on top
-    of it.  So the program is compiled once per call and each body is
-    propagated on top of its closure and then undone, instead of closing
-    the program afresh for every rule.  Monotonicity also settles rules
-    without a question of their own: a rule that fires in the closure, or
-    while a body is propagated without collapse, has its body inside a
-    consistent closure, so it is tolerated.  A call costs one compiled
-    index, linear in the program size, plus work per rule still unsettled
-    when its turn comes, proportional to what its body newly derives.
+    consistent program never are (their body is empty).  One index of the
+    program answers for every rule (CompiledProgram.intolerable): a body is
+    propagated on top of its closure and undone, and a rule that fires in
+    a consistent state is tolerated without a question of its own.
     """
     compiled = CompiledProgram(program)
     return Program(frozenset(compiled.rules[idx] for idx in compiled.intolerable()))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def base(program: Program) -> tuple[Program, ...]:
     """The levels of the base: exceptional_rules iterated from the program
     down to a fixpoint, then the empty program if the fixpoint has rules."""
@@ -161,9 +151,7 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     Empty exactly when q is inconsistent; the rank level alone, without
     a search, when no rule lies outside it, as when p | q is consistent
     (the base of p is built only when it is not).  More candidate rules than
-    enumeration_cap() raise SizeLimitExceeded.  A candidate whose head
-    closure(level | q) holds, or with a body literal opposed there, lies in
-    every extension without a question; dualize searches the others.
+    enumeration_cap() raise SizeLimitExceeded.
     """
     level, candidates, _, found = search_extensions(p, q)
     return tuple(sorted((_extension(level, candidates, s) for s in found), key=str))

@@ -26,10 +26,16 @@ def _load_workloads():
 _workloads = _load_workloads()
 
 
+def rank_large_triple(size: int, seed: int) -> tuple[Program, Program, Program]:
+    """P1, P2 and the constraint of the rank-large benchmark's triple of
+    that size and seed."""
+    p1, p2, c = (prog(_workloads.render_rules(r)) for r in _workloads.gen_rank_triple(size, seed))
+    return p1, p2, c
+
+
 def rank_large_pair(size: int, seed: int) -> tuple[Program, Program]:
     """P1 and P2 of the rank-large benchmark's triple of that size and seed."""
-    p1, p2, _ = _workloads.gen_rank_triple(size, seed)
-    return prog(_workloads.render_rules(p1)), prog(_workloads.render_rules(p2))
+    return rank_large_triple(size, seed)[:2]
 
 
 def lit(text: str) -> Literal:

@@ -9,11 +9,13 @@ from fcmerge import (
     BOTTOM,
     Program,
     SizeLimitExceeded,
+    arbitrate,
     base,
     closure,
     exceptional_rules,
     hull,
     maximal_extensions,
+    merge,
     rank,
     revise_extended_hull,
     revise_hull,
@@ -38,6 +40,7 @@ from helpers import (
     flock_meet,
     prog,
     rank_large_pair,
+    rank_large_triple,
 )
 from oracles import brute_maximal_extensions, naive_base, naive_exceptional, naive_rank
 from strategies import dense_programs, programs, rules
@@ -565,6 +568,24 @@ def test_fixed_fuzz_run_index_builds(monkeypatch):
     built = count_index_builds(monkeypatch)
     search(FuzzConfig(seed=7, trials=40))
     assert built() == 1311
+
+
+def test_rank_large_memo_counts():
+    # pinned work, misses may only fall: the six 128- and 256-rule triples
+    # of the rank-large benchmark and one of its 512-rule triples, each
+    # revised, arbitrated and merged as one of its requests is.  Every hit
+    # falls within one triple; the base table's bound on rules must not
+    # cost one of them, also when two 512-rule programs are asked for
+    clear_memos()
+    for size, seeds in ((128, (1, 2, 3)), (256, (1, 2, 3)), (512, (1,))):
+        for seed in seeds:
+            p1, p2, constraint = rank_large_triple(size, seed)
+            revise_rank(p1, p2)
+            arbitrate(p1, p2, Strategy.RANK)
+            merge(constraint, (p1, p2), Strategy.RANK)
+    assert closure.cache_info()[:2] == (67, 80)
+    assert base.cache_info()[:2] == (44, 14)
+    assert _revised_closure.cache_info()[:2] == (0, 28)
 
 
 @pytest.mark.parametrize("p_text, q_text, lookups", [

@@ -144,26 +144,43 @@ def test_src_stays_within_its_line_budget():
     assert lines < 2319, f"src/fcmerge: {lines} lines"
 
 
-def _memos() -> tuple[list[tuple[str, str]], list[str]]:
-    """(module.function, decorator) for every cached function, and the
-    modules that assign MEMO_SIZE."""
-    memos, owners = [], []
+_BOUNDS = ("MEMO_SIZE", "MEMO_RULES")
+
+
+def _memos() -> tuple[list[tuple[str, str]], dict[str, list[str]]]:
+    """(module.function, decorator) for every cached or memoised function,
+    and for each memo bound the modules that assign it."""
+    memos, owners = [], {bound: [] for bound in _BOUNDS}
     for path in MODULES:
         for node in ast.walk(_tree(path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for dec in node.decorator_list:
-                    if "cache" in ast.unparse(dec):
+                    if "cache" in ast.unparse(dec) or "memo" in ast.unparse(dec):
                         memos.append((f"{path.stem}.{node.name}", ast.unparse(dec)))
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "MEMO_SIZE" for t in node.targets):
-                owners.append(path.stem)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id in owners:
+                        owners[target.id].append(path.stem)
     return memos, owners
 
 
 def test_every_memo_is_bounded_by_the_one_memo_size():
+    # every table holds at most MEMO_SIZE entries.  base's, whose entries
+    # keep rank-large's programs alive, is also bounded by the rules they
+    # hold; closure and the revision table, the busiest, stay on lru_cache
     memos, owners = _memos()
-    assert owners == ["core"]
-    assert memos and all(dec == "lru_cache(maxsize=MEMO_SIZE)" for _, dec in memos), memos
+    assert owners == {bound: ["core"] for bound in _BOUNDS}
+    assert dict(memos) == {
+        "core.closure": "lru_cache(maxsize=MEMO_SIZE)",
+        "revision.base": "memo",
+        "arbitration._revised_closure": "lru_cache(maxsize=MEMO_SIZE)",
+    }
+    # memo is core's, the one decorator that reads MEMO_RULES
+    assert fcmerge.revision.memo is fcmerge.core.memo
+    reads = [f"{path.stem}.{node.name}" for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(n, ast.Name) and n.id == "MEMO_RULES" for n in ast.walk(node))]
+    assert reads == ["core.memo", "core.wrapper"]
 
 
 def test_memoised_functions_are_closure_base_and_revised_closure():
