@@ -55,6 +55,8 @@ def _revised_closure(p: Program, q: Program, strategy: Strategy,
                      cap: int | None) -> ClosedSet:
     if strategy is Strategy.RANK:
         return closure(revise_rank(p, q))
+    if not isinstance(strategy, Strategy):
+        raise TypeError(f"not a Strategy: {strategy!r}")
     return hull_closure(p, q, cap, strategy is Strategy.EXTENDED_HULL)
 
 

@@ -11,8 +11,8 @@ on an unbounded vocabulary).
 ``closure`` sweeps the rules that have not fired until a sweep fires
 nothing.  Past ``SWEEP_VISITS`` rule visits per rule it compiles a
 ``CompiledProgram``, the watcher index that also yields ``stratify``'s
-rounds and answers ``revision``'s questions, each propagating only what
-switched-on rules add on top of the program's closure, then undone.
+rounds and answers ``revision``'s questions, each a bitmask of switched-off
+rules to switch on, propagating only what they add to the closure, then undone.
 
 This module owns the memo bounds: ``MEMO_SIZE`` entries per table and,
 for ``memo``, which ``base`` uses, ``MEMO_RULES`` rules beyond the newest.
@@ -328,26 +328,27 @@ class CompiledProgram:
                 return True
             frontier = fired
 
-    def consistent_with(self, on: Sequence[int], derived: list[Literal] | None = None) -> bool:
-        """Whether switching on the distinct switched-off positions ``on``
-        keeps the program's consequences consistent; if it does, what they
-        newly derive is appended to ``derived`` when it is given.  Forward
-        chaining is monotone, so only that is propagated, on top of the
-        program's closure, and then undone: the index is back in its
-        closure state on return."""
+    def consistent_with(self, on: int, derived: list[Literal] | None = None) -> bool:
+        """Whether switching on the switched-off positions set in the
+        bitmask ``on`` keeps the program's consequences consistent; if it
+        does, what they newly derive is appended to ``derived`` when it is
+        given.  Forward chaining is monotone, so only that is propagated,
+        on top of the program's closure, and then undone: the index is
+        back in its closure state on return."""
         if self.rounds is None:
             return False
-        missing = self._missing
-        for idx in on:
+        positions, missing = [idx for idx in range(on.bit_length()) if on >> idx & 1], self._missing
+        for idx in positions:
             missing[idx] -= 1
-        consistent = self._ask([self._heads[idx] for idx in on if not missing[idx]], derived=derived)
-        for idx in on:
+        consistent = self._ask([self._heads[idx] for idx in positions if not missing[idx]],
+                               derived=derived)
+        for idx in positions:
             missing[idx] += 1
         return consistent
 
-    def closure_with(self, on: Sequence[int]) -> ClosedSet:
-        """The closure of the program with the distinct switched-off
-        positions ``on`` switched on, propagated on top of its own
+    def closure_with(self, on: int) -> ClosedSet:
+        """The closure of the program with the switched-off positions set
+        in the bitmask ``on`` switched on, propagated on top of its own
         closure as a ``consistent_with`` question is, and then undone."""
         derived: list[Literal] = []
         if not self.consistent_with(on, derived):
@@ -423,8 +424,7 @@ def closure(program: Program) -> ClosedSet:
         if len(waiting) == len(pending):
             return ClosedSet(frozenset(derived))
         pending = waiting
-    rounds = CompiledProgram(program).rounds
-    return BOTTOM if rounds is None else ClosedSet(frozenset(chain.from_iterable(rounds)))
+    return CompiledProgram(program).closure_with(0)
 
 
 def stratify(program: Program) -> tuple[frozenset[Literal], ...]:

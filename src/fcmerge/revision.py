@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from functools import reduce
 from operator import and_
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import BOTTOM, ClosedSet, CompiledProgram, Program, Rule, closure, memo
 from .errors import ConfigError, SizeLimitExceeded
@@ -135,8 +135,7 @@ def search_extensions(p: Program, q: Program, cap: int | None = None
     # nothing when switched on: it lies in every extension, never asked about
     compiled = CompiledProgram(level | q, candidates)
     inert = sum(1 << i for i in range(len(candidates)) if compiled.inert(i))
-    found, _ = dualize(compiled.consistent_with,
-                       [i for i in range(len(candidates)) if not inert >> i & 1])
+    found, _ = dualize(compiled.consistent_with, (1 << len(candidates)) - 1 & ~inert)
     return level, candidates, compiled, [s | inert for s in found]
 
 
@@ -157,36 +156,32 @@ def maximal_extensions(p: Program, q: Program) -> tuple[Program, ...]:
     return tuple(sorted((_extension(level, candidates, s) for s in found), key=str))
 
 
-def dualize(tolerable: Callable[[list[int]], bool], positions: Sequence[int]
-            ) -> tuple[list[int], list[int]]:
-    """The maximal tolerable sets of the positions, in the order found, and
-    the intolerable minimal transversals, as bitmasks over the positions.
+def dualize(tolerable: Callable[[int], bool], live: int) -> tuple[list[int], list[int]]:
+    """The maximal tolerable subsets of the bitmask live, in the order
+    found, and the intolerable minimal transversals, all as bitmasks.
 
-    tolerable is asked about lists of distinct positions and must be
-    downward closed: dropping positions never makes a set intolerable.
+    tolerable is asked about subsets of live, as bitmasks, and must be
+    downward closed: clearing bits never makes a set intolerable.
     Dualize and advance (Gunopulos et al., 1997): a tolerable set in no
     found set meets every found set's complement, so it holds a minimal
-    transversal of them, tolerable too, which grows greedily, in the order
-    of positions, to the next one found.  An intolerable transversal meets
-    every later complement as well, so it is kept as it is and never asked
-    again.  Once all are intolerable, every maximal set is found and they
-    are exactly the minimal intolerable sets.  Each found set costs at most
-    one question per position, each minimal transversal one: the work is
-    output sensitive, though both counts can be exponential.
+    transversal of them, tolerable too, which grows greedily, one live bit
+    at a time from the lowest, to the next one found.  An intolerable
+    transversal meets every later complement as well, so it is kept as it
+    is and never asked again.  Once all are intolerable, every maximal set
+    is found and they are exactly the minimal intolerable sets.  Each found
+    set costs at most one question per live bit, each minimal transversal
+    one: the work is output sensitive, though both counts can be exponential.
     """
-    live = sum(1 << i for i in positions)
     found: list[int] = []
     pending, refuted = [0], []
     while pending:
         t = s = pending.pop()
-        chosen = [i for i in positions if t >> i & 1]
-        if not tolerable(chosen):
+        if not tolerable(t):
             refuted.append(t)
             continue
-        for i in positions:
-            if not s >> i & 1 and tolerable(chosen + [i]):
-                chosen.append(i)
-                s |= 1 << i
+        for b in (1 << i for i in range(live.bit_length())):
+            if live & ~s & b and tolerable(s | b):
+                s |= b
         found.append(s)
         pending = _add_edge([*pending, t], ~s & live, refuted)
     return found, refuted
@@ -223,9 +218,7 @@ def hull_closure(p: Program, q: Program, cap: int | None, extended: bool) -> Clo
     if compiled is None:  # no extension, or the rank level the only one
         return closure(level | q) if found else BOTTOM
     chosen = found if extended else [reduce(and_, found)]
-    return reduce(ClosedSet.meet, (
-        compiled.closure_with([i for i in range(s.bit_length()) if s >> i & 1])
-        for s in chosen), BOTTOM)
+    return reduce(ClosedSet.meet, map(compiled.closure_with, chosen), BOTTOM)
 
 
 def revise_hull(p: Program, q: Program) -> Program:

@@ -1,0 +1,157 @@
+"""Mutation probe: how many simple mutants of chosen functions the tests kill.
+
+Pytest does not collect this file.  Run it from anywhere, one target or more,
+each MODULE.NAME for a function or class of src/fcmerge/MODULE.py; a class
+stands for each of its methods:
+
+    python tests/mutation_probe.py core.CompiledProgram core.closure
+    python tests/mutation_probe.py revision.dualize revision._add_edge \\
+        --tests tests/test_revision.py
+
+Each mutant changes one node, with the stdlib ast only: a comparison becomes
+its negation (== and !=, < and >=, > and <=, is and is not, in and not in),
+and and or swap, += and -= swap, a not is dropped, or an integer constant
+gains 1.  It is written into a temporary copy of the repository, never into
+the checkout, and the owning test files (tests/test_MODULE.py of each
+target's module unless --tests names others) run against it, stopping at the
+first failure, with a timeout per mutant and Hypothesis's seed fixed.  The
+report gives killed, survived and timed out per function, then each survivor.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
+           ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+           ast.In: ast.NotIn, ast.NotIn: ast.In}
+SWAPPED = {ast.And: ast.Or, ast.Or: ast.And, ast.Add: ast.Sub, ast.Sub: ast.Add}
+
+
+def functions(tree: ast.Module, name: str) -> list[tuple[str, ast.AST]]:
+    """The named top-level function, or each method of the named class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            if isinstance(node, ast.FunctionDef):
+                return [(name, node)]
+            return [(f"{name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef)]
+    raise SystemExit(f"no function or class {name!r}")
+
+
+def mutate(node: ast.AST, k: int) -> bool:
+    """Apply the k-th mutation of the node in place; False when it has none."""
+    if isinstance(node, ast.Compare) and k < len(node.ops):
+        node.ops[k] = NEGATED[type(node.ops[k])]()
+    elif isinstance(node, ast.BoolOp) and k == 0:
+        node.op = SWAPPED[type(node.op)]()
+    elif isinstance(node, ast.AugAssign) and type(node.op) in SWAPPED and k == 0:
+        node.op = SWAPPED[type(node.op)]()
+    elif isinstance(node, ast.Constant) and type(node.value) is int and k == 0:
+        node.value += 1
+    else:
+        return False
+    return True
+
+
+def mutants(source: str, name: str):
+    """(function, line, description, mutated module source) for each mutant.
+    A dropped not replaces the UnaryOp by its operand, in a copy of the tree."""
+    for function, fn in functions(ast.parse(source), name):
+        for index, node in enumerate(ast.walk(fn)):
+            for k in range(max(len(getattr(node, "ops", ())), 1)):
+                tree = ast.parse(source)
+                target = list(ast.walk(dict(functions(tree, name))[function]))[index]
+                before = ast.unparse(target)
+                if isinstance(target, ast.UnaryOp) and isinstance(target.op, ast.Not):
+                    _replace(tree, target, target.operand)
+                    after = ast.unparse(target.operand)
+                elif mutate(target, k):
+                    after = ast.unparse(target)
+                else:
+                    continue
+                text = f"{_short(before)} -> {_short(after)}"
+                yield function, node.lineno, text, ast.unparse(tree)
+
+
+def _replace(tree: ast.AST, old: ast.AST, new: ast.AST) -> None:
+    for parent in ast.walk(tree):
+        for field, value in ast.iter_fields(parent):
+            if value is old:
+                setattr(parent, field, new)
+            elif isinstance(value, list) and old in value:  # nodes compare by identity
+                value[value.index(old)] = new
+
+
+def _short(text: str) -> str:
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
+    """'killed', 'survived' or 'timed out' for the copy's current source."""
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)  # no example carries over
+    command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--hypothesis-seed=0", *tests]
+    try:
+        done = subprocess.run(command, cwd=copy, timeout=timeout,
+                              env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    return "survived" if done.returncode == 0 else "killed"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("targets", nargs="+", metavar="MODULE.NAME")
+    parser.add_argument("--tests", nargs="+", help="test files, relative to the repository root")
+    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
+    args = parser.parse_args(argv)
+    modules = {target.partition(".")[0] for target in args.targets}
+    tests = args.tests or [f"tests/test_{module}.py" for module in sorted(modules)]
+    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", ".hypothesis", ".pytest_cache", "__pycache__", "*.egg-info", "build"))
+        scores: dict[str, dict[str, int]] = {}
+        survivors: list[str] = []
+        for target in args.targets:
+            module, _, name = target.partition(".")
+            path = copy / "src" / "fcmerge" / f"{module}.py"
+            source = path.read_text()
+            found = list(mutants(source, name))
+            path.write_text(ast.unparse(ast.parse(source)))
+            if run_tests(copy, tests, args.timeout) != "survived":
+                raise SystemExit(f"{target}: the tests fail on the unmutated source")
+            for function, line, text, mutant in found:
+                started = time.monotonic()
+                path.write_text(mutant)
+                outcome = run_tests(copy, tests, args.timeout)
+                score = scores.setdefault(f"{module}.{function}", dict.fromkeys(
+                    ("killed", "survived", "timed out"), 0))
+                score[outcome] += 1
+                print(f"{outcome:9}  {module}.py:{line}  {function}: {text}"
+                      f"  ({time.monotonic() - started:.1f} s)", flush=True)
+                if outcome == "survived":
+                    survivors.append(f"{module}.py:{line}  {function}: {text}")
+            path.write_text(source)
+    print(f"\n{'function':40} killed  survived  timed out")
+    for function, score in scores.items():
+        print(f"{function:40} {score['killed']:6}  {score['survived']:8}  {score['timed out']:9}")
+    total = {k: sum(s[k] for s in scores.values()) for k in ("killed", "survived", "timed out")}
+    print(f"{'total':40} {total['killed']:6}  {total['survived']:8}  {total['timed out']:9}")
+    for line in survivors:
+        print("survived:", line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

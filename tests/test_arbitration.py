@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -175,3 +176,15 @@ class TestStrategy:
     def test_unknown_token(self):
         with pytest.raises(ValueError):
             Strategy.from_token("hull")
+
+    @pytest.mark.parametrize("token", ["rk", "h", "eh", None])
+    def test_a_token_is_not_a_strategy(self, token):
+        # the gap pair does not pool, so arbitrate and merge both revise,
+        # and a token must not run the hull operator in place of its Strategy;
+        # a pooled merge answers without reading the strategy
+        p, q = prog(GAP_P), prog(GAP_Q)
+        with pytest.raises(TypeError, match=re.escape(repr(token))):
+            arbitrate(p, q, token)
+        with pytest.raises(TypeError, match=re.escape(repr(token))):
+            merge(q, (p,), token)
+        assert merge(prog("c."), (prog("a."),), token) == closed("a", "c")

@@ -132,9 +132,9 @@ class TestClosure:
     def test_consistent_with(self):
         # the fact n, switched off at position 0, is asked about by switching it on
         n = [Rule.fact(lit("n"))]
-        assert not CompiledProgram(prog(TAXONOMY), n).consistent_with([0])
-        assert CompiledProgram(prog(LAYERED)).consistent_with([])
-        assert CompiledProgram(prog("n -> c. n -> s."), n).consistent_with([0])
+        assert not CompiledProgram(prog(TAXONOMY), n).consistent_with(1)
+        assert CompiledProgram(prog(LAYERED)).consistent_with(0)
+        assert CompiledProgram(prog("n -> c. n -> s."), n).consistent_with(1)
 
 
 class TestStratify:
@@ -197,6 +197,7 @@ def test_index_rounds_match_closure(p, q):
         assert indexed == closure(program) == naive_closure(program)
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("text, builds", [
     # depth 1: whatever the set order, the second sweep fires the last rule
     ("c0. " + " ".join(f"c0 -> d{i}." for i in range(300)), 0),
@@ -205,11 +206,16 @@ def test_index_rounds_match_closure(p, q):
     # sweeps, far more than SWEEP_VISITS visits per rule allow
     ("c0. " + " ".join(f"c{i} -> c{i + 1}." for i in range(300)), 1),
     ("c0. -c300. " + " ".join(f"c{i} -> c{i + 1}." for i in range(300)), 1),
+    # a chain of 60 among 2,000 rules that never fire, each one literal short
+    (" ".join(["c0."] + [f"c{i} -> c{i + 1}." for i in range(60)]
+              + [f"d{i} -> e{i}." for i in range(2000)]), 1),
     (LAYERED, 0),
-], ids=["fan", "chain", "chain-to-conflict", "layered"])
+], ids=["fan", "chain", "chain-to-conflict", "chain-beside-unfired-rules", "layered"])
 def test_deep_programs_close_on_one_index(monkeypatch, text, builds):
     # work counted, not timed: shallow programs are swept without an
-    # index, and a chain gives way to one index after a bounded sweep
+    # index, and a chain gives way to one index after a bounded sweep.
+    # Beside the fourth chain most rules stay one body literal short of
+    # firing, so a closure that switched any of them on again would show it
     p = prog(text)
     built = count_index_builds(monkeypatch)
     assert closure.__wrapped__(p) == naive_closure(p)
@@ -219,13 +225,14 @@ def test_deep_programs_close_on_one_index(monkeypatch, text, builds):
 @given(programs, programs, st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_switched_on_rules_match_closure(p, q, subsets):
-    # p's rules, facts included, start switched off; every subset is asked
-    # of the same index, so each question must leave it as it found it
+    # p's rules, facts included, start switched off; every subset is asked,
+    # as a bitmask, of the same index, so each question must leave it as it
+    # found it
     off = sorted(p.rules, key=str)
     compiled = CompiledProgram(q, off)
     for subset in subsets:
-        on = [i for i in sorted(subset) if i < len(off)]
-        switched_on = Program(frozenset(off[i] for i in on))
+        on = sum(1 << i for i in subset if i < len(off))
+        switched_on = Program(frozenset(off[i] for i in subset if i < len(off)))
         assert compiled.consistent_with(on) == (not closure(switched_on | q).is_bottom)
 
 
@@ -237,12 +244,12 @@ def test_closure_with_matches_closure(p, q, subsets):
     # nothing: a consistent closure holds its head or opposes its body
     off = sorted(p.rules, key=str)
     compiled = CompiledProgram(q, off)
-    inert = {i for i in range(len(off)) if compiled.inert(i)}
+    inert = sum(1 << i for i in range(len(off)) if compiled.inert(i))
     for subset in subsets:
-        on = [i for i in sorted(subset) if i < len(off)]
-        expected = closure(Program(frozenset(off[i] for i in on)) | q)
+        on = sum(1 << i for i in subset if i < len(off))
+        expected = closure(Program(frozenset(off[i] for i in subset if i < len(off))) | q)
         assert compiled.closure_with(on) == expected
-        assert compiled.closure_with(sorted(inert.union(on))) == expected
+        assert compiled.closure_with(inert | on) == expected
 
 
 @given(programs, programs)
@@ -260,12 +267,12 @@ def test_intolerable_positions_match_consistent_with(p, q):
         assert positions == [i for i, rule in enumerate(compiled.rules)
                              if closure(switched_on | Program.from_facts(rule.body)).is_bottom]
         assert compiled.intolerable() == positions
-    assert switched_off.closure_with(range(len(off))) == closure(p | q)
+    assert switched_off.closure_with((1 << len(off)) - 1) == closure(p | q)
 
 
-def _on_sets(n: int) -> st.SearchStrategy[list[int]]:
-    # distinct switched-off positions, in any order
-    return st.lists(st.integers(0, n - 1), unique=True) if n else st.just([])
+def _on_sets(n: int) -> st.SearchStrategy[int]:
+    # bitmasks over the n switched-off positions
+    return st.integers(0, (1 << n) - 1)
 
 
 class IndexQuestions(RuleBasedStateMachine):
@@ -282,7 +289,8 @@ class IndexQuestions(RuleBasedStateMachine):
         self.compiled = CompiledProgram(self.q, self.off)
 
     def _closure_with(self, on):
-        return closure(Program(frozenset(self.off[i] for i in on)) | self.q)
+        switched_on = frozenset(r for i, r in enumerate(self.off) if on >> i & 1)
+        return closure(Program(switched_on) | self.q)
 
     @rule(data=st.data())
     def consistent_with(self, data):

@@ -24,6 +24,8 @@ from fcmerge import (
 from fcmerge.cli import run
 from fcmerge.fuzz import render_instance
 
+pytestmark = pytest.mark.pinned
+
 FUZZ_ARGS = ["fuzz", "--seed", "7", "--trials", "40", "--strategies", "rk,h,eh", "--json"]
 FUZZ_SHA256 = "a03ce882c1f68f2d4a74070391493f4a88ef6d2139439633b580543014355173"
 CORPUS_SHA256 = "fa04c91fe098cf94c39653048cba9d9919dabb19af078580cbc2c7e6ce463eec"

@@ -134,6 +134,7 @@ def test_wrapper_keeps_the_function_name():
     assert base.__wrapped__.__name__ == "base"
 
 
+@pytest.mark.pinned
 def test_base_holds_at_most_memo_rules_beyond_its_newest_program():
     # thirty distinct programs of the rank-large generator at 300 rules
     # (290-300 once duplicates collapse): without the rule bound the table

@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,7 @@ class TestMaximalExtensions:
         assert len(extensions) == 26
         assert extensions == brute_maximal_extensions(p, q)
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("p_text, q_text, extensions, questions", [
         # late conflict at the cap: 24 candidates, of which only zx and
         # zx -> zz together collide with q
@@ -307,7 +310,7 @@ class TestMaximalExtensions:
         consistent_with = CompiledProgram.consistent_with
 
         def recording(self, on, derived=None):
-            asked.extend(self.rules[i] for i in on)
+            asked.extend(r for i, r in enumerate(self.rules) if on >> i & 1)
             return consistent_with(self, on, derived)
 
         monkeypatch.setattr(CompiledProgram, "consistent_with", recording)
@@ -479,6 +482,7 @@ def test_exceptional_rules_and_base_match_naive_oracles_at_rank_large_sizes(size
         assert base(p) == naive_base(p)
 
 
+@pytest.mark.pinned
 def test_base_questions_on_rank_large_programs(monkeypatch):
     # pinned work: the questions asked while building the bases of the six
     # 128-rule programs, counted as propagations less index builds.  One
@@ -538,6 +542,7 @@ def test_rank_level_needs_no_base(p_text, q_text):
     assert base.cache_info().misses == 0
 
 
+@pytest.mark.pinned
 def test_fixed_fuzz_run_memo_misses():
     # pinned work: base misses may only fall.  The base is built only when
     # q is consistent and p | q is not (2,834 misses when every rank
@@ -559,6 +564,7 @@ def test_fixed_fuzz_run_memo_misses():
     assert _revised_closure.cache_info().misses == 3757
 
 
+@pytest.mark.pinned
 def test_fixed_fuzz_run_index_builds(monkeypatch):
     # pinned work, may only fall: every CompiledProgram the fixed run
     # builds, for stratify, exceptional_rules and the enumeration.  9,112
@@ -570,6 +576,7 @@ def test_fixed_fuzz_run_index_builds(monkeypatch):
     assert built() == 1311
 
 
+@pytest.mark.pinned
 def test_rank_large_memo_counts():
     # pinned work, misses may only fall: the six 128- and 256-rule triples
     # of the rank-large benchmark and one of its 512-rule triples, each
@@ -662,15 +669,15 @@ def test_berge_steps_give_the_minimal_transversals(edges):
     assert sorted(transversals) == minimal
 
 
-def _conflict_oracle(positions, conflicts, asked=None):
-    # tolerable iff the set holds no listed conflict set, a bitmask; every
-    # question must list distinct positions, and is recorded when asked is given
-    def tolerable(chosen):
-        assert len(set(chosen)) == len(chosen) and set(chosen) <= set(positions)
+def _conflict_oracle(live, conflicts, asked=None):
+    # tolerable iff the set holds no listed conflict set, both bitmasks;
+    # every question must be a subset of live, and is recorded when asked
+    # is given
+    def tolerable(s):
+        assert type(s) is int and s & ~live == 0
         if asked is not None:
-            asked.append(chosen)
-        mask = sum(1 << i for i in chosen)
-        return not any(c & ~mask == 0 for c in conflicts)
+            asked.append(s)
+        return not any(c & ~s == 0 for c in conflicts)
     return tolerable
 
 
@@ -681,8 +688,8 @@ def test_dualize_on_disjoint_conflicting_pairs(positions):
     # question count of the independent-conflicts program, with no program.
     # Positions left out, as inert candidates are, change no question
     pairs = [1 << positions[2 * j] | 1 << positions[2 * j + 1] for j in range(8)]
-    asked = []
-    found, refuted = dualize(_conflict_oracle(positions, pairs, asked), positions)
+    live, asked = sum(1 << i for i in positions), []
+    found, refuted = dualize(_conflict_oracle(live, pairs, asked), live)
     assert len(found) == len(set(found)) == 2 ** 8
     assert all(bin(s).count("1") == 8 and all(s & pair != pair for pair in pairs) for s in found)
     assert sorted(refuted) == sorted(pairs)
@@ -691,7 +698,44 @@ def test_dualize_on_disjoint_conflicting_pairs(positions):
 
 def test_dualize_with_nothing_tolerable():
     # the empty set is the one minimal intolerable set, and nothing is found
-    assert dualize(lambda chosen: False, [0, 2]) == ([], [0])
+    assert dualize(lambda s: False, 0b101) == ([], [0])
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("seed, swapped, candidates, extensions, conflicts", [
+    (1, True, 123, 1, 13),
+    (2, False, 122, 2, 11),
+    (2, True, 95, 1, 4),
+    (3, False, 105, 1, 2),
+    (1, False, 94, 166, 593),
+], ids=["seed1-P2P1", "seed2-P1P2", "seed2-P2P1", "seed3-P1P2", "seed1-P1P2"])
+def test_dualize_certifies_its_answer_on_rank_large_pairs(monkeypatch, seed, swapped,
+                                                          candidates, extensions, conflicts):
+    # where brute force cannot run, the kernel's answer on a 128-rule pair
+    # certifies itself: every refuted set is a minimal conflict, intolerable
+    # while each set one bit smaller is tolerable; the hull is the live bits
+    # in no conflict; and the conflicts alone, as an oracle, drive the kernel
+    # to the same answer.  The counts are pinned, under either hash seed
+    p, q = rank_large_pair(128, seed)[::-1 if swapped else 1]
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "1000")
+    calls = []
+
+    def spy(tolerable, live):
+        found, refuted = dualize(tolerable, live)
+        calls.append((tolerable, live, found, refuted))
+        return found, refuted
+
+    monkeypatch.setattr("fcmerge.revision.dualize", spy)
+    assert len(maximal_extensions(p, q)) == extensions
+    assert len(p.rules - _rank_level(p, q).rules) == candidates
+    (tolerable, live, found, refuted), = calls
+    assert len(found) == extensions and len(refuted) == conflicts
+    for m in refuted:
+        assert not tolerable(m)
+        assert all(tolerable(m & ~(1 << i)) for i in range(m.bit_length()) if m >> i & 1)
+    assert reduce(and_, found) == live & ~reduce(or_, refuted, 0)
+    replayed = dualize(lambda s: all(m & ~s for m in refuted), live)
+    assert (set(replayed[0]), set(replayed[1])) == (set(found), set(refuted))
 
 
 @st.composite
@@ -712,7 +756,8 @@ def test_dualize_finds_the_maximal_independent_sets_and_the_minimal_conflicts(fa
     # maximal sets holding no conflict, and refuted is the conflicts that
     # hold no other one, the minimal intolerable sets
     positions, conflicts = family
-    found, refuted = dualize(_conflict_oracle(positions, conflicts), positions)
+    live = sum(1 << i for i in positions)
+    found, refuted = dualize(_conflict_oracle(live, conflicts), live)
     subsets = [sum(1 << i for j, i in enumerate(positions) if m >> j & 1)
                for m in range(1 << len(positions))]
     independent = {s for s in subsets if not any(c & ~s == 0 for c in conflicts)}
