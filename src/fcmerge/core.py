@@ -332,9 +332,11 @@ class CompiledProgram:
         """Whether switching on the switched-off positions set in the
         bitmask ``on`` keeps the program's consequences consistent; if it
         does, what they newly derive is appended to ``derived`` when it is
-        given.  Forward chaining is monotone, so only that is propagated,
-        on top of the program's closure, and then undone: the index is
-        back in its closure state on return."""
+        given.  ``on`` sets no bit past those positions, which would fire a
+        switched-on rule one body literal short.  Forward chaining is
+        monotone, so only what ``on`` adds is propagated, on top of the
+        program's closure, and then undone: the index is back in its
+        closure state on return."""
         if self.rounds is None:
             return False
         positions, missing = [idx for idx in range(on.bit_length()) if on >> idx & 1], self._missing
@@ -348,8 +350,8 @@ class CompiledProgram:
 
     def closure_with(self, on: int) -> ClosedSet:
         """The closure of the program with the switched-off positions set
-        in the bitmask ``on`` switched on, propagated on top of its own
-        closure as a ``consistent_with`` question is, and then undone."""
+        in the bitmask ``on``, and no bit past them, switched on, propagated
+        on top of its own closure as a ``consistent_with`` question is."""
         derived: list[Literal] = []
         if not self.consistent_with(on, derived):
             return BOTTOM

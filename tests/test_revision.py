@@ -25,7 +25,7 @@ from fcmerge import (
 )
 from fcmerge.arbitration import Strategy, _revised_closure, revised_closure
 from fcmerge.core import CompiledProgram
-from fcmerge.revision import _add_edge, _rank_level, dualize
+from fcmerge.revision import _add_edge, _rank_level, dualize, hull_closure
 from fcmerge.fuzz import FuzzConfig, atom_pool, gen_program, search
 
 from helpers import (
@@ -654,6 +654,64 @@ def test_search_readers_match_the_revisions(p, q):
 @settings(max_examples=300, deadline=None)
 def test_search_readers_match_the_revisions_under_dense_negation(p, q):
     _assert_search_readers_agree(p, q)
+
+
+def _index_questions(p, q):
+    """(method, on, switched-off count) for every question maximal_extensions,
+    hull and the revision table's h and eh reader ask an index."""
+    asked, switched_off = [], {}
+    init = CompiledProgram.__init__
+
+    def building(self, program, off=()):
+        switched_off[id(self)] = (len(off), self)  # self kept, so its id is not reused
+        init(self, program, off)
+
+    def spying(name):
+        method = getattr(CompiledProgram, name)
+
+        def asking(self, on, *args):
+            asked.append((name, on, switched_off[id(self)][0]))
+            return method(self, on, *args)
+        return asking
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CompiledProgram, "__init__", building)
+        for name in ("consistent_with", "closure_with"):
+            mp.setattr(CompiledProgram, name, spying(name))
+        maximal_extensions(p, q)
+        hull(p, q)
+        for extended in (False, True):
+            hull_closure(p, q, None, extended)
+    return asked
+
+
+def _assert_questions_set_only_switched_off_positions(p, q):
+    # bit i of a question is the i-th switched-off rule, candidate i of the
+    # search; a bit past them would switch on a rule one body literal short
+    # of firing, so no caller may set one
+    assert all(0 <= on < 1 << n for _, on, n in _index_questions(p, q))
+
+
+@given(programs, programs)
+@settings(max_examples=300, deadline=None)
+def test_index_questions_set_only_switched_off_positions(p, q):
+    _assert_questions_set_only_switched_off_positions(p, q)
+
+
+@given(dense_programs, dense_programs)
+@settings(max_examples=300, deadline=None)
+def test_index_questions_set_only_switched_off_positions_under_dense_negation(p, q):
+    _assert_questions_set_only_switched_off_positions(p, q)
+
+
+def test_index_questions_are_spied_on():
+    # the spy sees what the two properties above check: on this pair, whose
+    # four rules are all candidates, the search asks consistent_with and the
+    # h and eh reader closure_with
+    asked = _index_questions(prog("s -> m. m -> t. x -> s. t -> u."), prog("s. -t."))
+    assert {name for name, _, _ in asked} == {"consistent_with", "closure_with"}
+    assert {n for _, _, n in asked} == {4}
+    assert all(0 <= on < 1 << 4 for _, on, _ in asked)
 
 
 @given(st.lists(st.integers(0, (1 << 8) - 1), max_size=8))

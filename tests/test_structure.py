@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import FunctionType
 
@@ -135,6 +138,105 @@ def test_only_core_and_revision_know_the_index():
             if name in index:
                 named.append(f"{path.stem}: {name}")
     assert named == []
+
+
+LAZY_NAMES = {
+    "fuzz": ("FuzzConfig", "FuzzReport", "gen_instance", "gen_program", "search", "shrink"),
+    "postulates": ("Instance", "PostulateId", "Status", "Verdict", "check", "guaranteed",
+                   "run_corpus"),
+}
+
+
+def _run_fresh(script: str) -> None:
+    src = Path(fcmerge.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
+_LAZY_SCRIPT = f"""
+import sys
+import fcmerge
+
+lazy = {{"fcmerge.fuzz", "fcmerge.postulates"}}
+names = {LAZY_NAMES!r}
+flat = [name for group in names.values() for name in group]
+assert not lazy & set(sys.modules), "import fcmerge loaded " + str(lazy & set(sys.modules))
+assert not set(flat) & set(vars(fcmerge))
+
+p = fcmerge.parse_program("a. a -> b. b -> c.")
+q = fcmerge.parse_program("-c.")
+rk = fcmerge.Strategy.RANK
+assert fcmerge.render(fcmerge.revise_rank(p, q)) == "-c."
+assert fcmerge.render(fcmerge.arbitrate(p, q, rk)) == ""
+assert fcmerge.render(fcmerge.merge(q, fcmerge.Profile((p, q)), rk)) == "-c"
+assert not lazy & set(sys.modules), "an operator loaded " + str(lazy & set(sys.modules))
+
+fcmerge.Status
+assert set(flat) <= set(vars(fcmerge)), "one lookup left names to __getattr__"
+for module, group in names.items():
+    for name in group:
+        assert vars(fcmerge)[name] is getattr(sys.modules["fcmerge." + module], name), name
+
+try:
+    fcmerge.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'fcmerge' has no attribute 'nope'", exc
+else:
+    raise AssertionError("fcmerge.nope resolved")
+
+star = {{}}
+exec("from fcmerge import *", star)
+assert sorted(set(fcmerge.__all__) - set(star)) == []
+assert all(star[name] is getattr(fcmerge, name) for name in fcmerge.__all__)
+print("ok")
+"""
+
+
+def test_fuzzer_and_checkers_load_on_first_use():
+    # a caller who only revises, arbitrates or merges pays for neither the
+    # fuzzer nor the checkers; the first lookup of one of their names binds
+    # all of them in the package, so __getattr__ never sees them again.  A
+    # fresh interpreter, since earlier tests have loaded both modules here
+    _run_fresh(_LAZY_SCRIPT)
+    # the 13 names are all the public names the two modules define
+    home = {name: getattr(fcmerge, name).__module__ for name in fcmerge.__all__}
+    assert sorted(name for name, module in home.items()
+                  if module.partition(".")[2] in LAZY_NAMES) == sorted(
+        name for group in LAZY_NAMES.values() for name in group)
+
+
+_RACE_SCRIPT = f"""
+import sys, threading
+import fcmerge
+
+names = {LAZY_NAMES!r}
+flat = [(module, name) for module, group in names.items() for name in group]
+barrier, got = threading.Barrier(len(flat)), {{}}
+
+def lookup(name):
+    barrier.wait(timeout=30)
+    got[name] = getattr(fcmerge, name)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=lookup, args=(name,)) for _, name in flat]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+assert not any(thread.is_alive() for thread in threads)
+for module, name in flat:
+    home = getattr(sys.modules["fcmerge." + module], name)
+    assert got[name] is home and vars(fcmerge)[name] is home, name
+print("ok")
+"""
+
+
+def test_first_lookups_from_many_threads_bind_one_object_per_name():
+    # 13 threads, one per name, all making the first lookup at once: each
+    # must get the submodule's own object, never a half-loaded module's
+    _run_fresh(_RACE_SCRIPT)
 
 
 def test_src_stays_within_its_line_budget():
