@@ -5,8 +5,6 @@ Importing it loads the operators, the text syntax and the errors; the first
 lookup of a fuzzer or checker name here loads both ``fuzz`` and ``postulates``
 and binds all their names.  The CLI imports both."""
 
-from importlib import import_module
-
 from .arbitration import Strategy, arbitrate, conj, disj
 from .core import BOTTOM, ClosedSet, Literal, Program, Rule, closure, entails, stratify
 from .errors import (
@@ -43,55 +41,15 @@ _LAZY.update(dict.fromkeys(
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
     globals().update({n: getattr(import_module(f"{__name__}.{m}"), n) for n, m in _LAZY.items()})
     return globals()[name]
 
 
-__all__ = [
-    "BOTTOM",
-    "ClosedSet",
-    "ConfigError",
-    "CorpusError",
-    "EmptyProfile",
-    "FuzzConfig",
-    "FuzzReport",
-    "IncompleteBinding",
-    "InconsistentProgram",
-    "Instance",
-    "Literal",
-    "PostulateId",
-    "PredicateNotHolding",
-    "Profile",
-    "Program",
-    "Rule",
-    "SizeLimitExceeded",
-    "SourceError",
-    "Status",
-    "Strategy",
-    "Verdict",
-    "arbitrate",
-    "base",
-    "check",
-    "closure",
-    "conj",
-    "disj",
-    "entails",
-    "exceptional_rules",
-    "gen_instance",
-    "gen_program",
-    "guaranteed",
-    "hull",
-    "maximal_extensions",
-    "merge",
-    "parse_profile",
-    "parse_program",
-    "rank",
-    "render",
-    "revise_extended_hull",
-    "revise_hull",
-    "revise_rank",
-    "run_corpus",
-    "search",
-    "shrink",
-    "stratify",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
+# the public names bound above, less the submodules (no __module__), plus the lazy ones
+__all__ = sorted([name for name, value in globals().items()
+                  if name[0] != "_" and hasattr(value, "__module__")] + [*_LAZY])

@@ -19,15 +19,15 @@ for ``memo``, which ``base`` uses, ``MEMO_RULES`` rules beyond the newest.
 
 All values are immutable and all operations are pure, so everything in
 this module is safe to share between threads; a ``memo`` table has a lock.
-The one mutable object, a ``CompiledProgram``, is never cached; only
-``revision``'s search hands one on, to its readers there.
+The value types are hand-written, not dataclasses: ``import fcmerge`` loads
+no ``dataclasses``.  The one mutable object, a ``CompiledProgram``, is never
+cached; only ``revision``'s search hands one on, to its readers there.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
 from threading import Lock
@@ -38,6 +38,7 @@ from .errors import InconsistentProgram
 # the one definition of an atom name; textio scans with it too
 ATOM = r"[A-Za-z_][A-Za-z0-9_]*"
 _ATOM_RE = re.compile(ATOM)
+_set = object.__setattr__  # how a frozen value type's __init__ sets a field
 
 # memo bounds, chosen by end-to-end time and memory, not by hit ratio: every
 # rank-large hit falls within one request.  64 entries, not 1,024, cut the GC's
@@ -91,18 +92,45 @@ def memo(fn):
 SWEEP_VISITS = 8
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class _Value:
+    """Frozen fields, a dataclass's repr, and pickling and copying through __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Literal(_Value):
     """An atom or its negation."""
 
-    atom: str
-    positive: bool = True
+    __slots__ = ("atom", "positive")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.atom, str) and _ATOM_RE.fullmatch(self.atom)):
-            raise ValueError(f"invalid atom name: {self.atom!r}")
-        if not isinstance(self.positive, bool):
-            raise ValueError(f"invalid literal sign: {self.positive!r}")
+    def __init__(self, atom: str, positive: bool = True) -> None:
+        if not (isinstance(atom, str) and _ATOM_RE.fullmatch(atom)):
+            raise ValueError(f"invalid atom name: {atom!r}")
+        if not isinstance(positive, bool):
+            raise ValueError(f"invalid literal sign: {positive!r}")
+        _set(self, "atom", atom)
+        _set(self, "positive", positive)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Literal:
+            return NotImplemented
+        return (self.atom, self.positive) == (other.atom, other.positive)
+
+    def __hash__(self) -> int:
+        return hash((self.atom, self.positive))
 
     def sort_key(self) -> tuple[str, bool]:
         # atom ascending, positive before negative
@@ -112,8 +140,7 @@ class Literal:
         return self.atom if self.positive else "-" + self.atom
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(_Value):
     """body -> head.  A fact is a rule with an empty body.
 
     Duplicate body literals collapse at construction.  A body containing
@@ -121,11 +148,19 @@ class Rule:
     a consistent context.
     """
 
-    body: frozenset[Literal]
-    head: Literal
+    __slots__ = ("body", "head")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", frozenset(self.body))
+    def __init__(self, body: Iterable[Literal], head: Literal) -> None:
+        _set(self, "body", frozenset(body))
+        _set(self, "head", head)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Rule:
+            return NotImplemented
+        return (self.body, self.head) == (other.body, other.head)
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.head))
 
     @classmethod
     def fact(cls, head: Literal) -> Rule:
@@ -141,15 +176,20 @@ class Rule:
         return f"{body} -> {self.head}."
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
+class Program(_Value):
     """A finite set of rules with set semantics: inserting a duplicate is
     a no-op and equality ignores insertion order."""
 
-    rules: frozenset[Rule] = frozenset()
+    __slots__ = ("rules",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", frozenset(self.rules))
+    def __init__(self, rules: Iterable[Rule] = frozenset()) -> None:
+        _set(self, "rules", frozenset(rules))
+
+    def __eq__(self, other: object) -> bool:
+        return (self.rules,) == (other.rules,) if other.__class__ is Program else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rules,))
 
     @classmethod
     def from_facts(cls, literals: Iterable[Literal]) -> Program:
@@ -181,8 +221,7 @@ def _opposed(literals: frozenset[Literal]) -> bool:
     return len({l.atom for l in literals}) < len(literals)
 
 
-@dataclass(frozen=True, slots=True)
-class ClosedSet:
+class ClosedSet(_Value):
     """The result of closing a program: either a consistent set of
     literals or the inconsistent sentinel.
 
@@ -191,14 +230,22 @@ class ClosedSet:
     intersecting with it is the identity.
     """
 
-    literals: frozenset[Literal] | None
+    __slots__ = ("literals",)
 
-    def __post_init__(self) -> None:
-        if self.literals is not None:
-            lits = frozenset(self.literals)
-            if _opposed(lits):
+    def __init__(self, literals: Iterable[Literal] | None) -> None:
+        if literals is not None:
+            literals = frozenset(literals)
+            if _opposed(literals):
                 raise ValueError("a closed set cannot hold an atom and its negation")
-            object.__setattr__(self, "literals", lits)
+        _set(self, "literals", literals)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ClosedSet:
+            return NotImplemented
+        return (self.literals,) == (other.literals,)
+
+    def __hash__(self) -> int:
+        return hash((self.literals,))
 
     @classmethod
     def of(cls, literals: Iterable[Literal]) -> ClosedSet:
@@ -262,7 +309,7 @@ class CompiledProgram:
     distinct body literals still underived, and for each atom two lists:
     the rules whose body holds its negative literal and those whose body
     holds its positive one, indexed by ``Literal.positive``.  Keying by
-    the atom string, whose hash is cached, keeps Literal's generated
+    the atom string, whose hash is cached, keeps Literal's Python-level
     ``__hash__`` and ``__eq__`` out of chaining.  ``rules`` holds the
     rules by position, those of ``off`` first, at their positions in
     ``off``, each with one extra missing count: switched off.
@@ -409,22 +456,20 @@ def closure(program: Program) -> ClosedSet:
     fire the rules whose bodies are derived until one fires nothing; past
     SWEEP_VISITS rule visits per rule, the program's index takes over."""
     signs: dict[str, bool] = {}  # derived atom -> derived sign
-    derived: list[Literal] = []
+    derived: set[Literal] = set()
     pending, budget = program.rules, SWEEP_VISITS * len(program.rules)
     while budget >= len(pending):
         budget -= len(pending)
         waiting: list[Rule] = []
         for rule in pending:
-            for lit in rule.body:
-                if signs.get(lit.atom) is not lit.positive:
-                    waiting.append(rule)
-                    break
+            if not rule.body <= derived:
+                waiting.append(rule)
+            elif signs.setdefault(rule.head.atom, rule.head.positive) is not rule.head.positive:
+                return BOTTOM
             else:
-                if signs.setdefault(rule.head.atom, rule.head.positive) is not rule.head.positive:
-                    return BOTTOM
-                derived.append(rule.head)
+                derived.add(rule.head)
         if len(waiting) == len(pending):
-            return ClosedSet(frozenset(derived))
+            return ClosedSet(derived)
         pending = waiting
     return CompiledProgram(program).closure_with(0)
 

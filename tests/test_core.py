@@ -60,6 +60,11 @@ class TestRule:
         p = Program({Rule([lit("a"), lit("-a")], lit("b")), Rule.fact(lit("a"))})
         assert closure(p) == closed("a")
 
+    def test_text_has_an_arrow_only_after_a_body(self):
+        # the body sorts by atom, positive first
+        assert str(Rule.fact(lit("-a"))) == "-a."
+        assert str(Rule(lits("c", "-a", "a"), lit("b"))) == "a, -a, c -> b."
+
 
 class TestProgram:
     def test_set_semantics(self):
@@ -408,3 +413,36 @@ def test_value_types_survive_pickle_and_deepcopy(value, duplicate):
     assert type(twin) is type(value)
     assert twin == value and hash(twin) == hash(value)
     assert str(twin) == str(value)
+
+
+_FIELDS = {Literal: ("atom", "positive"), Rule: ("body", "head"), Program: ("rules",),
+           ClosedSet: ("literals",)}
+
+
+@pytest.mark.parametrize("value", [v for v in _VALUES if type(v) in _FIELDS],
+                         ids=lambda v: type(v).__name__)
+def test_value_types_hash_and_compare_their_field_tuples(value):
+    # the hash a frozen dataclass gave each type, so no set order, pinned
+    # count or digest depends on how the types are written; a value of
+    # another type, even one with the same fields, is never equal
+    fields = tuple(getattr(value, name) for name in _FIELDS[type(value)])
+    assert hash(value) == hash(fields)
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    for other in (Program(), ClosedSet(frozenset()), lit("a"), Rule.fact(lit("a"))):
+        if type(other) is not type(value):
+            assert value.__eq__(other) is NotImplemented and value != other
+    assert value == type(value)(*fields)
+
+
+@pytest.mark.parametrize("value, text", [
+    (lit("-a"), "Literal(atom='a', positive=False)"),
+    (Rule.fact(lit("a")), "Rule(body=frozenset(), head=Literal(atom='a', positive=True))"),
+    (Rule(lits("b"), lit("c")),
+     "Rule(body=frozenset({Literal(atom='b', positive=True)}), "
+     "head=Literal(atom='c', positive=True))"),
+    (Program(), "Program(rules=frozenset())"),
+    (closed("a"), "ClosedSet(literals=frozenset({Literal(atom='a', positive=True)}))"),
+    (BOTTOM, "ClosedSet(literals=None)"),
+], ids=["Literal", "fact", "Rule", "Program", "ClosedSet", "BOTTOM"])
+def test_value_types_repr_like_dataclasses(value, text):
+    assert repr(value) == text

@@ -128,13 +128,13 @@ class TestLiteralTable:
         # pinned work, which may only fall: 12 atoms, both signs, all built
         # by the config (63,930 when every draw built its own)
         built = []
-        post_init = Literal.__post_init__
+        init = Literal.__init__
 
-        def counting(lit):
+        def counting(lit, *args, **kwargs):
             built.append(lit)
-            post_init(lit)
+            init(lit, *args, **kwargs)
 
-        monkeypatch.setattr(Literal, "__post_init__", counting)
+        monkeypatch.setattr(Literal, "__init__", counting)
         search(FuzzConfig(seed=7, trials=40))
         assert len(built) == 24
 

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 from types import FunctionType
 
+import pytest
+
 import fcmerge
 from fcmerge import Strategy, arbitrate
 
@@ -159,11 +161,16 @@ _LAZY_SCRIPT = f"""
 import sys
 import fcmerge
 
-lazy = {{"fcmerge.fuzz", "fcmerge.postulates"}}
+# the two lazy modules, and what only they import: the core value types
+# are hand-written, so the operators need neither dataclasses nor inspect
+lazy = {{"fcmerge.fuzz", "fcmerge.postulates", "dataclasses", "inspect"}}
 names = {LAZY_NAMES!r}
 flat = [name for group in names.values() for name in group]
 assert not lazy & set(sys.modules), "import fcmerge loaded " + str(lazy & set(sys.modules))
 assert not set(flat) & set(vars(fcmerge))
+missing = set(fcmerge.__all__) - set(dir(fcmerge))
+assert not missing, "dir() lacks " + str(missing)
+assert not set(flat) & set(vars(fcmerge)), "dir() loaded the lazy names"
 
 p = fcmerge.parse_program("a. a -> b. b -> c.")
 q = fcmerge.parse_program("-c.")
@@ -171,6 +178,7 @@ rk = fcmerge.Strategy.RANK
 assert fcmerge.render(fcmerge.revise_rank(p, q)) == "-c."
 assert fcmerge.render(fcmerge.arbitrate(p, q, rk)) == ""
 assert fcmerge.render(fcmerge.merge(q, fcmerge.Profile((p, q)), rk)) == "-c"
+assert fcmerge.render(fcmerge.arbitrate(p, q, fcmerge.Strategy.HULL)) == ""
 assert not lazy & set(sys.modules), "an operator loaded " + str(lazy & set(sys.modules))
 
 fcmerge.Status
@@ -322,21 +330,24 @@ def test_cli_writes_stdout_only_through_emit():
     assert stray == []
 
 
-def test_value_dataclasses_are_slotted():
-    # the value types fill the memos and every request's garbage: each
-    # frozen dataclass of these modules carries no per-instance __dict__
-    frozen = {}
-    for path in MODULES:
-        if path.stem not in ("core", "revision", "merging"):
-            continue
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.ClassDef):
-                for dec in node.decorator_list:
-                    if isinstance(dec, ast.Call) and ast.unparse(dec.func) == "dataclass":
-                        flags = {k.arg: ast.literal_eval(k.value) for k in dec.keywords}
-                        if flags.get("frozen"):
-                            frozen[f"{path.stem}.{node.name}"] = flags.get("slots", False)
-    assert frozen and [name for name, slotted in frozen.items() if not slotted] == []
+def test_value_types_are_slotted_and_frozen():
+    # the value types fill the memos and every request's garbage, so none
+    # carries a per-instance __dict__; and they are hashed, so no field of
+    # one can be assigned or deleted
+    fields = [(fcmerge.Literal("a"), ("atom", "positive")),
+              (fcmerge.Rule.fact(fcmerge.Literal("a")), ("body", "head")),
+              (fcmerge.Program(), ("rules",)), (fcmerge.ClosedSet(frozenset()), ("literals",))]
+    for value, names in fields:
+        assert not hasattr(value, "__dict__"), value
+        for name in names:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError):
+                setattr(value, name, before)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) is before
+        with pytest.raises(AttributeError):
+            value.extra = 1
 
 
 def _used_names() -> set[str]:
