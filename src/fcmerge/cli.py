@@ -101,12 +101,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         {var: getattr(args, var) for var in _PROFILE_VARS if getattr(args, var) is not None},
     )
     verdict = check(pid, instance)
+    witness = verdict.witness
     lines = [verdict.status.value]
-    lines += [f"  {key} = {value}" for key, value in verdict.witness]
+    lines += [f"  {key} = {value}" for key, value in witness.items()]
     _emit(args, "\n".join(lines),
           {"command": "check", "postulate": pid.value, "strategy": args.strategy,
-           "status": verdict.status.value, "witness": verdict.witness_dict,
-           "reason": None})
+           "status": verdict.status.value, "witness": witness, "reason": None})
     return 1 if verdict.status is Status.VIOLATED else 0
 
 

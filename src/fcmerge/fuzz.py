@@ -244,11 +244,8 @@ class Violation:
     strategy: str
     trial: int
     instance: dict
-    witness: tuple[tuple[str, str], ...]
+    witness: dict[str, str]
     guaranteed: bool
-
-    def to_dict(self) -> dict:
-        return {**_fields(self), "witness": dict(self.witness)}
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,7 @@ class FuzzReport:
             "config": self.config.to_dict(),
             "cells": [c.to_dict() for c in self.cells],
             "evaluations": [_fields(e) for e in self.evaluations],
-            "violations": [v.to_dict() for v in self.violations],
+            "violations": [_fields(v) for v in self.violations],
             "found_guaranteed_violation": bool(self.guaranteed_violations),
         }
 
@@ -305,7 +302,7 @@ class FuzzReport:
                 lines.append(f"  {name}: {text.replace(chr(10), ' ')}")
             for name, text in v.instance["profiles"].items():
                 lines.append(f"  {name}: {text.replace(chr(10), ' | ')}")
-            for key, value in v.witness:
+            for key, value in v.witness.items():
                 lines.append(f"  {key} = {value}")
         lines.append(
             f"{len(self.evaluations)} evaluations, {len(self.violations)} violations, "

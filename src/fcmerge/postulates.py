@@ -1,14 +1,16 @@
 """Executable checkers for the arbitration (SA) and merging (FP) postulates.
 
-Each postulate is encoded as data: a row of POSTULATES names its free
-variables, programs first and then profiles, and holds its evaluator.
-That row is the one place their order is written.  An evaluator takes
+Each postulate is encoded as data: a row of POSTULATES, keyed by its
+id, names its free variables, programs first and then profiles, and
+holds its evaluator.  That row is the one place the id and the order are
+written: PostulateId is built from the row keys.  An evaluator takes
 the strategy and then one value per variable, in row order; check
 unpacks a named Instance into those arguments, and bind builds one from
 values in the same order.  The corpus runner and the fuzzer share this
 single evaluator.  A verdict carries the evaluated sub-expressions so
-violations are self-explaining; their text is rendered when the witness
-is read, so a verdict whose witness nobody reads renders nothing.
+violations are self-explaining; the witness maps each label to its
+text, rendered when it is read, so a verdict whose witness nobody reads
+renders nothing.
 
 Results of arbitration and merging are literal sets; where a postulate
 combines such a result with a program, the literals are adjoined as
@@ -35,25 +37,8 @@ from .merging import Profile, merge
 from .textio import parse_file, parse_profile, parse_single_program
 
 
-class PostulateId(Enum):
-    SA1 = "SA1"
-    SA2 = "SA2"
-    SA3 = "SA3"
-    SA4 = "SA4"
-    SA5 = "SA5"
-    SA6 = "SA6"
-    SA7 = "SA7"
-    SA8 = "SA8"
-    FP0 = "FP0"
-    FP1 = "FP1"
-    FP2 = "FP2"
-    FP3 = "FP3"
-    FP4 = "FP4"
-    FP5 = "FP5"
-    FP6 = "FP6"
-    FP7 = "FP7"
-    FP8 = "FP8"
-
+class _Postulate(Enum):
+    # the base of PostulateId, whose members the POSTULATES rows name below
     @property
     def family(self) -> str:
         return self.value[:2]
@@ -87,14 +72,10 @@ class Verdict:
             raise ValueError("a violation verdict needs a witness")
 
     @property
-    def witness(self) -> tuple[tuple[str, str], ...]:
-        """The values as (label, text) pairs, rendered on each read: most
-        verdicts are never read, so they render nothing."""
-        return tuple((label, str(value)) for label, value in self.values)
-
-    @property
-    def witness_dict(self) -> dict[str, str]:
-        return dict(self.witness)
+    def witness(self) -> dict[str, str]:
+        """Each value's text by its label, in the order of values, rendered
+        on each read: most verdicts are never read, so they render nothing."""
+        return {label: str(value) for label, value in self.values}
 
 
 @dataclass(eq=True)
@@ -325,26 +306,28 @@ class PostulateSpec:
 
 _EVERY = frozenset(Strategy)
 
-POSTULATES: dict[PostulateId, PostulateSpec] = {
-    PostulateId.SA1: PostulateSpec(("P", "Q"), (), _sa1, _EVERY),
-    PostulateId.SA2: PostulateSpec(("P", "Q"), (), _sa2, _EVERY),
-    PostulateId.SA3: PostulateSpec(("P", "Q"), (), _sa3, _EVERY),
-    PostulateId.SA4: PostulateSpec(("P", "Q"), (), _sa4, _EVERY),
-    PostulateId.SA5: PostulateSpec(("P1", "P2", "Q1", "Q2"), (), _sa5),
-    PostulateId.SA6: PostulateSpec(("P", "Q1", "Q2"), (), _sa6),
-    PostulateId.SA7: PostulateSpec(("P", "Q"), (), _sa7, _EVERY),
-    PostulateId.SA8: PostulateSpec(("P", "Q"), (), _sa8, _EVERY),
-    PostulateId.FP0: PostulateSpec(("constraint",), ("profile1",), _fp0, _EVERY),
-    PostulateId.FP1: PostulateSpec(("constraint",), ("profile1",), _fp1, _EVERY),
-    PostulateId.FP2: PostulateSpec(("constraint",), ("profile1",), _fp2, _EVERY),
-    PostulateId.FP3: PostulateSpec(("P", "Q"), ("profile1", "profile2"), _fp3),
-    PostulateId.FP4: PostulateSpec(("constraint", "P1", "P2"), (), _fp4,
-                                   frozenset({Strategy.RANK})),
-    PostulateId.FP5: PostulateSpec(("constraint",), ("profile1", "profile2"), _fp5),
-    PostulateId.FP6: PostulateSpec(("constraint",), ("profile1", "profile2"), _fp6),
-    PostulateId.FP7: PostulateSpec(("constraint", "Q"), ("profile1",), _fp7),
-    PostulateId.FP8: PostulateSpec(("constraint", "Q"), ("profile1",), _fp8),
+_ROWS = {
+    "SA1": PostulateSpec(("P", "Q"), (), _sa1, _EVERY),
+    "SA2": PostulateSpec(("P", "Q"), (), _sa2, _EVERY),
+    "SA3": PostulateSpec(("P", "Q"), (), _sa3, _EVERY),
+    "SA4": PostulateSpec(("P", "Q"), (), _sa4, _EVERY),
+    "SA5": PostulateSpec(("P1", "P2", "Q1", "Q2"), (), _sa5),
+    "SA6": PostulateSpec(("P", "Q1", "Q2"), (), _sa6),
+    "SA7": PostulateSpec(("P", "Q"), (), _sa7, _EVERY),
+    "SA8": PostulateSpec(("P", "Q"), (), _sa8, _EVERY),
+    "FP0": PostulateSpec(("constraint",), ("profile1",), _fp0, _EVERY),
+    "FP1": PostulateSpec(("constraint",), ("profile1",), _fp1, _EVERY),
+    "FP2": PostulateSpec(("constraint",), ("profile1",), _fp2, _EVERY),
+    "FP3": PostulateSpec(("P", "Q"), ("profile1", "profile2"), _fp3),
+    "FP4": PostulateSpec(("constraint", "P1", "P2"), (), _fp4,
+                         frozenset({Strategy.RANK})),
+    "FP5": PostulateSpec(("constraint",), ("profile1", "profile2"), _fp5),
+    "FP6": PostulateSpec(("constraint",), ("profile1", "profile2"), _fp6),
+    "FP7": PostulateSpec(("constraint", "Q"), ("profile1",), _fp7),
+    "FP8": PostulateSpec(("constraint", "Q"), ("profile1",), _fp8),
 }
+PostulateId = _Postulate("PostulateId", [(key, key) for key in _ROWS], module=__name__)
+POSTULATES: dict[PostulateId, PostulateSpec] = {pid: _ROWS[pid.value] for pid in PostulateId}
 
 
 def _binding_problem(label: str, wanted: tuple[Iterable[str], Iterable[str]],
@@ -466,7 +449,7 @@ def _read_entry(entry: Mapping, root: Path) -> Iterator[CorpusResult]:
 
         def evaluate(instance: Instance) -> tuple[str, tuple[str, ...]]:
             verdict = check(pid, instance)
-            got = verdict.witness_dict
+            got = verdict.witness
             return verdict.status.value, tuple(
                 f"missing witness value {key!r}" if key not in got
                 else f"{key}: expected {value!r}, got {got[key]!r}"

@@ -227,6 +227,26 @@ class TestSearch:
         assert v.instance["programs"]
         assert v.witness
 
+    def test_violation_witness_is_the_verdicts(self):
+        # the verdict's label-to-text dict, in label order, in the record,
+        # its JSON and its text lines alike
+        cfg = FuzzConfig(seed=3, trials=40, strategies=(Strategy.RANK,),
+                         postulates=(PostulateId.FP6,))
+        report = search(cfg)
+        v = report.violations[0]
+        rng = _stream(cfg.seed, PostulateId.FP6, Strategy.RANK, v.trial)
+        verdict = check(PostulateId.FP6, gen_instance(PostulateId.FP6, cfg, rng, Strategy.RANK))
+        assert list(v.witness.items()) == list(verdict.witness.items())
+        assert json.loads(report.to_json())["violations"][0]["witness"] == v.witness
+        assert report.to_dict()["violations"][0] == {
+            "postulate": "FP6", "strategy": "rk", "trial": v.trial,
+            "instance": v.instance, "witness": v.witness, "guaranteed": False}
+        text = report.to_text().splitlines()
+        start = text.index(f"violation: FP6 [rk] trial {v.trial}") + 1
+        start += len(v.instance["programs"]) + len(v.instance["profiles"])
+        assert text[start:start + len(v.witness)] == [
+            f"  {key} = {value}" for key, value in verdict.witness.items()]
+
 
 class TestShrink:
     def test_rejects_nonholding_predicate(self):

@@ -1,5 +1,7 @@
+import copy
 import inspect
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -41,8 +43,8 @@ class TestSaCheckers:
         })
         verdict = check(PostulateId.SA5, inst)
         assert verdict.status is Status.VIOLATED
-        assert verdict.witness_dict["arb(P1, Q1)"] == "a, b, c"
-        assert verdict.witness_dict["arb(P2, Q2)"] == "a, b"
+        assert verdict.witness["arb(P1, Q1)"] == "a, b, c"
+        assert verdict.witness["arb(P2, Q2)"] == "a, b"
 
     def test_sa5_vacuous_when_closures_differ(self):
         inst = Instance(Strategy.RANK, programs={
@@ -60,10 +62,10 @@ class TestSaCheckers:
         })
         verdict = check(PostulateId.SA6, inst)
         assert verdict.status is Status.VIOLATED
-        assert verdict.witness_dict["arb(P, disj(Q1, Q2))"] == "e"
-        assert verdict.witness_dict["arb(P, Q1)"] == "a, b, c, e"
-        assert verdict.witness_dict["arb(P, Q2)"] == "b, e"
-        assert verdict.witness_dict["disj(arb(P, Q1), arb(P, Q2))"] == "b, e"
+        assert verdict.witness["arb(P, disj(Q1, Q2))"] == "e"
+        assert verdict.witness["arb(P, Q1)"] == "a, b, c, e"
+        assert verdict.witness["arb(P, Q2)"] == "b, e"
+        assert verdict.witness["disj(arb(P, Q1), arb(P, Q2))"] == "b, e"
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_sa6_with_inconsistent_disjuncts(self, strategy):
@@ -75,7 +77,7 @@ class TestSaCheckers:
         })
         verdict = check(PostulateId.SA6, inst)
         assert verdict.status is Status.HOLDS
-        assert verdict.witness_dict["arb(P, disj(Q1, Q2))"] == "c"
+        assert verdict.witness["arb(P, disj(Q1, Q2))"] == "c"
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_sa1_holds(self, strategy):
@@ -116,8 +118,8 @@ class TestFpCheckers:
         )
         verdict = check(PostulateId.FP3, inst)
         assert verdict.status is Status.VIOLATED
-        assert verdict.witness_dict["merge(P, profile1)"] == "a, b"
-        assert verdict.witness_dict["merge(Q, profile2)"] == "a, c"
+        assert verdict.witness["merge(P, profile1)"] == "a, b"
+        assert verdict.witness["merge(Q, profile2)"] == "a, c"
 
     def test_fp3_vacuous_when_not_paired(self):
         inst = Instance(
@@ -147,7 +149,7 @@ class TestFpCheckers:
         )
         verdict = check(PostulateId.FP5, inst)
         assert verdict.status is Status.VIOLATED
-        w = verdict.witness_dict
+        w = verdict.witness
         assert w["merge(profile1 + profile2)"] == "a, b, c"
         assert w["merge(profile1)"] == "a, b"
         assert w["merge(profile2)"] == "a"
@@ -162,8 +164,8 @@ class TestFpCheckers:
         )
         verdict = check(PostulateId.FP7, inst)
         assert verdict.status is Status.VIOLATED
-        assert verdict.witness_dict["merge(constraint, profile) + Q"] == "a, c"
-        assert verdict.witness_dict["merge(constraint + Q, profile)"] == "a, b, c"
+        assert verdict.witness["merge(constraint, profile) + Q"] == "a, c"
+        assert verdict.witness["merge(constraint + Q, profile)"] == "a, b, c"
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_fp8_violated(self, strategy):
@@ -174,8 +176,8 @@ class TestFpCheckers:
         )
         verdict = check(PostulateId.FP8, inst)
         assert verdict.status is Status.VIOLATED
-        assert verdict.witness_dict["merge(constraint + Q, profile)"] == "a, b"
-        assert verdict.witness_dict["merge(constraint, profile) + Q"] == "a, b, c"
+        assert verdict.witness["merge(constraint + Q, profile)"] == "a, b"
+        assert verdict.witness["merge(constraint, profile) + Q"] == "a, b, c"
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_fp0_holds(self, strategy):
@@ -203,11 +205,11 @@ class TestFpCheckers:
         for strategy in (Strategy.HULL, Strategy.EXTENDED_HULL):
             verdict = check(PostulateId.FP4, Instance(strategy, programs=dict(programs)))
             assert verdict.status is Status.VIOLATED
-            assert verdict.witness_dict["merge"] == "a, c, d"
-            assert verdict.witness_dict["cns(merge + P2)"] == "#bottom"
+            assert verdict.witness["merge"] == "a, c, d"
+            assert verdict.witness["cns(merge + P2)"] == "#bottom"
         verdict = check(PostulateId.FP4, Instance(Strategy.RANK, programs=dict(programs)))
         assert verdict.status is Status.HOLDS
-        assert verdict.witness_dict["merge"] == "a"
+        assert verdict.witness["merge"] == "a"
 
     def test_fp4_vacuous_without_entailment(self):
         inst = Instance(Strategy.RANK, programs={
@@ -254,10 +256,10 @@ class TestCheckPlumbing:
 
     @pytest.mark.parametrize("pid, programs, status, witness", [
         (PostulateId.SA1, {"P": "a. a -> b.", "Q": "c."}, Status.HOLDS,
-         (("arb(P, Q)", "a, b, c"), ("arb(Q, P)", "a, b, c"))),
+         {"arb(P, Q)": "a, b, c", "arb(Q, P)": "a, b, c"}),
         (PostulateId.FP4, {"constraint": "a. a -> c.", "P1": "b.", "P2": "a. -a."},
          Status.VACUOUS,
-         (("cns(P1)", "b"), ("cns(P2)", "#bottom"), ("cns(constraint)", "a, c"))),
+         {"cns(P1)": "b", "cns(P2)": "#bottom", "cns(constraint)": "a, c"}),
     ], ids=["SA1-holds", "FP4-vacuous"])
     def test_witness_is_rendered_when_read(self, pid, programs, status, witness,
                                            monkeypatch):
@@ -270,14 +272,43 @@ class TestCheckPlumbing:
         verdict = check(pid, inst)
         assert verdict.status is status
         assert renders == []
-        assert verdict.witness == witness
+        # equal as dicts, and in the evaluator's label order, as the tuple was
+        assert list(verdict.witness.items()) == list(witness.items())
         assert len(renders) == len(witness)
+
+    def test_witness_is_a_fresh_dict_in_label_order(self):
+        verdict = Verdict(Status.VIOLATED, (("z", closed("a")), ("a", BOTTOM), ("m", closed())))
+        witness = verdict.witness
+        assert type(witness) is dict
+        assert list(witness.items()) == [("z", "a"), ("a", "#bottom"), ("m", "")]
+        witness["z"] = "changed"
+        assert verdict.witness["z"] == "a"
+        assert Verdict(Status.HOLDS).witness == {}
 
     def test_postulate_id_parsing(self):
         assert PostulateId.parse("sa5") is PostulateId.SA5
+        assert PostulateId.parse("Fp3") is PostulateId.FP3
         assert PostulateId.parse("FP0") is PostulateId.FP0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown postulate 'SA9'$"):
             PostulateId.parse("SA9")
+        with pytest.raises(ValueError, match=r"^unknown postulate ' sa5'$"):
+            PostulateId.parse(" sa5")
+
+    def test_postulate_ids_are_the_row_keys(self):
+        assert list(PostulateId) == list(POSTULATES)
+        assert [pid.name for pid in PostulateId] == [
+            *(f"SA{i}" for i in range(1, 9)), *(f"FP{i}" for i in range(9))]
+        assert all(pid.value == pid.name for pid in PostulateId)
+        assert [pid.family for pid in PostulateId] == ["SA"] * 8 + ["FP"] * 9
+        assert repr(PostulateId.SA5) == "<PostulateId.SA5: 'SA5'>"
+        assert PostulateId("FP4") is PostulateId.FP4 is PostulateId["FP4"]
+
+    def test_postulate_ids_pickle_and_copy_as_themselves(self):
+        for pid in PostulateId:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(pid, protocol)) is pid
+            assert copy.deepcopy(pid) is pid
+            assert copy.copy(pid) is pid
 
 
 class TestHelpers:

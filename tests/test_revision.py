@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from functools import reduce
@@ -25,7 +26,7 @@ from fcmerge import (
 )
 from fcmerge.arbitration import Strategy, _revised_closure, revised_closure
 from fcmerge.core import CompiledProgram
-from fcmerge.revision import _add_edge, _rank_level, dualize, hull_closure
+from fcmerge.revision import _add_edge, _rank_level, dualize, hull_closure, search_extensions
 from fcmerge.fuzz import FuzzConfig, atom_pool, gen_program, search
 
 from helpers import (
@@ -794,6 +795,66 @@ def test_dualize_certifies_its_answer_on_rank_large_pairs(monkeypatch, seed, swa
     assert reduce(and_, found) == live & ~reduce(or_, refuted, 0)
     replayed = dualize(lambda s: all(m & ~s for m in refuted), live)
     assert (set(replayed[0]), set(replayed[1])) == (set(found), set(refuted))
+
+
+# size, seed, swapped, then candidates / live / extensions and the digest of
+# the extensions, then questions / transversals / peak
+_SEARCH_WORK = [
+    (128, 1, False, 94, 68, 166, "bf93b05547dba267", 11183, 13429, 243),
+    (128, 1, True, 123, 18, 1, "10cb0d46e1fdaa26", 32, 13, 13),
+    (128, 2, False, 122, 29, 2, "a3a6a56e3556ac98", 70, 16, 9),
+    (128, 2, True, 95, 15, 1, "e15fc49b14782521", 20, 4, 4),
+    (128, 3, False, 105, 8, 1, "e67332aba24d118a", 11, 2, 2),
+    (128, 3, True, 99, 46, 204, "dd9b3e93dd4476df", 9468, 193870, 1539),
+    (256, 1, False, 252, 56, 24, "2838c44ef632d3f3", 1322, 400, 23),
+    (256, 1, True, 251, 78, 392, "e0dc58030e85ed05", 29207, 15743, 148),
+    (256, 2, False, 253, 56, 96, "3e854843185087f1", 5157, 2353, 47),
+    (256, 3, False, 253, 72, 61, "b5f43ef677bb9e71", 4427, 6474, 186),
+    (256, 3, True, 251, 51, 16, "7270cccf261e25c8", 838, 342, 37),
+]
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("size, seed, swapped, candidates, live, extensions, digest, "
+                         "questions, transversals, peak", _SEARCH_WORK,
+                         ids=[f"{r[0]}-seed{r[1]}-{'P2P1' if r[2] else 'P1P2'}"
+                              for r in _SEARCH_WORK])
+def test_extension_search_work_on_rank_large_pairs(monkeypatch, size, seed, swapped, candidates,
+                                                   live, extensions, digest, questions,
+                                                   transversals, peak):
+    # pinned work, which may only fall: the questions asked of the index,
+    # the transversals the Berge steps return and the longest list of them,
+    # on every 128- and 256-rule pair whose search finishes (256 seed 2
+    # P2P1 gave no answer in 60 s).  The extensions are pinned exactly, as
+    # the digest of their sorted candidate texts.  The 128-rule questions
+    # add up to 20,784
+    p, q = rank_large_pair(size, seed)[::-1 if swapped else 1]
+    monkeypatch.setenv("FCMERGE_MAX_ENUM", "1000")
+    counts = Counter()
+
+    def spy(tolerable, on):
+        def asked(s):
+            counts["questions"] += 1
+            return tolerable(s)
+        counts["live"] = on.bit_count()
+        return dualize(asked, on)
+
+    def add_edge(transversals, edge, refuted):
+        grown = _add_edge(transversals, edge, refuted)
+        counts["transversals"] += len(grown)
+        counts["peak"] = max(counts["peak"], len(grown))
+        return grown
+
+    monkeypatch.setattr("fcmerge.revision.dualize", spy)
+    monkeypatch.setattr("fcmerge.revision._add_edge", add_edge)
+    clear_memos()
+    _, rules, _, found = search_extensions(p, q)
+    texts = sorted("\n".join(sorted(str(r) for i, r in enumerate(rules) if s >> i & 1))
+                   for s in found)
+    assert (len(rules), counts["live"], len(found)) == (candidates, live, extensions)
+    assert hashlib.sha256("\n\n".join(texts).encode()).hexdigest()[:16] == digest
+    assert (counts["questions"], counts["transversals"], counts["peak"]) == (
+        questions, transversals, peak)
 
 
 @st.composite

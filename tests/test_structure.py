@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -254,6 +255,24 @@ def test_src_stays_within_its_line_budget():
     assert lines < 2319, f"src/fcmerge: {lines} lines"
 
 
+def test_each_postulate_id_is_written_once():
+    # the POSTULATES rows are keyed by the id strings, and PostulateId is
+    # built from those keys: no module spells an id out again as a string
+    # or a name, and postulates itself names no member as an attribute
+    def spelled(path):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+            elif isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute) and path.stem == "postulates":
+                yield node.attr
+
+    written = [word for path in MODULES for word in spelled(path)
+               if re.fullmatch(r"(SA|FP)\d", word)]
+    assert written == [pid.value for pid in fcmerge.PostulateId]
+
+
 _BOUNDS = ("MEMO_SIZE", "MEMO_RULES")
 
 
@@ -374,13 +393,15 @@ def test_every_public_name_has_a_caller():
 
 def test_every_public_method_has_a_caller():
     # the same rule one level down: each public method, property or
-    # classmethod an exported class defines must have a caller outside tests
+    # classmethod an exported class defines must have a caller outside tests,
+    # also one it takes from a base of the package, as PostulateId does
     used = _used_names()
     methods = [
         f"{cls.__name__}.{attr}"
         for cls in (getattr(fcmerge, name) for name in fcmerge.__all__)
         if isinstance(cls, type)
-        for attr, value in vars(cls).items()
+        for base in cls.__mro__ if base.__module__.startswith("fcmerge")
+        for attr, value in vars(base).items()
         if not attr.startswith("_")
         and isinstance(value, (FunctionType, property, classmethod, staticmethod))
     ]
