@@ -1,9 +1,9 @@
 """Seeded random search for postulate violations, with witness shrinking.
 
-Randomness comes from ``random.Random`` (the Mersenne Twister).  Every
-(postulate, strategy, trial) cell gets its own generator seeded by a
-SHA-256 derivation of the master seed, so identical configurations
-produce byte-identical reports regardless of evaluation order.
+Randomness comes from ``random.Random`` (the Mersenne Twister), read only
+through ``random`` and ``getrandbits``, under ``randrange``'s rejection rule.
+Each (postulate, strategy, trial) cell seeds its own generator by a SHA-256
+derivation of the master seed, so reports do not depend on evaluation order.
 
 Generation is biased toward useful instances: half the time a pair of
 programs shares its atom pool (conflicts, hence non-vacuous guarded
@@ -92,24 +92,42 @@ class FuzzConfig:
                 "postulates": [p.value for p in self.postulates]}
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    # randrange's rule on CPython 3.10-3.13; bits(0) is 0, so n == 0 must raise
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        if not n:
+            raise IndexError("cannot choose from an empty sequence")
+        r = bits(k)
+    return r
+
+
 def _literal(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Literal:
-    key = (rng.choice(pool), rng.random() >= cfg.neg_prob)
+    key = (pool[_below(rng.getrandbits, len(pool))], rng.random() >= cfg.neg_prob)
     return cfg._literals.get(key) or Literal(*key)  # new for a pool outside cfg's
 
 
 def _rule(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Rule:
-    body_size = rng.randint(0, cfg.body_len)
-    body = frozenset(_literal(cfg, rng, pool) for _ in range(body_size))
-    return Rule(body, _literal(cfg, rng, pool))
+    # _literal and _below inlined, so a rule costs one frame; body first, then head
+    bits, draw, table, neg_prob = rng.getrandbits, rng.random, cfg._literals, cfg.neg_prob
+    n = len(pool)
+    k, literals = n.bit_length(), []
+    for _ in range(_below(bits, cfg.body_len + 1) + 1):
+        i = bits(k)
+        while i >= n > 0:  # an empty pool ends the loop, and pool[0] raises
+            i = bits(k)
+        key = (pool[i], draw() >= neg_prob)
+        literals.append(table.get(key) or Literal(*key))
+    return Rule(frozenset(literals[:-1]), literals[-1])
 
 
 def gen_program(cfg: FuzzConfig, rng: random.Random,
                 pool: tuple[str, ...] | None = None) -> Program:
     """Random program over at most cfg.atoms atoms and cfg.rules rules.
     Deterministic for a given generator state."""
-    if pool is None:
-        pool = atom_pool(cfg.atoms)
-    count = rng.randint(0, cfg.rules)
+    pool = atom_pool(cfg.atoms) if pool is None else pool
+    count = _below(rng.getrandbits, cfg.rules + 1)
     return Program(frozenset(_rule(cfg, rng, pool) for _ in range(count)))
 
 
@@ -140,21 +158,22 @@ def _equivalent_variant(p: Program, cfg: FuzzConfig, rng: random.Random,
         return p | Program(frozenset({_rule(cfg, rng, pool)}))
     derived = list(c)
     if derived and rng.random() < 0.5:
-        body_size = rng.randint(1, max(1, min(cfg.body_len, len(derived))))
-        body = frozenset(rng.choice(derived) for _ in range(body_size))
-        return p | Program(frozenset({Rule(body, rng.choice(derived))}))
+        bits = rng.getrandbits
+        body_size = 1 + _below(bits, max(1, min(cfg.body_len, len(derived))))
+        body = frozenset(derived[_below(bits, len(derived))] for _ in range(body_size))
+        return p | Program(frozenset({Rule(body, derived[_below(bits, len(derived))])}))
     # pool is one of _pair_pools', all in the table and never empty, and c
     # holds at most one literal per atom: blocked is never empty
     table = cfg._literals
     blocked = [lit for atom in pool for lit in (table[atom, True], table[atom, False])
                if lit not in c]
-    body = frozenset({rng.choice(blocked)})
+    body = frozenset({blocked[_below(rng.getrandbits, len(blocked))]})
     return p | Program(frozenset({Rule(body, _literal(cfg, rng, pool))}))
 
 
 def _gen_profile(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...],
                  max_members: int = 3) -> tuple[Program, ...]:
-    count = rng.randint(1, max_members)
+    count = 1 + _below(rng.getrandbits, max_members)
     return tuple(_nonempty(cfg, rng, pool) for _ in range(count))
 
 

@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 from dataclasses import fields
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from fcmerge import (
     PostulateId,
     PredicateNotHolding,
     Profile,
+    Program,
     Status,
     Strategy,
     check,
@@ -21,7 +23,7 @@ from fcmerge import (
     search,
     shrink,
 )
-from fcmerge.fuzz import FuzzConfig, _removals, _stream, atom_pool, render_instance
+from fcmerge.fuzz import FuzzConfig, _below, _removals, _stream, atom_pool, render_instance
 
 from helpers import prog, total_rules
 from oracles import reference_gen_instance, reference_gen_program
@@ -56,6 +58,19 @@ class TestConfig:
         assert cfg.strategies == (Strategy.EXTENDED_HULL, Strategy.RANK)
 
 
+class _BoundedBits(random.Random):
+    """The Mersenne Twister, but getrandbits fails the test after 1,000
+    calls: a rejection loop that never ends fails instead of hanging."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > 1000:
+            raise AssertionError("a rejection loop does not end")
+        return super().getrandbits(k)
+
+
 class TestGenProgram:
     def test_deterministic_at_same_position(self):
         cfg = FuzzConfig(seed=1)
@@ -80,6 +95,23 @@ class TestGenProgram:
         rng = random.Random(4)
         assert all(len(gen_program(cfg, rng)) <= 4 for _ in range(50))
 
+    def test_empty_pool_raises_as_choice_does(self):
+        # getrandbits(0) is 0, so a draw from no atoms must raise, not
+        # redraw forever; a program of no rules draws no atom
+        counts = set()
+        for seed in range(30):
+            cfg = FuzzConfig(rules=seed % 3)
+            count = random.Random(seed).randint(0, cfg.rules)
+            if count:
+                with pytest.raises(IndexError):
+                    gen_program(cfg, _BoundedBits(seed), ())
+            else:
+                assert gen_program(cfg, _BoundedBits(seed), ()) == Program()
+            counts.add(count)
+        assert counts == {0, 1, 2}
+        with pytest.raises(IndexError):
+            _below(_BoundedBits(0).getrandbits, 0)
+
 
 class TestGenInstance:
     @pytest.mark.parametrize("pid", tuple(PostulateId))
@@ -102,27 +134,35 @@ class TestLiteralTable:
     draws, and so the instances, are those of a generator that builds a
     Literal per draw."""
 
-    @pytest.mark.parametrize("atoms", [1, 6, 14])
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5, 6, 8, 9, 14, 16, 17])
     def test_instances_match_the_reference_generator(self, atoms):
+        # pools of 2**j and 2**j + 1 atoms, and 1, 2, 5, 8 or 9 choices of
+        # a body size or rule count, sit at the edges of randrange's
+        # rejection rule; equal generator states after the draw show that
+        # no draw was added or left out where the instance would hide it
         seen = set()
-        for seed in range(20):
-            cfg = FuzzConfig(seed=seed, atoms=atoms)
-            for pid in PostulateId:
-                for strategy in Strategy:
-                    instance = gen_instance(pid, cfg, _stream(seed, pid, strategy, 0), strategy)
-                    reference = reference_gen_instance(pid, cfg, _stream(seed, pid, strategy, 0),
-                                                       strategy)
-                    assert render_instance(instance) == render_instance(reference)
-                    seen |= {a for p in instance.programs.values() for a in p.atoms()}
-        # the second pool reaches the table's last atoms, x26 and x27 at 14
+        for body_len, rules, trial in product((0, 1, 4, 7), (0, 1, 8), range(3)):
+            cfg = FuzzConfig(seed=atoms, atoms=atoms, rules=rules, body_len=body_len)
+            for pid, strategy in product(PostulateId, Strategy):
+                rng, ref = _stream(atoms, pid, strategy, trial), _stream(atoms, pid, strategy, trial)
+                instance = gen_instance(pid, cfg, rng, strategy)
+                reference = reference_gen_instance(pid, cfg, ref, strategy)
+                assert render_instance(instance) == render_instance(reference)
+                assert rng.getstate() == ref.getstate()
+                seen |= {a for p in instance.programs.values() for a in p.atoms()}
+        # the second pool reaches the table's last atoms, x32 and x33 at 17
         assert set(atom_pool(2 * atoms)[-2:]) <= seen
 
-    @pytest.mark.parametrize("pool", [("c", "x40", "zz_top"), ("a", "q")])
+    @pytest.mark.parametrize("pool", [
+        ("c", "x40", "zz_top"), ("a", "q"), ("zz_top",), ("q", "x40", "a", "m"),
+        ("m", "b", "x40", "zz_top", "q"),
+    ])
     def test_pool_outside_the_table_matches_the_reference(self, pool):
-        cfg = FuzzConfig(atoms=1, neg_prob=0.5)
+        cfg = FuzzConfig(atoms=1, neg_prob=0.5, body_len=4)
         for seed in range(20):
-            program = gen_program(cfg, random.Random(seed), pool)
-            assert program == reference_gen_program(cfg, random.Random(seed), pool)
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert gen_program(cfg, rng, pool) == reference_gen_program(cfg, ref, pool)
+            assert rng.getstate() == ref.getstate()
 
     def test_fixed_run_builds_each_literal_once(self, monkeypatch):
         # pinned work, which may only fall: 12 atoms, both signs, all built
