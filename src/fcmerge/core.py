@@ -17,8 +17,13 @@ rules to switch on, propagating only what they add to the closure, then undone.
 This module owns the memo bounds: ``MEMO_SIZE`` entries per table and,
 for ``memo``, which ``base`` uses, ``MEMO_RULES`` rules beyond the newest.
 
+There is one object per literal: ``Literal(atom, positive)``, also on
+unpickling and copying, returns the one that ``LITERALS`` holds for the life
+of the process, so literals compare and hash by identity, in C.
+
 All values are immutable and all operations are pure, so everything in
-this module is safe to share between threads; a ``memo`` table has a lock.
+this module is safe to share between threads; a ``memo`` table has a lock,
+and two threads that build one new literal get one object.
 The value types are hand-written, not dataclasses: ``import fcmerge`` loads
 no ``dataclasses``.  The one mutable object, a ``CompiledProgram``, is never
 cached; only ``revision``'s search hands one on, to its readers there.
@@ -38,7 +43,9 @@ from .errors import InconsistentProgram
 # the one definition of an atom name; textio scans with it too
 ATOM = r"[A-Za-z_][A-Za-z0-9_]*"
 _ATOM_RE = re.compile(ATOM)
-_set = object.__setattr__  # how a frozen value type's __init__ sets a field
+_set = object.__setattr__  # how a frozen value type sets its fields
+# the one Literal of each atom and sign, by atom: (negative, positive)
+LITERALS: tuple[dict[str, Literal], dict[str, Literal]] = ({}, {})
 
 # memo bounds, chosen by end-to-end time and memory, not by hit ratio: every
 # rank-large hit falls within one request.  64 entries, not 1,024, cut the GC's
@@ -93,7 +100,7 @@ SWEEP_VISITS = 8
 
 
 class _Value:
-    """Frozen fields, a dataclass's repr, and pickling and copying through __init__."""
+    """Frozen fields, a dataclass's repr, and pickling and copying through the constructor."""
 
     __slots__ = ()
 
@@ -112,25 +119,26 @@ class _Value:
 
 
 class Literal(_Value):
-    """An atom or its negation."""
+    """An atom or its negation, hash-consed: one object per (atom, sign) for
+    the life of the process, so literals compare and hash by identity."""
 
     __slots__ = ("atom", "positive")
 
-    def __init__(self, atom: str, positive: bool = True) -> None:
+    def __new__(cls, atom: str, positive: bool = True) -> Literal:
+        try:  # positive indexes LITERALS as 0 or 1; only a bool finds its own sign
+            lit = LITERALS[positive][atom]
+            if lit.positive is positive:
+                return lit
+        except (LookupError, TypeError):
+            pass
         if not (isinstance(atom, str) and _ATOM_RE.fullmatch(atom)):
             raise ValueError(f"invalid atom name: {atom!r}")
         if not isinstance(positive, bool):
             raise ValueError(f"invalid literal sign: {positive!r}")
-        _set(self, "atom", atom)
-        _set(self, "positive", positive)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Literal:
-            return NotImplemented
-        return (self.atom, self.positive) == (other.atom, other.positive)
-
-    def __hash__(self) -> int:
-        return hash((self.atom, self.positive))
+        lit = object.__new__(cls)
+        _set(lit, "atom", atom)
+        _set(lit, "positive", positive)
+        return LITERALS[positive].setdefault(atom, lit)  # a racing thread's, if first
 
     def sort_key(self) -> tuple[str, bool]:
         # atom ascending, positive before negative
@@ -251,7 +259,7 @@ class ClosedSet(_Value):
     def of(cls, literals: Iterable[Literal]) -> ClosedSet:
         """Collapse a plain literal set: opposed literals yield BOTTOM."""
         lits = frozenset(literals)
-        return BOTTOM if _opposed(lits) else cls(lits)
+        return BOTTOM if _opposed(lits) else _closed(lits)
 
     @property
     def is_bottom(self) -> bool:
@@ -280,7 +288,7 @@ class ClosedSet(_Value):
             return other
         if other.literals is None:
             return self
-        return ClosedSet(self.literals & other.literals)
+        return _closed(self.literals & other.literals)
 
     def join(self, other: ClosedSet) -> ClosedSet:
         """Union as literal sets; opposed literals collapse to BOTTOM."""
@@ -297,6 +305,13 @@ class ClosedSet(_Value):
 BOTTOM = ClosedSet(None)
 
 
+def _closed(literals: frozenset[Literal]) -> ClosedSet:
+    # a ClosedSet of literals its caller has already found unopposed
+    closed = object.__new__(ClosedSet)
+    _set(closed, "literals", literals)
+    return closed
+
+
 # the watchers of an atom that no rule body mentions
 _UNWATCHED: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
@@ -308,11 +323,9 @@ class CompiledProgram:
     The watcher index holds, for each rule, its head and the number of
     distinct body literals still underived, and for each atom two lists:
     the rules whose body holds its negative literal and those whose body
-    holds its positive one, indexed by ``Literal.positive``.  Keying by
-    the atom string, whose hash is cached, keeps Literal's Python-level
-    ``__hash__`` and ``__eq__`` out of chaining.  ``rules`` holds the
-    rules by position, those of ``off`` first, at their positions in
-    ``off``, each with one extra missing count: switched off.
+    holds its positive one, indexed by ``Literal.positive``.  ``rules``
+    holds the rules by position, those of ``off`` first, at their positions
+    in ``off``, each with one extra missing count: switched off.
     Construction fires the rules with nothing missing; ``rounds`` then
     holds the firing rounds (round 0 the facts, round i+1 the new heads of
     the rules whose last missing body literal was derived in round i), or
@@ -402,7 +415,7 @@ class CompiledProgram:
         derived: list[Literal] = []
         if not self.consistent_with(on, derived):
             return BOTTOM
-        return ClosedSet(frozenset(chain(chain.from_iterable(self.rounds), derived)))
+        return _closed(frozenset(chain(chain.from_iterable(self.rounds), derived)))
 
     def inert(self, idx: int) -> bool:
         """Whether the rule at a position changes nothing when switched on
@@ -469,7 +482,7 @@ def closure(program: Program) -> ClosedSet:
             else:
                 derived.add(rule.head)
         if len(waiting) == len(pending):
-            return ClosedSet(derived)
+            return _closed(frozenset(derived))
         pending = waiting
     return CompiledProgram(program).closure_with(0)
 

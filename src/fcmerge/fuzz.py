@@ -10,10 +10,6 @@ programs shares its atom pool (conflicts, hence non-vacuous guarded
 postulates), and syntax-sensitivity postulates receive equal-consequence
 variants built by adding redundant or never-firing rules.
 
-A config builds each of the 4 * cfg.atoms literals a draw can give once,
-in a table keyed by (atom, positive); only a pool outside its atoms, which
-gen_program accepts, builds a literal per draw.
-
 A witness shrinks one removal at a time: one program rule, then per
 profile one member or one member rule, then every rule that mentions
 one atom.  Members left without rules are dropped; a removal that would
@@ -32,7 +28,7 @@ from itertools import chain
 from typing import Callable, Iterator
 
 from .arbitration import Strategy
-from .core import Literal, Program, Rule, closure
+from .core import LITERALS, Literal, Program, Rule, closure
 from .errors import ConfigError, PredicateNotHolding, SizeLimitExceeded
 from .postulates import Instance, PostulateId, Status, Verdict, bind, check, guaranteed
 from .textio import render
@@ -82,9 +78,6 @@ class FuzzConfig:
             raise ConfigError("at least one strategy is required")
         if not self.postulates:
             raise ConfigError("at least one postulate is required")
-        # a plain attribute, not a field, so ==, repr and to_dict ignore it
-        object.__setattr__(self, "_literals", {(atom, sign): Literal(atom, sign)
-                           for atom in atom_pool(2 * self.atoms) for sign in (True, False)})
 
     def to_dict(self) -> dict:
         return {**_fields(self),
@@ -104,21 +97,20 @@ def _below(bits: Callable[[int], int], n: int) -> int:
 
 
 def _literal(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Literal:
-    key = (pool[_below(rng.getrandbits, len(pool))], rng.random() >= cfg.neg_prob)
-    return cfg._literals.get(key) or Literal(*key)  # new for a pool outside cfg's
+    return Literal(pool[_below(rng.getrandbits, len(pool))], rng.random() >= cfg.neg_prob)
 
 
 def _rule(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Rule:
     # _literal and _below inlined, so a rule costs one frame; body first, then head
-    bits, draw, table, neg_prob = rng.getrandbits, rng.random, cfg._literals, cfg.neg_prob
+    bits, draw, neg_prob = rng.getrandbits, rng.random, cfg.neg_prob
     n = len(pool)
     k, literals = n.bit_length(), []
     for _ in range(_below(bits, cfg.body_len + 1) + 1):
         i = bits(k)
         while i >= n > 0:  # an empty pool ends the loop, and pool[0] raises
             i = bits(k)
-        key = (pool[i], draw() >= neg_prob)
-        literals.append(table.get(key) or Literal(*key))
+        atom, positive = pool[i], draw() >= neg_prob
+        literals.append(LITERALS[positive].get(atom) or Literal(atom, positive))
     return Rule(frozenset(literals[:-1]), literals[-1])
 
 
@@ -162,10 +154,9 @@ def _equivalent_variant(p: Program, cfg: FuzzConfig, rng: random.Random,
         body_size = 1 + _below(bits, max(1, min(cfg.body_len, len(derived))))
         body = frozenset(derived[_below(bits, len(derived))] for _ in range(body_size))
         return p | Program(frozenset({Rule(body, derived[_below(bits, len(derived))])}))
-    # pool is one of _pair_pools', all in the table and never empty, and c
-    # holds at most one literal per atom: blocked is never empty
-    table = cfg._literals
-    blocked = [lit for atom in pool for lit in (table[atom, True], table[atom, False])
+    # pool is one of _pair_pools', never empty, and c holds at most one
+    # literal per atom: blocked is never empty
+    blocked = [lit for atom in pool for lit in (Literal(atom, True), Literal(atom, False))
                if lit not in c]
     body = frozenset({blocked[_below(rng.getrandbits, len(blocked))]})
     return p | Program(frozenset({Rule(body, _literal(cfg, rng, pool))}))

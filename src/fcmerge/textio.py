@@ -20,8 +20,8 @@ strings, and one loop parses them.  An unexpected character anywhere in
 a program or block is reported ahead of an earlier grammar error in it;
 blocks are parsed in order.  Positions count lines and code points, and
 a SourceError's line and column are computed only when it is raised,
-from the offset of the token it points at.  Within one parse_program or
-parse_profile call each distinct literal is one shared Literal object.
+from the offset of the token it points at.  A token is looked up in
+core.LITERALS first, so each literal is the one process-wide Literal.
 
 Rendering is canonical: literals sort by (atom, positive first), rules
 sort by their rendered text, and parse(render(x)) == x for programs and
@@ -34,7 +34,7 @@ import re
 from pathlib import Path
 from typing import Callable, TypeVar, Union
 
-from .core import ATOM, ClosedSet, Literal, Program, Rule
+from .core import ATOM, LITERALS, ClosedSet, Literal, Program, Rule
 from .errors import EmptyProfile, SourceError
 
 # the line between the programs of a profile or a flock, in text
@@ -52,7 +52,6 @@ _PUNCTUATION = frozenset(("->", "-", ",", "."))
 _SEPARATOR_LINE = re.compile(rf"^[^\S\n]*{re.escape(PROFILE_SEPARATOR)}[^\S\n]*$",
                              re.MULTILINE)
 
-_Interned = tuple[dict[str, Literal], dict[str, Literal]]  # negative, positive
 _T = TypeVar("_T")
 
 
@@ -60,19 +59,18 @@ class _Mismatch(Exception):
     """A grammar error at a token index; the caller places it in the text."""
 
 
-def _intern(table: dict[str, Literal], tok: str, positive: bool, index: int) -> Literal:
+def _literal(tok: str, positive: bool, index: int) -> Literal:
     try:
-        lit = table[tok] = Literal(tok, positive)
+        return Literal(tok, positive)
     except ValueError:
         expected = "a literal" if positive and not tok else "an atom"
         found = repr(tok) if tok else "end of input"
         raise _Mismatch(index, f"expected {expected}, found {found}") from None
-    return lit
 
 
-def _rules(tokens: list[str], negative: dict[str, Literal],
-           positive: dict[str, Literal]) -> set[Rule]:
+def _rules(tokens: list[str]) -> set[Rule]:
     """The rules of a token list that ends in the sentinel ""."""
+    negative, positive = LITERALS  # looked up first: a Literal call costs a frame
     rules: set[Rule] = set()
     i = 0
     tok = tokens[0]
@@ -83,9 +81,9 @@ def _rules(tokens: list[str], negative: dict[str, Literal],
             if tok == "-":
                 i += 1
                 tok = tokens[i]
-                lit = negative.get(tok) or _intern(negative, tok, False, i)
+                lit = negative.get(tok) or _literal(tok, False, i)
             else:
-                lit = positive.get(tok) or _intern(positive, tok, True, i)
+                lit = positive.get(tok) or _literal(tok, True, i)
             i += 1
             tok = tokens[i]
             if arrow or (tok != "," and tok != "->"):
@@ -127,13 +125,13 @@ def _block_error(text: str, start: int, end: int, index: int, message: str) -> S
     return _error_at(text, offsets[min(index, len(offsets) - 1)], message)
 
 
-def _parse_block(text: str, start: int, end: int, interned: _Interned) -> Program:
+def _parse_block(text: str, start: int, end: int) -> Program:
     tokens = _TOKEN.findall(text, start, end)
     if text.find("%", start, end) >= 0:
         tokens = [tok for tok in tokens if tok[0] != "%"]
     tokens.append("")
     try:
-        return Program(frozenset(_rules(tokens, *interned)))
+        return Program(frozenset(_rules(tokens)))
     except _Mismatch as mismatch:
         index, message = mismatch.args
     raise _block_error(text, start, end, index, message)
@@ -141,7 +139,7 @@ def _parse_block(text: str, start: int, end: int, interned: _Interned) -> Progra
 
 def parse_program(text: str) -> Program:
     """Parse program text; empty input is the empty program."""
-    return _parse_block(text, 0, len(text), ({}, {}))
+    return _parse_block(text, 0, len(text))
 
 
 def parse_single_program(text: str) -> Program:
@@ -165,8 +163,7 @@ def parse_profile(text: str) -> tuple[Program, ...]:
     separators = [m.span() for m in _SEPARATOR_LINE.finditer(text)]
     starts = [0] + [sep_end for _, sep_end in separators]
     ends = [sep_start for sep_start, _ in separators] + [len(text)]
-    interned: _Interned = ({}, {})
-    blocks = (_parse_block(text, start, end, interned) for start, end in zip(starts, ends))
+    blocks = (_parse_block(text, start, end) for start, end in zip(starts, ends))
     programs = tuple(program for program in blocks if program.rules)
     if not programs:
         raise EmptyProfile("contains no programs")

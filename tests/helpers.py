@@ -1,6 +1,9 @@
 """Shared program fixtures and construction shorthands for the tests."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -8,6 +11,16 @@ from fcmerge import BOTTOM, ClosedSet, Instance, Literal, Program, base, closure
 from fcmerge.arbitration import _revised_closure
 from fcmerge.core import CompiledProgram
 from fcmerge.textio import parse_program
+
+
+def run_fresh(args: list[str], **env: str) -> str:
+    """What a fresh interpreter prints when run with these arguments, src/
+    on its path and env added to its environment; it must exit 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src), **env})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def prog(text: str) -> Program:

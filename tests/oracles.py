@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: whole-program scan fixpoints,
 full subset enumeration, a token-object parser that scans a whole
-block before parsing it, and a fuzz instance generator that builds a
-fresh Literal for every draw.  These functions never call the optimized code
+block before parsing it, and a fuzz instance generator that calls
+Literal for every draw.  These functions never call the optimized code
 paths they are used to check.
 """
 
@@ -250,7 +250,7 @@ def _draw_rule(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Ru
 def reference_gen_program(cfg: FuzzConfig, rng: random.Random,
                           pool: tuple[str, ...]) -> Program:
     """fuzz.gen_program, drawing the same values in the same order, with
-    a new Literal built for every draw."""
+    Literal called for every draw."""
     count = rng.randint(0, cfg.rules)
     return Program(frozenset(_draw_rule(cfg, rng, pool) for _ in range(count)))
 

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +6,7 @@ import pytest
 from fcmerge import FuzzConfig, PostulateId, Strategy
 from fcmerge.cli import run
 
-from helpers import GAP_P, GAP_Q
+from helpers import GAP_P, GAP_Q, run_fresh
 
 
 @pytest.fixture
@@ -505,9 +502,4 @@ def test_fuzz_config_error_exit_code(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-m", "fcmerge", "corpus"], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout
+    assert run_fresh(["-m", "fcmerge", "corpus"])

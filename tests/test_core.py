@@ -1,6 +1,7 @@
 import copy
 import pickle
-from itertools import chain
+from itertools import chain, count
+from threading import Barrier, Thread
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from fcmerge import (
     entails,
     stratify,
 )
-from fcmerge.core import CompiledProgram
+from fcmerge import core
+from fcmerge.core import LITERALS, CompiledProgram
 
 from helpers import (GAP_P, GAP_Q, LAYERED, TAXONOMY, closed, count_index_builds, facts, lit,
                      lits, prog)
@@ -422,16 +424,55 @@ _FIELDS = {Literal: ("atom", "positive"), Rule: ("body", "head"), Program: ("rul
 @pytest.mark.parametrize("value", [v for v in _VALUES if type(v) in _FIELDS],
                          ids=lambda v: type(v).__name__)
 def test_value_types_hash_and_compare_their_field_tuples(value):
-    # the hash a frozen dataclass gave each type, so no set order, pinned
-    # count or digest depends on how the types are written; a value of
-    # another type, even one with the same fields, is never equal
+    # a rule, program or closed set hashes as a frozen dataclass did, by its
+    # field tuple; a literal is the one object of its fields, so identity is
+    # its equality and its hash, also across pickling and copying.  A value
+    # of another type, even one with the same fields, is never equal
     fields = tuple(getattr(value, name) for name in _FIELDS[type(value)])
-    assert hash(value) == hash(fields)
     assert value.__eq__(fields) is NotImplemented and value != fields
     for other in (Program(), ClosedSet(frozenset()), lit("a"), Rule.fact(lit("a"))):
         if type(other) is not type(value):
             assert value.__eq__(other) is NotImplemented and value != other
-    assert value == type(value)(*fields)
+    if type(value) is not Literal:
+        assert hash(value) == hash(fields)
+        assert value == type(value)(*fields)
+        return
+    assert "__eq__" not in vars(Literal) and "__hash__" not in vars(Literal)
+    assert Literal(*fields) is value and Literal(value.atom) is Literal(value.atom)
+    for duplicate in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        assert duplicate(value) is value
+    # the table finds the atom under either sign, yet a sign that is not a
+    # bool still raises, and a bad atom is named before a bad sign
+    with pytest.raises(ValueError, match=r"^invalid literal sign: 1$"):
+        Literal(value.atom, 1)
+    with pytest.raises(ValueError, match=r"^invalid literal sign: 0$"):
+        Literal(value.atom, 0)
+    with pytest.raises(ValueError, match=r"^invalid atom name: '1a'$"):
+        Literal("1a", 1)
+
+
+def test_threads_that_race_to_build_a_literal_get_one_object(monkeypatch):
+    # eight threads build one literal that no test has built, and the atom
+    # check holds each until all eight have missed the table: every thread
+    # makes an object of its own, and all must get back the one stored first
+    barrier, built, pattern = Barrier(8, timeout=60), [], core._ATOM_RE
+
+    class Gate:
+        def fullmatch(self, text):
+            barrier.wait()
+            return pattern.fullmatch(text)
+
+    def build():
+        built.append(Literal(atom, False))
+
+    atom = next(f"race{i}" for i in count() if f"race{i}" not in LITERALS[False])
+    monkeypatch.setattr(core, "_ATOM_RE", Gate())
+    threads = [Thread(target=build) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(built) == 8 and all(lit is LITERALS[False][atom] for lit in built)
 
 
 @pytest.mark.parametrize("value, text", [

@@ -9,7 +9,6 @@ import pytest
 from fcmerge import (
     ConfigError,
     Instance,
-    Literal,
     PostulateId,
     PredicateNotHolding,
     Profile,
@@ -25,7 +24,7 @@ from fcmerge import (
 )
 from fcmerge.fuzz import FuzzConfig, _below, _removals, _stream, atom_pool, render_instance
 
-from helpers import prog, total_rules
+from helpers import prog, run_fresh, total_rules
 from oracles import reference_gen_instance, reference_gen_program
 
 
@@ -130,9 +129,9 @@ class TestGenInstance:
 
 
 class TestLiteralTable:
-    """Each config builds every Literal its campaign can draw once; the
-    draws, and so the instances, are those of a generator that builds a
-    Literal per draw."""
+    """A campaign builds each literal it draws once, in core's table of
+    canonical literals; the draws, and so the instances, are those of a
+    generator that calls Literal per draw."""
 
     @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5, 6, 8, 9, 14, 16, 17])
     def test_instances_match_the_reference_generator(self, atoms):
@@ -164,19 +163,16 @@ class TestLiteralTable:
             assert gen_program(cfg, rng, pool) == reference_gen_program(cfg, ref, pool)
             assert rng.getstate() == ref.getstate()
 
-    def test_fixed_run_builds_each_literal_once(self, monkeypatch):
-        # pinned work, which may only fall: 12 atoms, both signs, all built
-        # by the config (63,930 when every draw built its own)
-        built = []
-        init = Literal.__init__
-
-        def counting(lit, *args, **kwargs):
-            built.append(lit)
-            init(lit, *args, **kwargs)
-
-        monkeypatch.setattr(Literal, "__init__", counting)
-        search(FuzzConfig(seed=7, trials=40))
-        assert len(built) == 24
+    def test_fixed_run_builds_each_literal_once(self):
+        # pinned work, which may only fall: in a fresh interpreter the run adds
+        # 24 canonical literals, 12 atoms of both signs, and builds no other
+        # (63,930 when every draw built its own)
+        script = ("from fcmerge import FuzzConfig, search\n"
+                  "from fcmerge.core import LITERALS\n"
+                  "held = sum(map(len, LITERALS))\n"
+                  "search(FuzzConfig(seed=7, trials=40))\n"
+                  "print(sum(map(len, LITERALS)) - held)\n")
+        assert run_fresh(["-c", script]) == "24\n"
 
     def test_table_is_not_part_of_the_config_value(self):
         cfg = FuzzConfig(seed=3, atoms=2)
@@ -203,10 +199,6 @@ class TestSearch:
 
     def test_reports_identical_across_processes(self):
         # set-iteration order must never leak into the report
-        import os
-        import subprocess
-        import sys
-
         snippet = (
             "from fcmerge.fuzz import FuzzConfig, search\n"
             "from fcmerge import PostulateId\n"
@@ -215,13 +207,8 @@ class TestSearch:
             "print(search(cfg).to_json())\n"
         )
 
-        def run_with_hashseed(value: str) -> str:
-            env = dict(os.environ, PYTHONHASHSEED=value)
-            out = subprocess.run([sys.executable, "-c", snippet], env=env,
-                                 capture_output=True, text=True, check=True)
-            return out.stdout
-
-        assert run_with_hashseed("1") == run_with_hashseed("99")
+        assert (run_fresh(["-c", snippet], PYTHONHASHSEED="1")
+                == run_fresh(["-c", snippet], PYTHONHASHSEED="99"))
 
     def test_guaranteed_postulates_never_violate(self):
         cfg = FuzzConfig(seed=12, trials=150, postulates=(

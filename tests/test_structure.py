@@ -2,9 +2,7 @@
 
 import ast
 import importlib
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 from types import FunctionType
@@ -14,7 +12,7 @@ import pytest
 import fcmerge
 from fcmerge import Strategy, arbitrate
 
-from helpers import GAP_P, GAP_Q, clear_memos, prog
+from helpers import GAP_P, GAP_Q, clear_memos, prog, run_fresh
 
 MODULES = sorted(Path(fcmerge.__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -151,11 +149,7 @@ LAZY_NAMES = {
 
 
 def _run_fresh(script: str) -> None:
-    src = Path(fcmerge.__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok\n"
+    assert run_fresh(["-c", script]) == "ok\n"
 
 
 _LAZY_SCRIPT = f"""
