@@ -19,11 +19,12 @@ for ``memo``, which ``base`` uses, ``MEMO_RULES`` rules beyond the newest.
 
 There is one object per literal: ``Literal(atom, positive)``, also on
 unpickling and copying, returns the one that ``LITERALS`` holds for the life
-of the process, so literals compare and hash by identity, in C.
+of the process.  It compares and hashes by identity and stores its text and
+sort order, so the watcher index, rendering and sorting read it in C.
 
 All values are immutable and all operations are pure, so everything in
 this module is safe to share between threads; a ``memo`` table has a lock,
-and two threads that build one new literal get one object.
+and two threads that build one new literal get one object, text and all.
 The value types are hand-written, not dataclasses: ``import fcmerge`` loads
 no ``dataclasses``.  The one mutable object, a ``CompiledProgram``, is never
 cached; only ``revision``'s search hands one on, to its readers there.
@@ -35,6 +36,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache, wraps
 from itertools import chain
+from operator import attrgetter
 from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
@@ -46,6 +48,7 @@ _ATOM_RE = re.compile(ATOM)
 _set = object.__setattr__  # how a frozen value type sets its fields
 # the one Literal of each atom and sign, by atom: (negative, positive)
 LITERALS: tuple[dict[str, Literal], dict[str, Literal]] = ({}, {})
+_TEXT, _ORDER = attrgetter("_text"), attrgetter("_order")  # a literal's, read in C
 
 # memo bounds, chosen by end-to-end time and memory, not by hit ratio: every
 # rank-large hit falls within one request.  64 entries, not 1,024, cut the GC's
@@ -110,19 +113,22 @@ class _Value:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    # a private slot is derived from the fields: not shown, not pickled
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = (name for name in self.__slots__ if name[0] != "_")
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
 
 
 class Literal(_Value):
     """An atom or its negation, hash-consed: one object per (atom, sign) for
-    the life of the process, so literals compare and hash by identity."""
+    the life of the process, so literals compare and hash by identity.  Its
+    text and sort order are stored on it before it is shared."""
 
-    __slots__ = ("atom", "positive")
+    __slots__ = ("atom", "positive", "_text", "_order")
 
     def __new__(cls, atom: str, positive: bool = True) -> Literal:
         try:  # positive indexes LITERALS as 0 or 1; only a bool finds its own sign
@@ -138,6 +144,8 @@ class Literal(_Value):
         lit = object.__new__(cls)
         _set(lit, "atom", atom)
         _set(lit, "positive", positive)
+        _set(lit, "_text", atom if positive else "-" + atom)
+        _set(lit, "_order", lit.sort_key())
         return LITERALS[positive].setdefault(atom, lit)  # a racing thread's, if first
 
     def sort_key(self) -> tuple[str, bool]:
@@ -145,7 +153,7 @@ class Literal(_Value):
         return (self.atom, not self.positive)
 
     def __str__(self) -> str:
-        return self.atom if self.positive else "-" + self.atom
+        return self._text
 
 
 class Rule(_Value):
@@ -179,9 +187,9 @@ class Rule(_Value):
 
     def __str__(self) -> str:
         if not self.body:
-            return f"{self.head}."
-        body = ", ".join(str(l) for l in sorted(self.body, key=Literal.sort_key))
-        return f"{body} -> {self.head}."
+            return f"{self.head._text}."
+        body = ", ".join(map(_TEXT, sorted(self.body, key=_ORDER)))
+        return f"{body} -> {self.head._text}."
 
 
 class Program(_Value):
@@ -273,7 +281,7 @@ class ClosedSet(_Value):
     def __iter__(self) -> Iterator[Literal]:
         if self.literals is None:
             raise ValueError("cannot enumerate the inconsistent closure")
-        return iter(sorted(self.literals, key=Literal.sort_key))
+        return iter(sorted(self.literals, key=_ORDER))
 
     def issubset(self, other: ClosedSet) -> bool:
         if other.literals is None:
@@ -299,7 +307,7 @@ class ClosedSet(_Value):
     def __str__(self) -> str:
         if self.literals is None:
             return "#bottom"
-        return ", ".join(str(l) for l in self)
+        return ", ".join(map(_TEXT, self))
 
 
 BOTTOM = ClosedSet(None)
@@ -312,18 +320,13 @@ def _closed(literals: frozenset[Literal]) -> ClosedSet:
     return closed
 
 
-# the watchers of an atom that no rule body mentions
-_UNWATCHED: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-
-
 class CompiledProgram:
     """A program compiled once for forward chaining on top of its own
     closure.
 
     The watcher index holds, for each rule, its head and the number of
-    distinct body literals still underived, and for each atom two lists:
-    the rules whose body holds its negative literal and those whose body
-    holds its positive one, indexed by ``Literal.positive``.  ``rules``
+    distinct body literals still underived, and for each literal the
+    positions of the rules whose body holds it, in rule order.  ``rules``
     holds the rules by position, those of ``off`` first, at their positions
     in ``off``, each with one extra missing count: switched off.
     Construction fires the rules with nothing missing; ``rounds`` then
@@ -342,14 +345,10 @@ class CompiledProgram:
         self.rules = rules = (*off, *program.rules)
         self._heads = [r.head for r in rules]
         self._missing = [len(r.body) + 1 for r in off] + [len(r.body) for r in program.rules]
-        watchers: dict[str, tuple[list[int], list[int]]] = {}
+        self._watchers = watchers = {}  # body literal -> positions of its rules, in order
         for idx, rule in enumerate(rules):
             for lit in rule.body:
-                pair = watchers.get(lit.atom)
-                if pair is None:
-                    pair = watchers[lit.atom] = ([], [])
-                pair[lit.positive].append(idx)
-        self._watchers = watchers
+                watchers.setdefault(lit, []).append(idx)
         self._signs: dict[str, bool] = {}  # derived atom -> derived sign
         facts = [head for head, missing in zip(self._heads, self._missing) if not missing]
         rounds: list[list[Literal]] = []
@@ -374,7 +373,7 @@ class CompiledProgram:
                 if sign is None:
                     signs[atom] = positive
                     layer.append(lit)
-                    for idx in watchers.get(atom, _UNWATCHED)[positive]:
+                    for idx in watchers.get(lit, ()):
                         missing[idx] -= 1
                         if not missing[idx]:
                             fired.append(heads[idx])
@@ -455,7 +454,7 @@ class CompiledProgram:
         for layer in trail:
             for lit in layer:
                 del signs[lit.atom]
-                for idx in watchers.get(lit.atom, _UNWATCHED)[lit.positive]:
+                for idx in watchers.get(lit, ()):
                     if settled is not None and not missing[idx]:
                         settled[idx] = True
                     missing[idx] += 1

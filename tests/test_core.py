@@ -204,6 +204,31 @@ def test_index_rounds_match_closure(p, q):
         assert indexed == closure(program) == naive_closure(program)
 
 
+class TestWatcherIndex:
+    # the index keys its watchers by literal: a body may hold both signs of
+    # an atom, and a derived literal may be in no body at all
+    def test_a_body_holding_an_atom_and_its_negation_never_fires(self):
+        opposed = Rule(lits("a", "-a"), lit("b"))
+        for facts, rounds in (("", [[]]), ("a.", [[lit("a")]]), ("-a.", [[lit("-a")]])):
+            compiled = CompiledProgram(prog(facts), [opposed])
+            assert compiled.rounds == rounds and compiled.rules[0] is opposed
+            assert compiled.closure_with(1) == ClosedSet(chain.from_iterable(rounds))
+            assert compiled.intolerable() == [0]
+            switched_on = CompiledProgram(prog(facts) | Program({opposed}))
+            assert switched_on.rounds == rounds
+            assert switched_on.intolerable() == [switched_on.rules.index(opposed)]
+
+    def test_a_literal_no_body_mentions_propagates(self):
+        # -b's atom is in a body, z's in none; both are derived and undone
+        compiled = CompiledProgram(prog("-b. b -> c."), [Rule.fact(lit("z"))])
+        assert compiled.rounds == [[lit("-b")]]
+        assert compiled.closure_with(1) == closed("-b", "z")
+        # b -> c. only, whose body -b opposes: the program's rules are in set order
+        assert compiled.intolerable() == [i for i, r in enumerate(compiled.rules) if r.body]
+        assert compiled.closure_with(0) == closed("-b")
+        assert compiled._signs == {"b": False}
+
+
 @pytest.mark.pinned
 @pytest.mark.parametrize("text, builds", [
     # depth 1: whatever the set order, the second sweep fires the last rule
@@ -454,25 +479,46 @@ def test_value_types_hash_and_compare_their_field_tuples(value):
 def test_threads_that_race_to_build_a_literal_get_one_object(monkeypatch):
     # eight threads build one literal that no test has built, and the atom
     # check holds each until all eight have missed the table: every thread
-    # makes an object of its own, and all must get back the one stored first
-    barrier, built, pattern = Barrier(8, timeout=60), [], core._ATOM_RE
+    # makes an object of its own, and all must get back the one stored first.
+    # Each renders what it gets back, and the table renders what it holds the
+    # moment setdefault stores or finds it, so a literal shared before its
+    # text or its sort order is set fails on every run, not on a rare switch
+    barrier, built, stored, pattern = Barrier(8, timeout=60), [], [], core._ATOM_RE
+    other = lit("a")  # built before the gate: the gate holds every miss
 
     class Gate:
         def fullmatch(self, text):
             barrier.wait()
             return pattern.fullmatch(text)
 
+    class Table(dict):
+        def setdefault(self, key, value):
+            first = super().setdefault(key, value)
+            stored.append(render(self[key]))
+            return first
+
+    def render(literal):
+        # the two-literal body is sorted, so it reads the sort order too
+        return str(literal), str(Rule.fact(literal)), str(Rule({literal, other}, literal))
+
     def build():
-        built.append(Literal(atom, False))
+        literal = Literal(atom, False)
+        built.append((literal, render(literal)))
 
     atom = next(f"race{i}" for i in count() if f"race{i}" not in LITERALS[False])
+    tables = (Table(LITERALS[False]), Table(LITERALS[True]))
+    monkeypatch.setattr(core, "LITERALS", tables)
     monkeypatch.setattr(core, "_ATOM_RE", Gate())
     threads = [Thread(target=build) for _ in range(8)]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
-    assert len(built) == 8 and all(lit is LITERALS[False][atom] for lit in built)
+        thread.join(60)
+    assert not any(thread.is_alive() for thread in threads)
+    text = (f"-{atom}", f"-{atom}.", f"a, -{atom} -> -{atom}.")
+    assert stored == [text] * 8
+    assert [rendered for _, rendered in built] == [text] * 8
+    assert all(literal is tables[False][atom] for literal, _ in built)
 
 
 @pytest.mark.parametrize("value, text", [
@@ -487,3 +533,59 @@ def test_threads_that_race_to_build_a_literal_get_one_object(monkeypatch):
 ], ids=["Literal", "fact", "Rule", "Program", "ClosedSet", "BOTTOM"])
 def test_value_types_repr_like_dataclasses(value, text):
     assert repr(value) == text
+
+
+# atoms that are prefixes of one another or differ only in case
+_AWKWARD_ATOMS = st.sampled_from(("a", "a1", "a_", "ab", "A", "_a"))
+_AWKWARD = st.builds(Literal, _AWKWARD_ATOMS, st.booleans())
+
+
+def _text(literal):
+    return literal.atom if literal.positive else "-" + literal.atom
+
+
+def _rule_text(rule):
+    body = ", ".join(_text(l) for l in sorted(rule.body, key=Literal.sort_key))
+    return f"{body} -> {_text(rule.head)}." if body else f"{_text(rule.head)}."
+
+
+def _closed_text(closed_set):
+    if closed_set.is_bottom:
+        return "#bottom"
+    return ", ".join(_text(l) for l in sorted(closed_set.literals, key=Literal.sort_key))
+
+
+@given(st.frozensets(st.builds(Rule, st.frozensets(_AWKWARD, max_size=6), _AWKWARD), max_size=6),
+       st.dictionaries(_AWKWARD_ATOMS, st.booleans()))
+@settings(max_examples=300, deadline=None)
+def test_text_matches_a_reference_renderer(rules, signs):
+    # bodies often hold an atom and its negation, whose positive comes first
+    program, closed_set = Program(rules), ClosedSet(Literal(*item) for item in signs.items())
+    assert [str(rule) for rule in rules] == [_rule_text(rule) for rule in rules]
+    assert str(program) == "\n".join(sorted(map(_rule_text, rules)))
+    assert [str(rule) for rule in program] == sorted(map(_rule_text, rules))
+    for value in (closed_set, closure(program), BOTTOM):
+        assert str(value) == _closed_text(value)
+    assert list(closed_set) == sorted(closed_set.literals, key=Literal.sort_key)
+    assert all(l.sort_key() == (l.atom, not l.positive) for l in closed_set.literals)
+
+
+def test_text_sorts_by_atom_then_sign():
+    body = lits("ab", "a_", "-a1", "a", "-a", "A", "_a")
+    assert str(Rule(body, lit("-A"))) == "A, _a, a, -a, -a1, a_, ab -> -A."
+    assert str(ClosedSet.of(body - {lit("-a")})) == "A, _a, a, -a1, a_, ab"
+
+
+@pytest.mark.parametrize("value", [lit("a"), lit("-_a")], ids=str)
+def test_a_literal_shows_and_pickles_its_fields_only(value):
+    # the text and sort order a literal stores are derived: repr, pickling
+    # and copying see the two fields, and give back the one object
+    fields = (value.atom, value.positive)
+    assert repr(value) == f"Literal(atom={fields[0]!r}, positive={fields[1]!r})"
+    assert value.__reduce__() == (Literal, fields)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(value, protocol)
+        assert b"_text" not in data and b"_order" not in data
+        assert pickle.loads(data) is value
+    assert copy.copy(value) is value and copy.deepcopy(value) is value
+    assert copy.deepcopy(Rule({value}, value)).head is value
