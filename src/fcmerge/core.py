@@ -10,9 +10,9 @@ on an unbounded vocabulary).
 
 ``closure`` sweeps the rules that have not fired until a sweep fires
 nothing.  Past ``SWEEP_VISITS`` rule visits per rule it compiles a
-``CompiledProgram``, the watcher index that also yields ``stratify``'s
-rounds and answers ``revision``'s questions, each a bitmask of switched-off
-rules to switch on, propagating only what they add to the closure, then undone.
+``CompiledProgram``, the watcher index that cuts ``stratify``'s rounds when
+built and answers ``revision``'s questions (bitmasks of switched-off rules
+to switch on) by deriving breadth first onto one flat trail, then undoing it.
 
 This module owns the memo bounds: ``MEMO_SIZE`` entries per table and,
 for ``memo``, which ``base`` uses, ``MEMO_RULES`` rules beyond the newest.
@@ -329,17 +329,19 @@ class CompiledProgram:
     positions of the rules whose body holds it, in rule order.  ``rules``
     holds the rules by position, those of ``off`` first, at their positions
     in ``off``, each with one extra missing count: switched off.
-    Construction fires the rules with nothing missing; ``rounds`` then
-    holds the firing rounds (round 0 the facts, round i+1 the new heads of
-    the rules whose last missing body literal was derived in round i), or
-    None when they derive an atom and its negation.  Chaining runs in time
+    Construction fires the rules with nothing missing, one round at a time,
+    and cuts ``rounds`` from the trail, the derived literals in order: round
+    0 the facts, round i+1 the new heads of the rules whose last missing
+    body literal was derived in round i, or None when they derive an atom
+    and its negation.  A question derives breadth first onto the trail past
+    the closure, then undoes that part in one pass.  Chaining runs in time
     linear in the total body size (Dowling and Gallier, 1984).
 
     The index is mutable: it is never cached, and only ``revision``'s
     search returns one, to its readers in that module.
     """
 
-    __slots__ = ("rules", "_heads", "_missing", "_watchers", "_signs", "rounds")
+    __slots__ = ("rules", "_heads", "_missing", "_watchers", "_signs", "_trail", "rounds")
 
     def __init__(self, program: Program, off: Sequence[Rule] = ()) -> None:
         self.rules = rules = (*off, *program.rules)
@@ -350,42 +352,36 @@ class CompiledProgram:
             for lit in rule.body:
                 watchers.setdefault(lit, []).append(idx)
         self._signs: dict[str, bool] = {}  # derived atom -> derived sign
-        facts = [head for head, missing in zip(self._heads, self._missing) if not missing]
-        rounds: list[list[Literal]] = []
-        self.rounds = rounds if self._propagate(facts, rounds) else None
+        self._trail: list[Literal] = []  # derived literals in order, the closure's first
+        self.rounds: list[list[Literal]] | None = []
+        fired = [head for head, missing in zip(self._heads, self._missing) if not missing]
+        while fired or not self.rounds:  # round 0 stays even when empty
+            start, frontier, fired = len(self._trail), fired, []
+            if not self._derive(frontier, fired):
+                self.rounds = None
+                break
+            if len(self._trail) > start or not self.rounds:
+                self.rounds.append(self._trail[start:])
 
-    def _propagate(self, frontier: Iterable[Literal], rounds: list[list[Literal]]) -> bool:
-        """Derive the frontier and everything it fires, one round at a
-        time, appending each round's new literals to ``rounds``.
-
-        Returns False as soon as an atom and its negation are both
-        derived.  Each literal in ``rounds`` has had its sign recorded and
-        its watchers' counts decremented, also on that early return, so
-        ``rounds`` is the trail that ``_ask`` unwinds.
-        """
-        signs, watchers, missing, heads = self._signs, self._watchers, self._missing, self._heads
-        while True:
-            layer: list[Literal] = []
-            fired: list[Literal] = []
-            for lit in frontier:
-                atom, positive = lit.atom, lit.positive
-                sign = signs.get(atom)
-                if sign is None:
-                    signs[atom] = positive
-                    layer.append(lit)
-                    for idx in watchers.get(lit, ()):
-                        missing[idx] -= 1
-                        if not missing[idx]:
-                            fired.append(heads[idx])
-                elif sign != positive:
-                    rounds.append(layer)
-                    return False
-            # round 0 stays even when empty; a later empty round fires nothing
-            if layer or not rounds:
-                rounds.append(layer)
-            if not fired:
-                return True
-            frontier = fired
+    def _derive(self, queue: Iterable[Literal], fired: list[Literal]) -> bool:
+        """Derive the queue's literals in turn onto the trail, appending the
+        head of each rule this fires to ``fired``: a queue that is its own
+        ``fired`` runs breadth first to the fixpoint.  False as soon as an
+        atom and its negation meet; the trail holds all that was derived."""
+        signs, watchers, missing, trail = self._signs, self._watchers, self._missing, self._trail
+        for lit in queue:
+            atom, positive = lit.atom, lit.positive
+            sign = signs.get(atom)
+            if sign is None:
+                signs[atom] = positive
+                trail.append(lit)
+                for idx in watchers.get(lit, ()):
+                    missing[idx] -= 1
+                    if not missing[idx]:
+                        fired.append(self._heads[idx])
+            elif sign != positive:
+                return False
+        return True
 
     def consistent_with(self, on: int, derived: list[Literal] | None = None) -> bool:
         """Whether switching on the switched-off positions set in the
@@ -441,23 +437,24 @@ class CompiledProgram:
 
     def _ask(self, literals: Iterable[Literal], settled: list[bool] | None = None,
              derived: list[Literal] | None = None) -> bool:
-        # propagate the literals on top of the closure and undo them; when
+        # derive the literals on top of the closure and undo them; when
         # they stay consistent, mark in settled every rule they fired and
         # append to derived every literal they derived
-        trail: list[list[Literal]] = []
-        consistent = self._propagate(literals, trail)
+        mark, queue = len(self._trail), list(literals)
+        consistent = self._derive(queue, queue)
+        new = self._trail[mark:]
+        del self._trail[mark:]
         if not consistent:
             settled = None
         elif derived is not None:
-            derived += chain.from_iterable(trail)
+            derived += new
         signs, watchers, missing = self._signs, self._watchers, self._missing
-        for layer in trail:
-            for lit in layer:
-                del signs[lit.atom]
-                for idx in watchers.get(lit, ()):
-                    if settled is not None and not missing[idx]:
-                        settled[idx] = True
-                    missing[idx] += 1
+        for lit in new:
+            del signs[lit.atom]
+            for idx in watchers.get(lit, ()):
+                if settled is not None and not missing[idx]:
+                    settled[idx] = True
+                missing[idx] += 1
         return consistent
 
 

@@ -10,15 +10,19 @@ stands for each of its methods:
 
 Each mutant changes one node, with the stdlib ast only: a comparison becomes
 its negation (== and !=, < and >=, > and <=, is and is not, in and not in),
-and and or swap, += and -= swap, a not is dropped, or an integer constant
-gains 1.  It is written into a temporary copy of the repository, never into
+and and or swap, + and - swap (also in += and -=), a not is dropped, the
+test of an if, a while or a conditional expression is negated (unless it is
+a not or a single comparison, which other mutants negate), a conditional
+expression's branches swap, an integer constant gains 1, or a string constant
+that is not a statement of its own (a docstring, say) becomes "" ("_" if it
+was empty).  It is written into a temporary copy of the repository, never into
 the checkout, and the owning test files (tests/test_MODULE.py of each
 target's module unless --tests names others) run against it, stopping at the
 first failure, with Hypothesis's seed fixed and a timeout per mutant: by
 default TIMEOUT_FACTOR times what the unmutated source's run took, and at
 least TIMEOUT_FLOOR seconds, so a mutant that loops forever costs about three
 test runs.  The report gives killed, survived and timed out per function,
-then each survivor.
+then each survivor.  The probe exits 1 when any mutant survives, else 0.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import count
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,33 +65,48 @@ def mutate(node: ast.AST, k: int) -> bool:
     """Apply the k-th mutation of the node in place; False when it has none."""
     if isinstance(node, ast.Compare) and k < len(node.ops):
         node.ops[k] = NEGATED[type(node.ops[k])]()
-    elif isinstance(node, ast.BoolOp) and k == 0:
+    elif type(getattr(node, "op", None)) in SWAPPED and k == 0:  # and/or, +/-, +=/-=
         node.op = SWAPPED[type(node.op)]()
-    elif isinstance(node, ast.AugAssign) and type(node.op) in SWAPPED and k == 0:
-        node.op = SWAPPED[type(node.op)]()
+    elif isinstance(node, (ast.If, ast.While, ast.IfExp)) and k == 0 and not _negated(node.test):
+        node.test = ast.UnaryOp(ast.Not(), node.test)
+    elif isinstance(node, ast.IfExp) and k == 1:
+        node.body, node.orelse = node.orelse, node.body
     elif isinstance(node, ast.Constant) and type(node.value) is int and k == 0:
         node.value += 1
+    elif isinstance(node, ast.Constant) and type(node.value) is str and k == 0:
+        node.value = "" if node.value else "_"
     else:
         return False
     return True
+
+
+def _negated(test: ast.AST) -> bool:
+    # whether another mutant already negates the test: it is a not, or one comparison
+    return (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+            or isinstance(test, ast.Compare) and len(test.ops) == 1)
 
 
 def mutants(source: str, name: str):
     """(function, line, description, mutated module source) for each mutant.
     A dropped not replaces the UnaryOp by its operand, in a copy of the tree."""
     for function, fn in functions(ast.parse(source), name):
+        # a constant that is a statement of its own, a docstring say, changes nothing
+        inert = {id(n.value) for n in ast.walk(fn)
+                 if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)}
         for index, node in enumerate(ast.walk(fn)):
-            for k in range(max(len(getattr(node, "ops", ())), 1)):
+            if id(node) in inert:
+                continue
+            for k in count():
                 tree = ast.parse(source)
                 target = list(ast.walk(dict(functions(tree, name))[function]))[index]
                 before = ast.unparse(target)
-                if isinstance(target, ast.UnaryOp) and isinstance(target.op, ast.Not):
+                if k == 0 and isinstance(target, ast.UnaryOp) and isinstance(target.op, ast.Not):
                     _replace(tree, target, target.operand)
                     after = ast.unparse(target.operand)
                 elif mutate(target, k):
                     after = ast.unparse(target)
                 else:
-                    continue
+                    break
                 text = f"{_short(before)} -> {_short(after)}"
                 yield function, node.lineno, text, ast.unparse(tree)
 
@@ -167,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'total':40} {total['killed']:6}  {total['survived']:8}  {total['timed out']:9}")
     for line in survivors:
         print("survived:", line)
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

@@ -310,8 +310,8 @@ def _on_sets(n: int) -> st.SearchStrategy[int]:
 class IndexQuestions(RuleBasedStateMachine):
     """One index of q with p's rules switched off, asked questions in any
     order.  Each answer must equal closure of the matching program, and
-    each question must leave the derived signs and missing counts as a
-    freshly built index holds them."""
+    each question must leave the derived signs, missing counts, trail and
+    rounds as a freshly built index holds them."""
 
     @initialize(pair=st.one_of(st.tuples(programs, programs),
                                st.tuples(dense_programs, dense_programs)))
@@ -358,6 +358,8 @@ class IndexQuestions(RuleBasedStateMachine):
         fresh = CompiledProgram(self.q, self.off)
         assert self.compiled._signs == fresh._signs
         assert self.compiled._missing == fresh._missing
+        assert self.compiled._trail == fresh._trail
+        assert self.compiled.rounds == fresh.rounds
 
 
 TestIndexQuestions = IndexQuestions.TestCase

@@ -486,21 +486,21 @@ def test_exceptional_rules_and_base_match_naive_oracles_at_rank_large_sizes(size
 @pytest.mark.pinned
 def test_base_questions_on_rank_large_programs(monkeypatch):
     # pinned work: the questions asked while building the bases of the six
-    # 128-rule programs, counted as propagations less index builds.  One
-    # question per rule per level asked 918; a consistent question settles
-    # every rule it fires, and 395-417 are left, depending on set order,
-    # which literals' identity hashes make vary from process to process
+    # 128-rule programs, counted at the index's one question entry point.
+    # One question per rule per level asked 918; a consistent question
+    # settles every rule it fires, and 395-417 are left, depending on set
+    # order, which literals' identity hashes make vary from process to process
     pool = [p for seed in (1, 2, 3) for p in rank_large_pair(128, seed)]
     calls = Counter()
-    for name in ("__init__", "_propagate"):
-        def counting(self, *args, name=name, method=getattr(CompiledProgram, name)):
-            calls[name] += 1
-            return method(self, *args)
-        monkeypatch.setattr(CompiledProgram, name, counting)
+
+    def counting(self, *args, ask=CompiledProgram._ask, **kwargs):
+        calls["_ask"] += 1
+        return ask(self, *args, **kwargs)
+    monkeypatch.setattr(CompiledProgram, "_ask", counting)
     clear_memos()
     for p in pool:
         base(p)
-    assert calls["_propagate"] - calls["__init__"] <= 459
+    assert calls["_ask"] <= 459
 
 
 def _assert_rank_revision_matches_oracles(p, q):
