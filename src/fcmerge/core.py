@@ -14,8 +14,8 @@ nothing.  Past ``SWEEP_VISITS`` rule visits per rule it compiles a
 built and answers ``revision``'s questions (bitmasks of switched-off rules
 to switch on) by deriving breadth first onto one flat trail, then undoing it.
 
-This module owns the memo bounds: ``MEMO_SIZE`` entries per table and,
-for ``memo``, which ``base`` uses, ``MEMO_RULES`` rules beyond the newest.
+This module owns the memo bounds: ``MEMO_SIZE`` entries per table and, for
+``memo`` (``base``'s and the revision table's), ``MEMO_RULES`` rules beyond the newest.
 
 There is one object per literal: ``Literal(atom, positive)``, also on
 unpickling and copying, returns the one that ``LITERALS`` holds for the life
@@ -52,37 +52,50 @@ _TEXT, _ORDER = attrgetter("_text"), attrgetter("_order")  # a literal's, read i
 
 # memo bounds, chosen by end-to-end time and memory, not by hit ratio: every
 # rank-large hit falls within one request.  64 entries, not 1,024, cut the GC's
-# share of fuzz-grid time from 8.2% to 1.3%.  Bounding base by rules too cut
-# peak RSS on rank-large from 26.2 to 24.1 MiB, and over 40 requests of 1,024
-# rules from 46.6 to 35.0 MiB; on the busier revision table it cost fuzz-grid 5%
+# share of fuzz-grid time from 8.2% to 1.3%.  The rule bound cut peak RSS over 40
+# requests of 1,024 rules from 46.6 to 35.0 MiB on base, and from 31.8 to 25.2 on revisions
 MEMO_SIZE = 1 << 6
 MEMO_RULES = 1 << 11
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def memo(fn):
-    """fn memoised like lru_cache(maxsize=MEMO_SIZE), whose least recently
-    used entries also leave while those beyond the newest hold more than
-    MEMO_RULES rules of Program arguments.  Exceptions are not cached."""
-    table, lock = {}, Lock()  # arguments -> (result, rules)
-    hits = misses = held = 0
+    """fn memoised like lru_cache(maxsize=MEMO_SIZE), with its leading Programs (one or two)
+    looked up by their rules, not by Program.__hash__, and the least recently used leaving
+    also while those beyond the newest hold over MEMO_RULES rules; exceptions are not cached."""
+    table, lock, hits, misses, held = {}, Lock(), 0, 0, 0  # key -> (result, rules)
+    acquire, release = lock.acquire, lock.release  # half the cost of `with lock`
 
     @wraps(fn)
     def wrapper(*args):
         nonlocal hits, misses, held
-        with lock:
-            entry = table.pop(args, None)
-            if entry is not None:
+        if len(args) > 1 and args[1].__class__ is Program:  # the revision table's p and q
+            key = args[0].rules, args[1].rules, args[2:]
+        elif args[0].__class__ is Program:  # base's program
+            key = args[0].rules, (), args[1:]
+        else:  # no Program, no rules to count
+            key = (), (), args
+        if (entry := table.get(key)) is not None:
+            acquire()
+            try:  # to the back, unless a miss has evicted it meanwhile
                 hits += 1
-                table[args] = entry
-                return entry[0]
-            misses += 1
-        entry = fn(*args), sum([len(a.rules) for a in args if isinstance(a, Program)])
-        with lock:  # unless a concurrent miss has stored args meanwhile
-            if table.setdefault(args, entry) is entry:
-                held += entry[1]
-                while len(table) > MEMO_SIZE or held - entry[1] > MEMO_RULES:
-                    held -= table.pop(next(iter(table)))[1]
+                if table.pop(key, None) is not None:
+                    table[key] = entry
+            finally:
+                release()
+            return entry[0]
+        try:  # fn runs unlocked; the miss counts also when it raises
+            entry = fn(*args), len(key[0]) + len(key[1])
+        finally:
+            acquire()
+            try:  # stored unless fn raised or a concurrent miss stored key first
+                misses += 1
+                if entry is not None and table.setdefault(key, entry) is entry:
+                    held += entry[1]
+                    while len(table) > MEMO_SIZE or held - entry[1] > MEMO_RULES:
+                        held -= table.pop(next(iter(table)))[1]
+            finally:
+                release()
         return entry[0]
 
     def cache_clear() -> None:
@@ -212,10 +225,7 @@ class Program(_Value):
         return cls(frozenset(Rule.fact(l) for l in literals))
 
     def atoms(self) -> frozenset[str]:
-        out: set[str] = set()
-        for r in self.rules:
-            out.update(r.atoms())
-        return frozenset(out)
+        return frozenset().union(*map(Rule.atoms, self.rules))
 
     def __or__(self, other: Program) -> Program:
         return Program(self.rules | other.rules)
@@ -274,9 +284,7 @@ class ClosedSet(_Value):
         return self.literals is None
 
     def __contains__(self, literal: Literal) -> bool:
-        if self.literals is None:
-            return True
-        return literal in self.literals
+        return self.literals is None or literal in self.literals
 
     def __iter__(self) -> Iterator[Literal]:
         if self.literals is None:
@@ -284,11 +292,7 @@ class ClosedSet(_Value):
         return iter(sorted(self.literals, key=_ORDER))
 
     def issubset(self, other: ClosedSet) -> bool:
-        if other.literals is None:
-            return True
-        if self.literals is None:
-            return False
-        return self.literals <= other.literals
+        return other.literals is None or self.literals is not None and self.literals <= other.literals
 
     def meet(self, other: ClosedSet) -> ClosedSet:
         """Intersection, with the inconsistent value as top element."""
@@ -305,9 +309,7 @@ class ClosedSet(_Value):
         return ClosedSet.of(self.literals | other.literals)
 
     def __str__(self) -> str:
-        if self.literals is None:
-            return "#bottom"
-        return ", ".join(map(_TEXT, self))
+        return "#bottom" if self.literals is None else ", ".join(map(_TEXT, self))
 
 
 BOTTOM = ClosedSet(None)

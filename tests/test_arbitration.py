@@ -15,6 +15,7 @@ from fcmerge import (
     disj,
     merge,
 )
+from fcmerge.arbitration import _revised_closure, revised_closure
 from fcmerge.fuzz import FuzzConfig, gen_program, search
 
 from helpers import GAP_P, GAP_Q, clear_memos, closed, prog
@@ -180,11 +181,17 @@ class TestStrategy:
     @pytest.mark.parametrize("token", ["rk", "h", "eh", None])
     def test_a_token_is_not_a_strategy(self, token):
         # the gap pair does not pool, so arbitrate and merge both revise,
-        # and a token must not run the hull operator in place of its Strategy;
-        # a pooled merge answers without reading the strategy
+        # and a token must not run the hull operator in place of its Strategy,
+        # nor find Strategy.RANK's entry in the revision table when it is
+        # warm; a pooled merge answers without reading the strategy
         p, q = prog(GAP_P), prog(GAP_Q)
-        with pytest.raises(TypeError, match=re.escape(repr(token))):
+        clear_memos()
+        revised_closure(p, q, Strategy.RANK)
+        revised_closure(q, p, Strategy.RANK)
+        message = re.escape(f"not a Strategy: {token!r}")
+        with pytest.raises(TypeError, match=message):
             arbitrate(p, q, token)
-        with pytest.raises(TypeError, match=re.escape(repr(token))):
+        with pytest.raises(TypeError, match=message):
             merge(q, (p,), token)
+        assert _revised_closure.cache_info().hits == 0
         assert merge(prog("c."), (prog("a."),), token) == closed("a", "c")

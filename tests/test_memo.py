@@ -1,5 +1,6 @@
-"""core.memo, the table of base: bounded by entries and by the rules of
-the programs its keys hold."""
+"""core.memo, the table of base and of the revision table: bounded by
+entries and by the rules of the programs its keys hold, and keyed by those
+rules, so that equal programs share an entry."""
 
 import sys
 import threading
@@ -72,17 +73,28 @@ def test_rules_beyond_the_newest_entry_stay_within_memo_rules(size):
 
 def test_rules_are_summed_over_the_program_arguments():
     # a pair of half-bound programs weighs the whole bound, and other
-    # arguments weigh nothing
-    union, calls = counting(lambda p, q, tag: len(p | q))
+    # arguments weigh nothing, also when the pair comes alone
     half = MEMO_RULES // 2
-    union(facts_program("a", half), facts_program("b", half), "x")
-    union(facts_program("c", 1), facts_program("d", 0), "y")
-    assert union.cache_info().currsize == 2
-    union(facts_program("e", 1), facts_program("f", 0), "z")
-    assert union.cache_info().currsize == 2  # the first entry left
-    calls.clear()
-    union(facts_program("c", 1), facts_program("d", 0), "y")
-    assert calls == []
+    for tag in (("x",), ()):
+        union, calls = counting(lambda p, q, *tag: len(p | q))
+        union(facts_program("a", half), facts_program("b", half), *tag)
+        union(facts_program("c", 1), facts_program("d", 0), *tag)
+        assert union.cache_info().currsize == 2
+        union(facts_program("e", 1), facts_program("f", 0), *tag)
+        assert union.cache_info().currsize == 2  # the first entry left
+        calls.clear()
+        union(facts_program("c", 1), facts_program("d", 0), *tag)
+        assert calls == []
+
+
+def test_the_values_after_a_program_are_part_of_its_key():
+    # a Program and then plain values: each value is part of the key
+    tagged, calls = counting(lambda p, tag, flag: (len(p), tag, flag))
+    p = facts_program("a", 2)
+    assert [tagged(p, "x", True), tagged(p, "y", True), tagged(p, "x", False)] == [
+        (2, "x", True), (2, "y", True), (2, "x", False)]
+    assert len(calls) == 3
+    assert tagged(p, "y", True) == (2, "y", True) and len(calls) == 3
 
 
 def test_a_hit_keeps_an_entry_from_the_rule_bound():
@@ -156,19 +168,52 @@ def test_base_holds_at_most_memo_rules_beyond_its_newest_program():
     assert base.cache_info().misses == 30
 
 
-def test_concurrent_base_and_revised_closure_match_a_sequential_run():
-    # four threads share the tables, asking in different orders and past
-    # both bounds; each must get what one thread alone gets
-    small = [prog(TAXONOMY), prog(GAP_P), prog(GAP_Q)]
-    large = [p for seed in (1, 2) for p in rank_large_pair(128, seed)]
-    large += [facts_program(f"t{k}_", 600) for k in range(4)]
-    jobs = [(p, q, Strategy.RANK) for p in small + large for q in small + large if p is not q]
-    jobs += [(p, q, s) for p in small for q in small if p is not q
-             for s in (Strategy.HULL, Strategy.EXTENDED_HULL)]
+@pytest.mark.pinned
+def test_the_revision_table_holds_at_most_memo_rules_beyond_its_newest_entry():
+    # rank-large pairs from 128 up to two 512-rule programs, each revised both
+    # ways (249-1,003 rules an entry): without the rule bound the table
+    # would keep all ten revisions
+    clear_memos()
+    pairs = [pair for size, seed in ((128, 1), (128, 2), (256, 1), (256, 2), (512, 1))
+             for p, q in [rank_large_pair(size, seed)] for pair in ((p, q), (q, p))]
+    weights = [len(p) + len(q) for p, q in pairs]
+    for i, (p, q) in enumerate(pairs):
+        revised_closure(p, q, Strategy.RANK)
+        # every call misses, so the table holds the newest currsize revisions
+        first = i + 1 - _revised_closure.cache_info().currsize
+        *older, newest = weights[first:i + 1]
+        assert newest == weights[i] and sum(older) <= MEMO_RULES
+        if first:  # and keeping the next older one too would pass the bound
+            assert sum(older) + weights[first - 1] > MEMO_RULES
+    assert _revised_closure.cache_info()[:2] == (0, len(pairs))
+    assert first == len(pairs) - 4  # the bound let six older revisions go
+    # the entries kept are the most recently used: asking for them is a hit
+    for p, q in reversed(pairs[first:]):
+        revised_closure(p, q, Strategy.RANK)
+    assert _revised_closure.cache_info()[:2] == (len(pairs) - first, len(pairs))
 
-    def ask(p, q, strategy):
-        return base(p), revised_closure(p, q, strategy)
 
+def test_equal_programs_parsed_apart_share_one_entry():
+    # both tables look a program up by its rules: a second parse of the same
+    # text finds the first parse's entry, also in the revision table's key
+    p, q = prog(GAP_P), prog(GAP_Q)
+    twin_p, twin_q = prog(GAP_P), prog(GAP_Q)
+    assert twin_p == p and twin_p is not p and twin_p.rules is not p.rules
+    for table, ask in ((base, lambda p, q: base(p)),
+                       (_revised_closure, lambda p, q: revised_closure(p, q, Strategy.HULL))):
+        clear_memos()
+        ask(p, q)
+        before = table.cache_info()
+        ask(twin_p, twin_q)
+        after = table.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert after.currsize == before.currsize
+
+
+def _race(jobs, ask, table):
+    """Four threads share the tables, asking for the jobs in different
+    orders; each must get what one thread alone gets, and the table must
+    count every call once, as a hit or a miss."""
     clear_memos()
     expected = [ask(*job) for job in jobs]
     clear_memos()
@@ -200,6 +245,30 @@ def test_concurrent_base_and_revised_closure_match_a_sequential_run():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert results == [expected] * 4
-    info = _revised_closure.cache_info()
+    info = table.cache_info()
     assert info.hits + info.misses == 4 * len(jobs)
     assert info.currsize <= MEMO_SIZE
+
+
+def _race_programs():
+    # small programs and large ones, past both bounds
+    small = [prog(TAXONOMY), prog(GAP_P), prog(GAP_Q)]
+    large = [p for seed in (1, 2) for p in rank_large_pair(128, seed)]
+    return small, large + [facts_program(f"t{k}_", 600) for k in range(4)]
+
+
+def test_concurrent_base_and_revised_closure_match_a_sequential_run():
+    small, large = _race_programs()
+    jobs = [(p, q, Strategy.RANK) for p in small + large for q in small + large if p is not q]
+    jobs += [(p, q, s) for p in small for q in small if p is not q
+             for s in (Strategy.HULL, Strategy.EXTENDED_HULL)]
+    _race(jobs, lambda p, q, strategy: (base(p), revised_closure(p, q, strategy)),
+          _revised_closure)
+
+
+def test_concurrent_base_calls_match_a_sequential_run():
+    # base alone, so that its own count is exact too: 81 programs, past both
+    # bounds, each asked for three times by every thread
+    small, large = _race_programs()
+    small += [facts_program(f"s{k}_", 3) for k in range(70)]
+    _race([(p,) for _ in range(3) for p in small + large], base, base)

@@ -260,7 +260,23 @@ class TestCheckPlumbing:
         (PostulateId.FP4, {"constraint": "a. a -> c.", "P1": "b.", "P2": "a. -a."},
          Status.VACUOUS,
          {"cns(P1)": "b", "cns(P2)": "#bottom", "cns(constraint)": "a, c"}),
-    ], ids=["SA1-holds", "FP4-vacuous"])
+        # a conflicting pair pools to the inconsistent value, which includes
+        # the empty arbitration but is not included in it
+        (PostulateId.SA2, {"P": "a.", "Q": "-a."}, Status.HOLDS,
+         {"arb(P, Q)": "", "conj(P, Q)": "#bottom"}),
+        (PostulateId.SA3, {"P": "a.", "Q": "b."}, Status.HOLDS,
+         {"conj(P, Q)": "a, b", "arb(P, Q)": "a, b"}),
+        (PostulateId.SA4, {"P": "a.", "Q": "b."}, Status.HOLDS,
+         {"arb(P, Q)": "a, b", "cns(P)": "a", "cns(Q)": "b"}),
+        (PostulateId.SA5, {"P1": "a.", "P2": "b.", "Q1": "c.", "Q2": "c."}, Status.VACUOUS,
+         {"cns(P1)": "a", "cns(P2)": "b", "cns(Q1)": "c", "cns(Q2)": "c"}),
+        (PostulateId.SA7, {"P": "a.", "Q": "b."}, Status.HOLDS,
+         {"disj(P, Q)": "", "arb(P, Q)": "a, b"}),
+        (PostulateId.SA8, {"P": "a. -a.", "Q": "b."}, Status.VACUOUS, {"cns(P)": "#bottom"}),
+        (PostulateId.SA8, {"P": "a.", "Q": "b."}, Status.HOLDS,
+         {"arb(P, Q)": "a, b", "conj(P, arb(P, Q))": "a, b"}),
+    ], ids=["SA1-holds", "FP4-vacuous", "SA2-conflict", "SA3-holds", "SA4-holds",
+            "SA5-vacuous", "SA7-holds", "SA8-vacuous", "SA8-holds"])
     def test_witness_is_rendered_when_read(self, pid, programs, status, witness,
                                            monkeypatch):
         renders = []
