@@ -45,9 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(args: argparse.Namespace, plain: str, payload: dict) -> None:
+def _emit(args: argparse.Namespace, plain: str, payload: dict | Callable[[], str]) -> None:
+    # payload is the JSON document, or a function that writes it
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(payload() if callable(payload) else json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(plain)
 
@@ -123,7 +124,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                      strategies=_parse_list(args.strategies, Strategy.from_token),
                      postulates=_parse_list(args.postulates, PostulateId.parse))
     report = search(cfg)
-    _emit(args, report.to_text(), report.to_dict())
+    _emit(args, report.to_text(), report.to_json)
     return 1 if report.guaranteed_violations else 0
 
 

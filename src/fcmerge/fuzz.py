@@ -22,8 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -34,12 +33,9 @@ from .postulates import Instance, PostulateId, Status, Verdict, bind, check, gua
 from .textio import render
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _fields(obj) -> dict:
-    # a dataclass's fields as a shallow dict, sharing the field values;
-    # asdict would deep-copy every leaf of every report record
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+# a list of flat records, a field a line as indent=2 puts them two levels in;
+# records meet at "},\n      {", which none can hold: JSON escapes newlines
+_RECORDS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
 
 def atom_pool(size: int) -> tuple[str, ...]:
@@ -80,7 +76,7 @@ class FuzzConfig:
             raise ConfigError("at least one postulate is required")
 
     def to_dict(self) -> dict:
-        return {**_fields(self),
+        return {**vars(self),
                 "strategies": [s.value for s in self.strategies],
                 "postulates": [p.value for p in self.postulates]}
 
@@ -272,7 +268,7 @@ class CellSummary:
         return self.holds + self.violated
 
     def to_dict(self) -> dict:
-        return {**_fields(self), "non_vacuous": self.non_vacuous}
+        return {**vars(self), "non_vacuous": self.non_vacuous}
 
 
 @dataclass(frozen=True)
@@ -290,13 +286,23 @@ class FuzzReport:
         return {
             "config": self.config.to_dict(),
             "cells": [c.to_dict() for c in self.cells],
-            "evaluations": [_fields(e) for e in self.evaluations],
-            "violations": [_fields(v) for v in self.violations],
+            "evaluations": [{**vars(e)} for e in self.evaluations],
+            "violations": [{**vars(v)} for v in self.violations],
             "found_guaranteed_violation": bool(self.guaranteed_violations),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """json.dumps(self.to_dict(), sort_keys=True, indent=2), byte for byte; the
+        cells and the evaluations, most of a report, take one C call each."""
+        parts = []
+        for key, value in sorted(self.to_dict().items()):
+            if key in ("cells", "evaluations") and value:
+                items = _RECORDS.encode(value)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+                text = f"[\n    {{\n      {items}\n    }}\n  ]"
+            else:
+                text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            parts.append(f'  "{key}": {text}')
+        return "{\n" + ",\n".join(parts) + "\n}"
 
     def to_text(self) -> str:
         lines = []
@@ -330,7 +336,7 @@ def search(cfg: FuzzConfig) -> FuzzReport:
     violations: list[Violation] = []
     for pid in cfg.postulates:
         for strategy in cfg.strategies:
-            first = len(evaluations)
+            counts: dict[str, int] = {}
             for trial in range(cfg.trials):
                 rng = _stream(cfg.seed, pid, strategy, trial)
                 instance = gen_instance(pid, cfg, rng, strategy)
@@ -338,19 +344,14 @@ def search(cfg: FuzzConfig) -> FuzzReport:
                     verdict = check(pid, instance)
                 except SizeLimitExceeded:
                     verdict = Verdict(Status.SKIPPED)
-                evaluations.append(EvalRecord(pid.value, strategy.value, trial,
-                                              verdict.status.value))
+                status = verdict.status.value
+                counts[status] = counts.get(status, 0) + 1
+                evaluations.append(EvalRecord(pid.value, strategy.value, trial, status))
                 if verdict.status is Status.VIOLATED:
-                    violations.append(Violation(
-                        postulate=pid.value,
-                        strategy=strategy.value,
-                        trial=trial,
-                        instance=render_instance(instance),
-                        witness=verdict.witness,
-                        guaranteed=guaranteed(pid, strategy),
-                    ))
+                    violations.append(Violation(pid.value, strategy.value, trial,
+                                                render_instance(instance), verdict.witness,
+                                                guaranteed(pid, strategy)))
             # CellSummary names one count field after each Status value
-            counts = Counter(e.status for e in evaluations[first:])
             cells.append(CellSummary(pid.value, strategy.value, **counts))
     return FuzzReport(cfg, tuple(cells), tuple(evaluations), tuple(violations))
 

@@ -5,6 +5,8 @@ from dataclasses import fields
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmerge import (
     ConfigError,
@@ -22,7 +24,18 @@ from fcmerge import (
     search,
     shrink,
 )
-from fcmerge.fuzz import FuzzConfig, _below, _removals, _stream, atom_pool, render_instance
+from fcmerge.fuzz import (
+    CellSummary,
+    EvalRecord,
+    FuzzConfig,
+    FuzzReport,
+    Violation,
+    _below,
+    _removals,
+    _stream,
+    atom_pool,
+    render_instance,
+)
 
 from helpers import prog, run_fresh, total_rules
 from oracles import reference_gen_instance, reference_gen_program
@@ -273,6 +286,116 @@ class TestSearch:
         start += len(v.instance["programs"]) + len(v.instance["profiles"])
         assert text[start:start + len(v.witness)] == [
             f"  {key} = {value}" for key, value in verdict.witness.items()]
+
+
+def _stdlib_json(report: FuzzReport) -> str:
+    # what to_json printed while it was this one json.dumps call
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+
+
+# text that JSON escapes or that looks like the layout to_json splices at
+_AWKWARD = ['say "no"', "back\\slash", "two\nlines", "tab\there", "Größe ≤ ∅",
+            "},\n      {", '"},\n      {"', "}, {", ""]
+awkward_text = st.one_of(st.sampled_from(_AWKWARD), st.text(max_size=12))
+
+
+@st.composite
+def built_reports(draw) -> FuzzReport:
+    """A report made by hand, every string of it awkward text."""
+    text, count = awkward_text, st.integers(0, 3)
+    cells = draw(st.lists(st.builds(CellSummary, text, text, count, count, count, count),
+                          max_size=3))
+    evaluations = draw(st.lists(st.builds(EvalRecord, text, text, count, text), max_size=3))
+    instance = st.builds(lambda strategy, programs, profiles: {
+        "strategy": strategy, "programs": programs, "profiles": profiles},
+        text, st.dictionaries(text, text, max_size=2), st.dictionaries(text, text, max_size=2))
+    violations = draw(st.lists(st.builds(Violation, text, text, count, instance,
+                                         st.dictionaries(text, text, max_size=3), st.booleans()),
+                               max_size=2))
+    return FuzzReport(FuzzConfig(seed=draw(st.integers(0, 2 ** 64 - 1))),
+                      tuple(cells), tuple(evaluations), tuple(violations))
+
+
+class TestReportJson:
+    """to_json lays the record lists out itself; it must print the bytes of
+    json.dumps(to_dict(), sort_keys=True, indent=2) for every report."""
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 2),
+           strategies=st.sets(st.sampled_from(Strategy), min_size=1),
+           postulates=st.sets(st.sampled_from(PostulateId), min_size=1))
+    @settings(max_examples=30, deadline=None)
+    def test_searched_reports_print_the_stdlib_bytes(self, seed, trials, strategies, postulates):
+        report = search(FuzzConfig(seed=seed, trials=trials, strategies=tuple(strategies),
+                                   postulates=tuple(postulates)))
+        assert report.to_json() == _stdlib_json(report)
+
+    @given(built_reports())
+    @settings(max_examples=200, deadline=None)
+    def test_built_reports_print_the_stdlib_bytes(self, report):
+        assert report.to_json() == _stdlib_json(report)
+
+    def test_awkward_strings_in_every_record(self):
+        cells = tuple(CellSummary(text, text, 1, 2, 3, 4) for text in _AWKWARD)
+        evaluations = tuple(EvalRecord(text, "rk", i, text) for i, text in enumerate(_AWKWARD))
+        violations = tuple(Violation("SA5", text, 0, {"strategy": text, "programs": {text: text},
+                                                        "profiles": {}}, {text: text}, True)
+                           for text in _AWKWARD)
+        report = FuzzReport(FuzzConfig(), cells, evaluations, violations)
+        assert report.to_json() == _stdlib_json(report)
+        assert json.loads(report.to_json()) == report.to_dict()
+
+    def test_empty_report(self):
+        report = FuzzReport(FuzzConfig(), (), (), ())
+        assert report.to_json() == _stdlib_json(report)
+        assert '"cells": [],' in report.to_json() and '"violations": []' in report.to_json()
+
+    def test_one_record_lists(self):
+        cfg = FuzzConfig(seed=4, trials=1, strategies=(Strategy.RANK,),
+                         postulates=(PostulateId.SA1,))
+        report = search(cfg)
+        assert len(report.cells) == len(report.evaluations) == 1
+        assert report.to_json() == _stdlib_json(report)
+
+    def test_records_copy_their_fields_only(self):
+        # each record's dict holds its dataclass's fields and, for a cell, its
+        # non-vacuous count: no attribute that is not a field reaches the JSON,
+        # and changing a dict changes neither its record nor the next to_dict
+        report = search(FuzzConfig(seed=3, trials=40, strategies=(Strategy.RANK,),
+                                   postulates=(PostulateId.SA5, PostulateId.FP6)))
+        assert report.violations
+        before, doc = report.to_json(), report.to_dict()
+        groups = [([report.config], [doc["config"]], set()),
+                  (report.cells, doc["cells"], {"non_vacuous"}),
+                  (report.evaluations, doc["evaluations"], set()),
+                  (report.violations, doc["violations"], set())]
+        for records, dicts, extra in groups:
+            assert len(records) == len(dicts) > 0
+            for record, d in zip(records, dicts):
+                assert set(d) == {f.name for f in fields(record)} | extra
+                fresh = {f.name: getattr(record, f.name) for f in fields(record)}
+                d.clear()
+                d["trial"] = -1
+                assert {f.name: getattr(record, f.name) for f in fields(record)} == fresh
+        assert report.to_dict() != doc and report.to_json() == before
+        assert report.to_dict()["cells"][0]["non_vacuous"] == report.cells[0].non_vacuous
+
+    def test_cells_tally_the_evaluations(self):
+        # search counts each cell as its verdicts arrive; the counts are those
+        # of the cell's evaluation records, and only statuses that occur
+        cfg = FuzzConfig(seed=9, trials=30, strategies=(Strategy.RANK, Strategy.HULL),
+                         postulates=(PostulateId.SA5, PostulateId.FP4, PostulateId.FP8))
+        report = search(cfg)
+        assert len(report.cells) == 6
+        statuses = set()
+        for cell in report.cells:
+            mine = [e.status for e in report.evaluations
+                    if (e.postulate, e.strategy) == (cell.postulate, cell.strategy)]
+            assert len(mine) == cfg.trials
+            statuses |= set(mine)
+            assert [cell.holds, cell.violated, cell.vacuous, cell.skipped] == [
+                mine.count(s.value) for s in (Status.HOLDS, Status.VIOLATED, Status.VACUOUS,
+                                              Status.SKIPPED)]
+        assert {"holds", "violated", "vacuous"} <= statuses
 
 
 class TestShrink:
