@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args: argparse.Namespace, plain: str, payload: dict | Callable[[], str]) -> None:
-    # payload is the JSON document, or a function that writes it
+    # payload is the JSON document, or a function that returns its text
     if args.json:
         print(payload() if callable(payload) else json.dumps(payload, sort_keys=True, indent=2))
     else:

@@ -33,8 +33,8 @@ from .postulates import Instance, PostulateId, Status, Verdict, bind, check, gua
 from .textio import render
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-# a list of flat records, a field a line as indent=2 puts them two levels in;
-# records meet at "},\n      {", which none can hold: JSON escapes newlines
+# a list of flat records, each field on its line as indent=2 puts it two levels
+# in; records meet at "},\n      {", which none can hold: JSON escapes newlines
 _RECORDS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
 
@@ -293,7 +293,7 @@ class FuzzReport:
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), sort_keys=True, indent=2), byte for byte; the
-        cells and the evaluations, most of a report, take one C call each."""
+        cells and the evaluations, most of a report, take one C-encoder call each."""
         parts = []
         for key, value in sorted(self.to_dict().items()):
             if key in ("cells", "evaluations") and value:

@@ -24,6 +24,7 @@ from fcmerge import (
     search,
     shrink,
 )
+from fcmerge import fuzz
 from fcmerge.fuzz import (
     CellSummary,
     EvalRecord,
@@ -320,20 +321,6 @@ class TestReportJson:
     """to_json lays the record lists out itself; it must print the bytes of
     json.dumps(to_dict(), sort_keys=True, indent=2) for every report."""
 
-    @given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 2),
-           strategies=st.sets(st.sampled_from(Strategy), min_size=1),
-           postulates=st.sets(st.sampled_from(PostulateId), min_size=1))
-    @settings(max_examples=30, deadline=None)
-    def test_searched_reports_print_the_stdlib_bytes(self, seed, trials, strategies, postulates):
-        report = search(FuzzConfig(seed=seed, trials=trials, strategies=tuple(strategies),
-                                   postulates=tuple(postulates)))
-        assert report.to_json() == _stdlib_json(report)
-
-    @given(built_reports())
-    @settings(max_examples=200, deadline=None)
-    def test_built_reports_print_the_stdlib_bytes(self, report):
-        assert report.to_json() == _stdlib_json(report)
-
     def test_awkward_strings_in_every_record(self):
         cells = tuple(CellSummary(text, text, 1, 2, 3, 4) for text in _AWKWARD)
         evaluations = tuple(EvalRecord(text, "rk", i, text) for i, text in enumerate(_AWKWARD))
@@ -344,10 +331,42 @@ class TestReportJson:
         assert report.to_json() == _stdlib_json(report)
         assert json.loads(report.to_json()) == report.to_dict()
 
+    def test_text_flags_a_guaranteed_violation(self):
+        # no campaign has found one, so only a report made by hand shows the flag
+        instance = {"strategy": "rk", "programs": {"P": "a."}, "profiles": {}}
+        report = FuzzReport(FuzzConfig(), (), (), (
+            Violation("SA1", "rk", 3, instance, {"P": "a."}, True),
+            Violation("SA5", "h", 4, instance, {}, False)))
+        assert report.to_text().splitlines() == [
+            "violation: SA1 [rk] trial 3 (GUARANTEED POSTULATE)", "  P: a.", "  P = a.",
+            "violation: SA5 [h] trial 4", "  P: a.",
+            "0 evaluations, 2 violations, 1 on guaranteed postulates"]
+
     def test_empty_report(self):
         report = FuzzReport(FuzzConfig(), (), (), ())
         assert report.to_json() == _stdlib_json(report)
         assert '"cells": [],' in report.to_json() and '"violations": []' in report.to_json()
+
+    def test_each_record_list_takes_one_encoder_call(self, monkeypatch):
+        # the speed of to_json rests on the cells and the evaluations, most of
+        # a report, going through the C encoder whole; an empty list does not
+        calls = []
+
+        class Spy:
+            def encode(self, value):
+                calls.append(value)
+                return encoder.encode(value)
+
+        encoder = fuzz._RECORDS
+        monkeypatch.setattr(fuzz, "_RECORDS", Spy())
+        report = search(FuzzConfig(seed=3, trials=4, strategies=(Strategy.RANK,),
+                                   postulates=(PostulateId.SA5, PostulateId.FP6)))
+        doc = report.to_dict()
+        assert report.to_json() == _stdlib_json(report)
+        assert calls == [doc["cells"], doc["evaluations"]]
+        empty = FuzzReport(report.config, (), (), ())
+        calls.clear()
+        assert empty.to_json() == _stdlib_json(empty) and calls == []
 
     def test_one_record_lists(self):
         cfg = FuzzConfig(seed=4, trials=1, strategies=(Strategy.RANK,),
@@ -396,6 +415,20 @@ class TestReportJson:
                 mine.count(s.value) for s in (Status.HOLDS, Status.VIOLATED, Status.VACUOUS,
                                               Status.SKIPPED)]
         assert {"holds", "violated", "vacuous"} <= statuses
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 2),
+           strategies=st.sets(st.sampled_from(Strategy), min_size=1),
+           postulates=st.sets(st.sampled_from(PostulateId), min_size=1))
+    @settings(max_examples=30, deadline=None)
+    def test_searched_reports_print_the_stdlib_bytes(self, seed, trials, strategies, postulates):
+        report = search(FuzzConfig(seed=seed, trials=trials, strategies=tuple(strategies),
+                                   postulates=tuple(postulates)))
+        assert report.to_json() == _stdlib_json(report)
+
+    @given(built_reports())
+    @settings(max_examples=200, deadline=None)
+    def test_built_reports_print_the_stdlib_bytes(self, report):
+        assert report.to_json() == _stdlib_json(report)
 
 
 class TestShrink:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -247,6 +248,29 @@ def test_src_stays_within_its_line_budget():
     # wc -l src/fcmerge/*.py counts them
     lines = sum(path.read_bytes().count(b"\n") for path in MODULES)
     assert lines < 2319, f"src/fcmerge: {lines} lines"
+
+
+def test_benchmark_trajectory_files_hold_whole_result_lines():
+    # ROADMAP item 7: each BENCH_*.json at the root holds perfbench/run.py
+    # result lines, each with the commit, seed and workload it ran, so every
+    # figure a change reports can be traced to its runs
+    root = PERFBENCH.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    workloads = {w["name"] for w in spec["workloads"]}
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert paths and len(metrics) == 5
+    for path in paths:
+        runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+        assert runs, path.name
+        for run in runs:
+            assert re.fullmatch(r"[0-9a-f]{7,40}", run["commit"]), (path.name, run)
+            assert isinstance(run["seed"], int) and run["workload"] in workloads, run
+            assert isinstance(run["correct"], bool), run
+            assert set(run["metrics"]) >= metrics, run
+            for name in metrics:
+                value = run["metrics"][name]["value"]
+                assert isinstance(value, (int, float)) and value >= 0, (name, run)
 
 
 def test_each_postulate_id_is_written_once():
