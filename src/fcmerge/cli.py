@@ -45,12 +45,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(args: argparse.Namespace, plain: str, payload: dict | Callable[[], str]) -> None:
-    # payload is the JSON document, or a function that returns its text
-    if args.json:
-        print(payload() if callable(payload) else json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(plain)
+def _emit(args: argparse.Namespace, plain: str | Callable[[], str],
+          payload: dict | Callable[[], str]) -> None:
+    # each is its text, or a function that returns it; payload may be the JSON document
+    chosen = payload if args.json else plain
+    text = chosen() if callable(chosen) else chosen
+    print(text if isinstance(text, str) else json.dumps(text, sort_keys=True, indent=2))
 
 
 def _emit_closed(args: argparse.Namespace, result: ClosedSet) -> int:
@@ -124,13 +124,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                      strategies=_parse_list(args.strategies, Strategy.from_token),
                      postulates=_parse_list(args.postulates, PostulateId.parse))
     report = search(cfg)
-    _emit(args, report.to_text(), report.to_json)
+    _emit(args, report.to_text, report.to_json)
     return 1 if report.guaranteed_violations else 0
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     report = run_corpus(Path(args.directory) if args.directory else None)
-    _emit(args, report.to_text(), report.to_dict())
+    _emit(args, report.to_text, report.to_dict())
     return 0 if report.all_match else 1
 
 

@@ -96,18 +96,21 @@ def _literal(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Lite
     return Literal(pool[_below(rng.getrandbits, len(pool))], rng.random() >= cfg.neg_prob)
 
 
-def _rule(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Rule:
-    # _literal and _below inlined, so a rule costs one frame; body first, then head
+def _rules(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...], count: int) -> Program:
+    # _literal and _below inlined, so a program costs one frame; body first, then head
     bits, draw, neg_prob = rng.getrandbits, rng.random, cfg.neg_prob
     n = len(pool)
-    k, literals = n.bit_length(), []
-    for _ in range(_below(bits, cfg.body_len + 1) + 1):
-        i = bits(k)
-        while i >= n > 0:  # an empty pool ends the loop, and pool[0] raises
+    k, rules = n.bit_length(), []
+    for _ in range(count):
+        literals = []
+        for _ in range(_below(bits, cfg.body_len + 1) + 1):
             i = bits(k)
-        atom, positive = pool[i], draw() >= neg_prob
-        literals.append(LITERALS[positive].get(atom) or Literal(atom, positive))
-    return Rule(frozenset(literals[:-1]), literals[-1])
+            while i >= n > 0:  # an empty pool ends the loop, and pool[0] raises
+                i = bits(k)
+            atom, positive = pool[i], draw() >= neg_prob
+            literals.append(LITERALS[positive].get(atom) or Literal(atom, positive))
+        rules.append(Rule(frozenset(literals[:-1]), literals[-1]))
+    return Program(frozenset(rules))
 
 
 def gen_program(cfg: FuzzConfig, rng: random.Random,
@@ -115,8 +118,7 @@ def gen_program(cfg: FuzzConfig, rng: random.Random,
     """Random program over at most cfg.atoms atoms and cfg.rules rules.
     Deterministic for a given generator state."""
     pool = atom_pool(cfg.atoms) if pool is None else pool
-    count = _below(rng.getrandbits, cfg.rules + 1)
-    return Program(frozenset(_rule(cfg, rng, pool) for _ in range(count)))
+    return _rules(cfg, rng, pool, _below(rng.getrandbits, cfg.rules + 1))
 
 
 def _nonempty(cfg: FuzzConfig, rng: random.Random, pool: tuple[str, ...]) -> Program:
@@ -143,7 +145,7 @@ def _equivalent_variant(p: Program, cfg: FuzzConfig, rng: random.Random,
     (body mentions an underived literal)."""
     c = closure(p)
     if c.is_bottom:
-        return p | Program(frozenset({_rule(cfg, rng, pool)}))
+        return p | _rules(cfg, rng, pool, 1)
     derived = list(c)
     if derived and rng.random() < 0.5:
         bits = rng.getrandbits

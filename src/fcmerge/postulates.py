@@ -163,8 +163,8 @@ def _sa5(strategy: Strategy, p1: Program, p2: Program, q1: Program, q2: Program)
 
 
 def _sa6(strategy: Strategy, p: Program, q1: Program, q2: Program) -> Verdict:
-    vocabulary = p.atoms() | q1.atoms() | q2.atoms()
-    joint = as_program(disj(q1, q2), vocabulary)
+    d = disj(q1, q2)  # as_program reads the vocabulary only for bottom
+    joint = as_program(d, p.atoms() | q1.atoms() | q2.atoms() if d.is_bottom else frozenset())
     lhs = arbitrate(p, joint, strategy)
     o1 = arbitrate(p, q1, strategy)
     o2 = arbitrate(p, q2, strategy)
@@ -354,14 +354,12 @@ def check(pid: PostulateId, instance: Instance) -> Verdict:
     Bindings must cover exactly the postulate's free variables.  Size
     limits from subset enumeration propagate to the caller.
     """
-    spec = POSTULATES[pid]
-    problem = _binding_problem(pid.value, (spec.program_vars, spec.profile_vars),
-                               instance.programs, instance.profiles)
-    if problem:
-        raise IncompleteBinding(problem)
-    return spec.evaluate(instance.strategy,
-                         *(instance.programs[v] for v in spec.program_vars),
-                         *(instance.profiles[v] for v in spec.profile_vars))
+    spec, programs, profiles = POSTULATES[pid], instance.programs, instance.profiles
+    if programs.keys() ^ spec.program_vars or profiles.keys() ^ spec.profile_vars:
+        raise IncompleteBinding(_binding_problem(
+            pid.value, (spec.program_vars, spec.profile_vars), programs, profiles))
+    return spec.evaluate(instance.strategy, *map(programs.__getitem__, spec.program_vars),
+                         *map(profiles.__getitem__, spec.profile_vars))
 
 
 def bind(pid: PostulateId, strategy: Strategy, values: Sequence) -> Instance:

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from fcmerge import FuzzConfig, PostulateId, Strategy
+from fcmerge import FuzzConfig, PostulateId, Strategy, run_corpus, search
 from fcmerge.cli import run
+from fcmerge.fuzz import FuzzReport
+from fcmerge.postulates import CorpusReport
 
 from helpers import GAP_P, GAP_Q, run_fresh
 
@@ -494,6 +496,35 @@ def test_fuzz_numeric_flags_reach_the_config(capsys):
         assert config == expected
         # == takes 4 for 4.0, so the types are compared too
         assert {k: type(v) for k, v in config.items()} == {k: type(v) for k, v in expected.items()}
+
+
+def test_json_runs_never_render_the_text_report(capsys, monkeypatch):
+    # --json prints the document only, so building the text would be waste;
+    # each mode prints the bytes of its own serializer
+    cfg = FuzzConfig(seed=2, trials=4, strategies=(Strategy.RANK, Strategy.HULL),
+                     postulates=(PostulateId.SA5, PostulateId.FP3))
+    fuzz_report, corpus_report = search(cfg), run_corpus()
+    cases = [
+        (["fuzz", "--seed", "2", "--trials", "4", "--strategies", "rk,h",
+          "--postulates", "SA5,FP3"], FuzzReport, fuzz_report.to_text(), fuzz_report.to_json()),
+        (["corpus"], CorpusReport, corpus_report.to_text(),
+         json.dumps(corpus_report.to_dict(), sort_keys=True, indent=2)),
+    ]
+    assert fuzz_report.violations  # the text report has violation lines to render
+    rendered = []
+    for cls in (FuzzReport, CorpusReport):
+        def spy(self, to_text=cls.to_text):
+            rendered.append(type(self))
+            return to_text(self)
+        monkeypatch.setattr(cls, "to_text", spy)
+    for argv, cls, text, document in cases:
+        assert run([*argv, "--json"]) == 0
+        assert capsys.readouterr().out == document + "\n"
+        assert rendered == []
+        assert run(argv) == 0
+        assert capsys.readouterr().out == text + "\n"
+        assert rendered == [cls]
+        rendered.clear()
 
 
 def test_fuzz_config_error_exit_code(capsys):

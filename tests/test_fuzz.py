@@ -2,7 +2,7 @@ import json
 import pickle
 import random
 from dataclasses import fields
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from fcmerge import (
     shrink,
 )
 from fcmerge import fuzz
+from fcmerge.core import closure
 from fcmerge.fuzz import (
     CellSummary,
     EvalRecord,
@@ -142,6 +143,25 @@ class TestGenInstance:
         assert a == b
 
 
+def _matching_instances(atoms, neg_prob=FuzzConfig.neg_prob, pids=tuple(PostulateId)):
+    """Each instance gen_instance draws over a grid of configs, asserting that
+    the reference generator draws the same one from the same state."""
+    # pools of 2**j and 2**j + 1 atoms, and 1, 2, 5, 8 or 9 choices of
+    # a body size or rule count, sit at the edges of randrange's
+    # rejection rule; equal generator states after the draw show that
+    # no draw was added or left out where the instance would hide it
+    for body_len, rules, trial in product((0, 1, 4, 7), (0, 1, 8), range(3)):
+        cfg = FuzzConfig(seed=atoms, atoms=atoms, rules=rules, body_len=body_len,
+                         neg_prob=neg_prob)
+        for pid, strategy in product(pids, Strategy):
+            rng, ref = _stream(atoms, pid, strategy, trial), _stream(atoms, pid, strategy, trial)
+            instance = gen_instance(pid, cfg, rng, strategy)
+            reference = reference_gen_instance(pid, cfg, ref, strategy)
+            assert render_instance(instance) == render_instance(reference)
+            assert rng.getstate() == ref.getstate()
+            yield instance
+
+
 class TestLiteralTable:
     """A campaign builds each literal it draws once, in core's table of
     canonical literals; the draws, and so the instances, are those of a
@@ -149,22 +169,35 @@ class TestLiteralTable:
 
     @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5, 6, 8, 9, 14, 16, 17])
     def test_instances_match_the_reference_generator(self, atoms):
-        # pools of 2**j and 2**j + 1 atoms, and 1, 2, 5, 8 or 9 choices of
-        # a body size or rule count, sit at the edges of randrange's
-        # rejection rule; equal generator states after the draw show that
-        # no draw was added or left out where the instance would hide it
-        seen = set()
-        for body_len, rules, trial in product((0, 1, 4, 7), (0, 1, 8), range(3)):
-            cfg = FuzzConfig(seed=atoms, atoms=atoms, rules=rules, body_len=body_len)
-            for pid, strategy in product(PostulateId, Strategy):
-                rng, ref = _stream(atoms, pid, strategy, trial), _stream(atoms, pid, strategy, trial)
-                instance = gen_instance(pid, cfg, rng, strategy)
-                reference = reference_gen_instance(pid, cfg, ref, strategy)
-                assert render_instance(instance) == render_instance(reference)
-                assert rng.getstate() == ref.getstate()
-                seen |= {a for p in instance.programs.values() for a in p.atoms()}
+        seen = {a for instance in _matching_instances(atoms)
+                for p in instance.programs.values() for a in p.atoms()}
         # the second pool reaches the table's last atoms, x32 and x33 at 17
         assert set(atom_pool(2 * atoms)[-2:]) <= seen
+
+    @pytest.mark.parametrize("neg_prob", [0.0, 1.0])
+    @pytest.mark.parametrize("atoms", [1, 2, 17])
+    def test_sign_edges_match_the_reference_generator(self, atoms, neg_prob):
+        # a sign is draw() >= neg_prob: 0.0 makes every drawn literal positive
+        # and 1.0 every one negative (draw() < 1); heads are drawn or derived
+        # from drawn ones, while an inert variant's body may take either sign
+        heads = {r.head.positive for instance in _matching_instances(atoms, neg_prob)
+                 for p in chain(instance.programs.values(), *instance.profiles.values())
+                 for r in p.rules}
+        assert heads == {neg_prob == 0.0}
+
+    def test_variants_of_an_inconsistent_program_match_the_reference(self, monkeypatch):
+        # _equivalent_variant adds one drawn rule to a program whose closure
+        # is bottom; these runs take that branch as well as the others
+        bottoms = []
+        variant = fuzz._equivalent_variant
+
+        def spy(p, *args):
+            bottoms.append(closure(p).is_bottom)
+            return variant(p, *args)
+        monkeypatch.setattr(fuzz, "_equivalent_variant", spy)
+        for atoms in (1, 2):
+            list(_matching_instances(atoms, pids=(PostulateId.SA5, PostulateId.FP3)))
+        assert any(bottoms) and not all(bottoms)
 
     @pytest.mark.parametrize("pool", [
         ("c", "x40", "zz_top"), ("a", "q"), ("zz_top",), ("q", "x40", "a", "m"),

@@ -79,6 +79,18 @@ class TestSaCheckers:
         assert verdict.status is Status.HOLDS
         assert verdict.witness["arb(P, disj(Q1, Q2))"] == "c"
 
+    def test_sa6_names_the_fresh_atom_outside_the_vocabulary(self):
+        # disj(Q1, Q2) is bottom, so as_program needs an atom fresh for P,
+        # Q1 and Q2: bot would let P's rules on it derive x under eh
+        inst = Instance(Strategy.EXTENDED_HULL, programs={
+            "P": prog("bot -> x. -bot -> x."),
+            "Q1": prog("a. -a."),
+            "Q2": prog("b. -b."),
+        })
+        verdict = check(PostulateId.SA6, inst)
+        assert verdict.status is Status.HOLDS
+        assert verdict.witness["arb(P, disj(Q1, Q2))"] == ""
+
     @pytest.mark.parametrize("strategy", ALL)
     def test_sa1_holds(self, strategy):
         verdict = check(PostulateId.SA1, sa_pair(prog(GAP_P), prog(GAP_Q), strategy))
@@ -230,6 +242,48 @@ class TestCheckPlumbing:
                         programs={"P": prog("a."), "Q": prog("b."), "R": prog("c.")})
         with pytest.raises(IncompleteBinding, match="unexpected R"):
             check(PostulateId.SA1, inst)
+
+    @pytest.mark.parametrize("pid, bindings, message", [
+        (PostulateId.SA1, {"programs": {"P": prog("a.")}}, "SA1: missing Q"),
+        (PostulateId.SA1, {"programs": {"P": prog("a."), "Q": prog("b."), "R": prog("c."),
+                                        "A": prog("c.")}}, "SA1: unexpected A, R"),
+        (PostulateId.FP3, {"programs": {"P": prog("a.")},
+                           "profiles": {"profile2": (prog("b."),), "extra": (prog("c."),)}},
+         "FP3: missing Q, profile1; unexpected extra"),
+    ])
+    def test_binding_problems_keep_their_message(self, pid, bindings, message):
+        with pytest.raises(IncompleteBinding) as info:
+            check(pid, Instance(Strategy.RANK, **bindings))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("pid, bindings, message", [
+        (PostulateId.SA1, {"programs": {"P": prog("a.")}, "profiles": {"Q": (prog("b."),)}},
+         "SA1: missing Q; unexpected Q"),
+        (PostulateId.FP3, {"programs": {"P": prog("a."), "Q": prog("a."), "profile1": prog("a.")},
+                           "profiles": {"profile2": (prog("b."),)}},
+         "FP3: missing profile1; unexpected profile1"),
+    ])
+    def test_a_name_bound_on_the_wrong_side_is_incomplete(self, pid, bindings, message):
+        # the right names in all, but a program variable under profiles (or
+        # the reverse) is missing on one side and unexpected on the other
+        with pytest.raises(IncompleteBinding) as info:
+            check(pid, Instance(Strategy.RANK, **bindings))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("pid", [PostulateId.SA5, PostulateId.FP3, PostulateId.FP7])
+    def test_bindings_in_any_order_evaluate_by_name(self, pid):
+        # check looks each value up by its variable's name, not by position
+        spec = POSTULATES[pid]
+        values = [prog(f"{chr(97 + i)}. x{i} -> {chr(97 + i)}.")
+                  for i in range(len(spec.program_vars))]
+        values += [(prog(f"-{chr(97 + i)}."), prog("z."))
+                   for i in range(len(spec.profile_vars))]
+        row = bind(pid, Strategy.HULL, values)
+        shuffled = Instance(Strategy.HULL, programs=dict(reversed(row.programs.items())),
+                            profiles=dict(reversed(row.profiles.items())))
+        assert list(shuffled.programs) != list(spec.program_vars)
+        assert check(pid, shuffled) == check(pid, row)
+        assert check(pid, shuffled).witness == check(pid, row).witness
 
     @pytest.mark.parametrize("pid", tuple(PostulateId))
     def test_evaluator_takes_the_row_order(self, pid):
