@@ -250,22 +250,15 @@ class TestCheckPlumbing:
         (PostulateId.FP3, {"programs": {"P": prog("a.")},
                            "profiles": {"profile2": (prog("b."),), "extra": (prog("c."),)}},
          "FP3: missing Q, profile1; unexpected extra"),
-    ])
-    def test_binding_problems_keep_their_message(self, pid, bindings, message):
-        with pytest.raises(IncompleteBinding) as info:
-            check(pid, Instance(Strategy.RANK, **bindings))
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("pid, bindings, message", [
+        # the right names in all, but a program variable under profiles (or
+        # the reverse) is missing on one side and unexpected on the other
         (PostulateId.SA1, {"programs": {"P": prog("a.")}, "profiles": {"Q": (prog("b."),)}},
          "SA1: missing Q; unexpected Q"),
         (PostulateId.FP3, {"programs": {"P": prog("a."), "Q": prog("a."), "profile1": prog("a.")},
                            "profiles": {"profile2": (prog("b."),)}},
          "FP3: missing profile1; unexpected profile1"),
     ])
-    def test_a_name_bound_on_the_wrong_side_is_incomplete(self, pid, bindings, message):
-        # the right names in all, but a program variable under profiles (or
-        # the reverse) is missing on one side and unexpected on the other
+    def test_binding_problems_keep_their_message(self, pid, bindings, message):
         with pytest.raises(IncompleteBinding) as info:
             check(pid, Instance(Strategy.RANK, **bindings))
         assert str(info.value) == message
